@@ -360,9 +360,6 @@ class DispersionRoots:
     def psi_plus(self, y):
         return self.u0_plus + np.asarray(y) * self.L_plus
 
-    def psi_minus(self, y):
-        return self.u0_minus + np.asarray(y) * self.L_minus
-
 
 @dataclass
 class StabilityReport:

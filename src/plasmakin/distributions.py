@@ -15,6 +15,7 @@ from scipy import integrate, interpolate
 from scipy.special import exp1, wofz
 
 from .errors import DomainError, InputError
+from .transforms import perpendicular_unit
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -84,14 +85,6 @@ class VelocityDistribution:
 
     def mass(self, chi=(0.0, 0.0, 1.0)) -> float:
         return float(self.raw_moments(np.asarray(chi, float))[0])
-
-    def decay_lattice_sup(self, half_width=8.0, n=9) -> float:
-        """max |∇f(v)| e^{|v|} on a cubic test lattice (Ass. surrogate)."""
-        ax = np.linspace(-half_width, half_width, n)
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        V = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-        g = np.linalg.norm(self.gradient(V), axis=-1)
-        return float(np.max(g * np.exp(np.linalg.norm(V, axis=-1))))
 
 
 class _GaussianMixtureBase(VelocityDistribution):
@@ -391,29 +384,20 @@ class Tabulated(VelocityDistribution):
         g = np.stack([gi(flat) for gi in self._ginterp], axis=-1)
         return g.reshape(v.shape)
 
-    def _plane_basis(self, chi):
-        chi = np.asarray(chi, dtype=float)
-        trial = np.array([1.0, 0.0, 0.0])
-        if abs(chi @ trial) > 0.9:
-            trial = np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(chi, trial)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(chi, e1)
-        return e1, e2
-
     def radon_profile(self, chi, u):
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.max(np.abs(u)) > self.half_width:
             raise DomainError("requested u beyond tabulated support")
-        e1, e2 = self._plane_basis(chi)
+        chi = np.asarray(chi, dtype=float)
+        e1 = perpendicular_unit(chi)
+        e2 = np.cross(chi, e1)
         x, w = np.polynomial.legendre.leggauss(self.plane_nodes)
         half = self.half_width
         s = half * x
         ws = half * w
         S, T = np.meshgrid(s, s, indexing="ij")
         W = np.outer(ws, ws)
-        chi = np.asarray(chi, dtype=float)
         out = np.empty(u.shape)
         for i, ui in enumerate(u):
             pts = ui * chi + S[..., None] * e1 + T[..., None] * e2

@@ -38,7 +38,7 @@ from .errors import (
     RootNotFoundError,
     SingularConfigurationError,
 )
-from .transforms import LineProfile, axial_inverse_transform, pv_transform
+from .transforms import LineProfile, axial_inverse_transform, perpendicular_unit, pv_transform
 
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
 
@@ -449,7 +449,7 @@ def correlation_line(
     if abs(b_vec @ e) > 1e-10 * max(1.0, np.linalg.norm(b_vec)):
         raise InputError("b must be orthogonal to v_r")
     bnorm = np.linalg.norm(b_vec)
-    e1 = b_vec / bnorm if bnorm > 0 else _any_perp(e)
+    e1 = b_vec / bnorm if bnorm > 0 else perpendicular_unit(e)
     e2 = np.cross(e, e1)
 
     if n_theta is None:
@@ -518,14 +518,6 @@ def correlation_line(
     ) * (xi[1] - xi[0])
     g_line = 1j / nr * cum
     return CorrelationLine(xi=xi, g=g_line, gamma_line=gamma_line, b=b_vec, e=e, v_r=nr)
-
-
-def _any_perp(e):
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(e @ trial) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    p = np.cross(e, trial)
-    return p / np.linalg.norm(p)
 
 
 def g_B_eval(sol: HSolution, x, v1, v2, **line_kw) -> CorrelationSample:

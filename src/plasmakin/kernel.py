@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError, SingularConfigurationError
+from .transforms import perpendicular_unit
 
 LOG_FLOOR = 1e-300
 
@@ -45,21 +46,6 @@ class DiffusionTensor:
         if np.min(self.eigenvalues()) < -tol_psd * np.trace(self.matrix):
             raise InputError("tensor not positive semidefinite")
         return self
-
-
-def _plane_basis(w):
-    w = np.asarray(w, dtype=float)
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        raise SingularConfigurationError("w = 0: delta collapse undefined")
-    what = w / nw
-    trial = np.array([1.0, 0.0, 0.0])
-    if abs(what @ trial) > 0.9:
-        trial = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(what, trial)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(what, e1)
-    return what, e1, e2
 
 
 def _auto_cutoff(model, requested):
@@ -108,16 +94,15 @@ def bl_tensor(model, w, v, K_max=None, n_r=64, n_theta=32, epsilon_sign=-1.0) ->
     """Shielded diffusion tensor a(w, v) by direct plane quadrature."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    what, e1_raw, e2_raw = _plane_basis(w)
     nw = np.linalg.norm(w)
+    if nw == 0.0:
+        raise SingularConfigurationError("w = 0: delta collapse undefined")
+    what = w / nw
     K = _auto_cutoff(model, K_max)
     v_perp = v - (v @ what) * what
     vp = np.linalg.norm(v_perp)
-    if vp > 1e-14:
-        e1 = v_perp / vp
-        e2 = np.cross(what, e1)
-    else:
-        e1, e2 = e1_raw, e2_raw
+    e1 = v_perp / vp if vp > 1e-14 else perpendicular_unit(what)
+    e2 = np.cross(what, e1)
     A11, A22, A12 = _plane_components(model, vp, K, n_r, n_theta, epsilon_sign)
     mat = (
         A11 * np.outer(e1, e1)
@@ -285,8 +270,9 @@ def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign
         vdotw = pts[i] @ what.T
         vperp = pts[i][None, :] - vdotw[:, None] * what
         vp = np.linalg.norm(vperp, axis=1)
+        e1 = vperp / np.maximum(vp, 1e-300)[:, None]
         small = vp < 1e-12
-        e1 = np.where(small[:, None], _perp_bundle(what), vperp / np.maximum(vp, 1e-300)[:, None])
+        e1[small] = perpendicular_unit(what[small])
         e2 = np.cross(what, e1)
         A = table.components(vp)  # (m, 3): A11, A22, A12
         bracket = fflat[ok, None] * fflat[i] * (glog[i][None, :] - glog[ok])
@@ -308,15 +294,6 @@ def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign
         sl_lo[axis] = slice(0, -2)
         div += (padded[tuple(sl_hi)] - padded[tuple(sl_lo)]) / (2.0 * h)
     return div
-
-
-def _perp_bundle(what):
-    trial = np.zeros_like(what)
-    trial[:, 0] = 1.0
-    swap = np.abs(what[:, 0]) > 0.9
-    trial[swap] = np.array([0.0, 1.0, 0.0])
-    e = np.cross(what, trial)
-    return e / np.linalg.norm(e, axis=1)[:, None]
 
 
 def collision_diagnostics(field: VelocityGridField, dtf: np.ndarray):

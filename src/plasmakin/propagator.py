@@ -28,13 +28,12 @@ the cross-machinery oracle.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .dielectric import DielectricModel
-from .distributions import _GaussianMixtureBase
+from .distributions import _GaussianMixtureBase, _plasma_z
 from .equilibrium import HSolution
 from .errors import (
     InputError,
@@ -110,6 +109,10 @@ class ContourFn:
             )
         raise InputError("can only add ContourFn to ContourFn")
 
+    def __sub__(self, c):
+        """F - c for a constant c."""
+        return ContourFn(self.contour, self.vals - c, (self.a[0] - c,) + self.a[1:])
+
     def reciprocal(self):
         a0, a1, a2, a3 = self.a
         if a0 == 0:
@@ -135,6 +138,11 @@ class ContourFn:
         return TimeSeries(t=t, values=vals)
 
 
+def _interp_complex(t, tp, fp):
+    """Piecewise-linear interpolation of complex samples fp(tp) at t."""
+    return np.interp(t, tp, fp.real) + 1j * np.interp(t, tp, fp.imag)
+
+
 @dataclass
 class TimeSeries:
     t: np.ndarray
@@ -142,9 +150,7 @@ class TimeSeries:
 
     def at(self, t_req):
         t_req = np.asarray(t_req, dtype=float)
-        re = np.interp(t_req, self.t, self.values.real)
-        im = np.interp(t_req, self.t, self.values.imag)
-        out = re + 1j * im
+        out = _interp_complex(t_req, self.t, self.values)
         return np.where(t_req < 0, 0.0, out) if out.ndim else (0.0 if t_req < 0 else complex(out))
 
 
@@ -175,10 +181,6 @@ def _duhamel_pole(phi, dt, au):
 # ---------------------------------------------------------------------------
 # reduced Gaussian u-profiles with closed-form Cauchy moments
 # ---------------------------------------------------------------------------
-
-
-def _plasma_z(zeta):
-    return 1j * np.sqrt(np.pi) * wofz(zeta)
 
 
 @dataclass
@@ -636,7 +638,48 @@ class SeparableGaussianPair:
         return ((self.sigma_a, self.sigma_b), (self.sigma_b, self.sigma_a))
 
 
-class PairPropagator:
+class _WeakFormEvaluator:
+    """Set-up and per-κ pipeline shared by the weak-form evaluators.
+
+    One Bromwich contour, Gauss-Legendre κ nodes on `k_range` and the
+    contour's time grid up to `t_max`.  `_kappa_nodes` builds the
+    Laplace-side factors of one κ node at a time, because holding every
+    node's contour arrays at once would multiply their memory by the node
+    count.
+    """
+
+    def __init__(self, model, t_max, k_nodes, k_range, height, n_nodes):
+        _require_soft(model)
+        self._F = radon_profile_of(model.distribution)
+        self.model = model
+        gamma = min(0.5, 4.0 / max(t_max, 1.0))
+        self.contour = BromwichContour(gamma=gamma, height=height, n_nodes=n_nodes)
+        self.t_max = float(t_max)
+        x, w = np.polynomial.legendre.leggauss(k_nodes)
+        a, b = k_range
+        self.k_q = 0.5 * (a + b) + 0.5 * (b - a) * x
+        self.k_w = 0.5 * (b - a) * w
+        dt = self.contour.t_grid[1]
+        self._n_t = int(self.t_max / dt) + 2
+        self._t = self.contour.t_grid[: self._n_t]
+
+    def _kappa_nodes(self):
+        """Yield (a, weight, W = φ̂(a), 1/ε, 1/ε̃) for each κ node in turn."""
+        for kap, kw in zip(self.k_q, self.k_w):
+            a = float(kap)
+            W = float(self.model.potential.fourier(np.asarray(a)))
+            kv = np.array([0.0, 0.0, a])
+            inv_eps = _epsilon_contour_fn(self.model, kv, self.contour).reciprocal()
+            inv_eps_m = _epsilon_contour_fn(
+                self.model, kv, self.contour, conjugate_mode=True
+            ).reciprocal()
+            yield a, kw, W, inv_eps, inv_eps_m
+
+    def _invert(self, fn: ContourFn):
+        return fn.invert().values[: self._n_t]
+
+
+class PairPropagator(_WeakFormEvaluator):
     """Weak-form evaluator of G(t) = V₁V₂[S + g₀] - T(t)[S] per test function.
 
     All pairings reduce per wavenumber to inverse Laplace transforms of
@@ -646,31 +689,7 @@ class PairPropagator:
 
     def __init__(self, model: DielectricModel, t_max=35.0, k_nodes=24, k_range=(0.02, 6.0),
                  height=160.0, n_nodes=65536):
-        _require_soft(model)
-        if not isinstance(model.distribution, _GaussianMixtureBase):
-            raise InputError("weak pairing needs a Gaussian-mixture distribution")
-        self.model = model
-        gamma = min(0.5, 4.0 / max(t_max, 1.0))
-        self.contour = BromwichContour(gamma=gamma, height=height, n_nodes=n_nodes)
-        self.t_max = float(t_max)
-        x, w = np.polynomial.legendre.leggauss(k_nodes)
-        a, b = k_range
-        self.k_q = 0.5 * (a + b) + 0.5 * (b - a) * x
-        self.k_w = 0.5 * (b - a) * w
-        self._F = radon_profile_of(model.distribution)
-        dt = self.contour.t_grid[1]
-        self._n_t = int(self.t_max / dt) + 2
-        self._t = self.contour.t_grid[: self._n_t]
-
-    # -- shared per-k pieces -------------------------------------------------
-    def _eps_pair(self, kappa):
-        kv = np.array([0.0, 0.0, float(kappa)])
-        eps = _epsilon_contour_fn(self.model, kv, self.contour)
-        eps_m = _epsilon_contour_fn(self.model, kv, self.contour, conjugate_mode=True)
-        return eps.reciprocal(), eps_m.reciprocal()
-
-    def _invert(self, fn: ContourFn):
-        return fn.invert().values[: self._n_t]
+        super().__init__(model, t_max, k_nodes, k_range, height, n_nodes)
 
     def psi_pairing(self, test: GaussianTestFunction, t_values):
         """⟨Ψ(t,t), ψ⟩ for the zero-initial-datum propagator G(t)[0]."""
@@ -679,12 +698,8 @@ class PairPropagator:
         G0_1, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         dt = self._t[1]
-        acc = np.zeros(self._n_t, dtype=complex)
         total = np.zeros(self._n_t, dtype=complex)
-        for kap, kw in zip(self.k_q, self.k_w):
-            a = float(kap)
-            W = float(self.model.potential.fourier(np.asarray(a)))
-            inv_eps, inv_eps_m = self._eps_pair(a)
+        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
             m_F = self._F.cauchy_moment(self.contour, a)
             mt_F = self._F.cauchy_moment(self.contour, -a)
             m_G11 = G1_1.cauchy_moment(self.contour, a)
@@ -695,61 +710,43 @@ class PairPropagator:
             P4 = self._invert(mt_G12 * mt_F * inv_eps_m)
             psi1 = (a * W) ** 2 * _cumulative_product_integral(dt, P1, P2)
             psi1 = psi1 + (a * W) ** 2 * _cumulative_product_integral(dt, P3, P4)
-            phi2 = self._invert(mt_G12 * inv_eps_m)
             G0_1_hat = G0_1.fourier(a * self._t)
-            psi2 = -1j * a * W * _cumulative_product_integral(dt, G0_1_hat, phi2)
-            phi1 = self._invert(m_G11 * inv_eps)
+            psi2 = -1j * a * W * _cumulative_product_integral(dt, G0_1_hat, P2)
             G0_2_hat = G0_2.fourier(-a * self._t)
-            psi2s = 1j * a * W * _cumulative_product_integral(dt, phi1, G0_2_hat)
+            psi2s = 1j * a * W * _cumulative_product_integral(dt, P3, G0_2_hat)
             total = total + kw * 4 * np.pi * a**2 * test.x_hat(a) * (psi1 + psi2 + psi2s)
-        re = np.interp(t_values, self._t, total.real)
-        im = np.interp(t_values, self._t, total.imag)
-        return re + 1j * im
+        return _interp_complex(t_values, self._t, total)
 
     def lambda_pairing(self, g0: SeparableGaussianPair, test: GaussianTestFunction, t_values):
         """⟨Λ(t,t), ψ⟩ = ⟨V₁(t)V₂(t)[g₀], ψ⟩ for a separable Schwartz g₀."""
         t_values = np.asarray(t_values, dtype=float)
         dist = self.model.distribution
-        G0_1, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
-        G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
+        _, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
+        _, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         total = np.zeros(self._n_t, dtype=complex)
-        dt = self._t[1]
-        for kap, kw in zip(self.k_q, self.k_w):
-            a = float(kap)
-            W = float(self.model.potential.fourier(np.asarray(a)))
-            inv_eps, inv_eps_m = self._eps_pair(a)
+        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
             m_G11 = G1_1.cauchy_moment(self.contour, a)
             mt_G12 = G1_2.cauchy_moment(self.contour, -a)
             per_k = np.zeros(self._n_t, dtype=complex)
             for sa, sb in g0.orderings():
-                R_a = gaussian_radon(sa)
-                R_b = gaussian_radon(sb)
                 # ψ-weighted reductions of the initial datum
                 sa1 = 1.0 / np.sqrt(sa**-2 + test.sigma_v1**-2)
                 sb2 = 1.0 / np.sqrt(sb**-2 + test.sigma_v2**-2)
-                R_a1 = gaussian_radon(sa1)
-                R_b2 = gaussian_radon(sb2)
-                ff = R_a1.fourier(a * self._t) * R_b2.fourier(-a * self._t)
-                cc = (
-                    (a * W) ** 2
-                    * self._invert(m_G11 * R_a.cauchy_moment(self.contour, a) * inv_eps)
-                    * self._invert(mt_G12 * R_b.cauchy_moment(self.contour, -a) * inv_eps_m)
+                free_a = gaussian_radon(sa1).fourier(a * self._t)
+                free_b = gaussian_radon(sb2).fourier(-a * self._t)
+                coll_a = self._invert(
+                    m_G11 * gaussian_radon(sa).cauchy_moment(self.contour, a) * inv_eps
                 )
-                fc = (
-                    -1j * a * W
-                    * R_a1.fourier(a * self._t)
-                    * self._invert(mt_G12 * R_b.cauchy_moment(self.contour, -a) * inv_eps_m)
+                coll_b = self._invert(
+                    mt_G12 * gaussian_radon(sb).cauchy_moment(self.contour, -a) * inv_eps_m
                 )
-                cf = (
-                    1j * a * W
-                    * self._invert(m_G11 * R_a.cauchy_moment(self.contour, a) * inv_eps)
-                    * R_b2.fourier(-a * self._t)
-                )
+                ff = free_a * free_b
+                cc = (a * W) ** 2 * coll_a * coll_b
+                fc = -1j * a * W * free_a * coll_b
+                cf = 1j * a * W * coll_a * free_b
                 per_k = per_k + 0.5 * (ff + cc + fc + cf)
             total = total + kw * 4 * np.pi * a**2 * g0.x_hat(a) * test.x_hat(a) * per_k
-        re = np.interp(t_values, self._t, total.real)
-        im = np.interp(t_values, self._t, total.imag)
-        return re + 1j * im
+        return _interp_complex(t_values, self._t, total)
 
     def g_B_pairing(self, test: GaussianTestFunction, hsol: HSolution | None = None):
         """⟨g_B, ψ⟩ from the equilibrium chain (the t → ∞ target)."""
@@ -796,126 +793,116 @@ def _radial_log_derivative(dist, v_mag):
     return f, g
 
 
-class FluxEvaluator:
-    """J[ψ](t, v₁) for the Ψ marginal and the Λ marginal, plus the BL limit."""
+def _stencil(v_mag, dv):
+    return np.array([v_mag - dv, v_mag, v_mag + dv])
+
+
+def _radial_divergence(A, v_mag, dv):
+    """∇·(A v̂) = A' + 2A/|v| from A at the three `_stencil` speeds."""
+    return np.real((A[2] - A[0]) / (2 * dv) + 2.0 * A[1] / v_mag)
+
+
+class FluxEvaluator(_WeakFormEvaluator):
+    """J[ψ](t, v₁) for the Ψ marginal and the Λ marginal, plus the BL limit.
+
+    The angular-reduced flux scalars take an array of speeds |v₁|; all
+    speeds share each κ node's inversions.
+    """
 
     def __init__(self, model, t_max=35.0, k_nodes=20, k_range=(0.02, 6.0),
                  n_mu=24, height=160.0, n_nodes=65536):
-        _require_soft(model)
-        if not isinstance(model.distribution, _GaussianMixtureBase):
-            raise InputError("flux path needs a Gaussian-mixture distribution")
-        self.model = model
-        gamma = min(0.5, 4.0 / max(t_max, 1.0))
-        self.contour = BromwichContour(gamma=gamma, height=height, n_nodes=n_nodes)
-        self.t_max = float(t_max)
-        x, w = np.polynomial.legendre.leggauss(k_nodes)
-        a, b = k_range
-        self.k_q = 0.5 * (a + b) + 0.5 * (b - a) * x
-        self.k_w = 0.5 * (b - a) * w
-        mu, wmu = np.polynomial.legendre.leggauss(n_mu)
-        self.mu = mu
-        self.wmu = wmu
-        self._F = radon_profile_of(model.distribution)
-        dt = self.contour.t_grid[1]
-        self._n_t = int(self.t_max / dt) + 2
-        self._t = self.contour.t_grid[: self._n_t]
+        super().__init__(model, t_max, k_nodes, k_range, height, n_nodes)
+        self.mu, self.wmu = np.polynomial.legendre.leggauss(n_mu)
+
+    def _speeds(self, v_mag):
+        """Speeds as an array, with (f, ∂_r f) at each."""
+        speeds = np.atleast_1d(np.asarray(v_mag, dtype=float))
+        dist = self.model.distribution
+        return speeds, [_radial_log_derivative(dist, v) for v in speeds]
 
     def _psi_marginal_flux_scalar(self, v_mag, t_values):
-        """A(|v₁|, t) with J = ∇·(A v̂₁): the Ψ-part angular-reduced flux."""
+        """A(|v₁|, t) with J = ∇·(A v̂₁): the Ψ-part angular-reduced flux.
+
+        An array `v_mag` gives one row per speed.
+        """
         t_values = np.asarray(t_values, dtype=float)
         dt = self._t[1]
-        f_v, g_r = _radial_log_derivative(self.model.distribution, v_mag)
-        out = np.zeros((len(t_values),), dtype=complex)
-        for kap, kw in zip(self.k_q, self.k_w):
-            a = float(kap)
-            W = float(self.model.potential.fourier(np.asarray(a)))
-            kv = np.array([0.0, 0.0, a])
-            inv_eps = _epsilon_contour_fn(self.model, kv, self.contour).reciprocal()
-            inv_eps_m = _epsilon_contour_fn(
-                self.model, kv, self.contour, conjugate_mode=True
-            ).reciprocal()
+        speeds, radial = self._speeds(v_mag)
+        out = np.zeros((len(speeds), len(t_values)), dtype=complex)
+        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
             m_F = self._F.cauchy_moment(self.contour, a)
             mt_F = self._F.cauchy_moment(self.contour, -a)
-            one = ContourFn(self.contour, np.ones_like(inv_eps.vals), (1.0, 0, 0, 0))
-            gam = (inv_eps_m + (-1.0) * one).invert().values[: self._n_t]
-            dlt = (mt_F * (inv_eps_m + (-1.0) * one)).invert().values[: self._n_t]
-            phiF = (m_F * inv_eps).invert().values[: self._n_t]
-            q_eps = (inv_eps + (-1.0) * one).invert().values[: self._n_t]
-            u1 = self.mu * v_mag
-            au1 = a * u1
-            alpha_m = _duhamel_pole(phiF, dt, au1)          # (n_mu, n_t)
-            beta_m = np.exp(-1j * np.outer(au1, self._t)) + _duhamel_pole(q_eps, dt, au1)
+            excess_m = inv_eps_m - 1.0
+            gam = self._invert(excess_m)
+            dlt = self._invert(mt_F * excess_m)
+            phiF = self._invert(m_F * inv_eps)
+            q_eps = self._invert(inv_eps - 1.0)
             F_hat_free = self._F.fourier(-a * self._t)
-            Q1 = a * W * (u1 / v_mag) * g_r  # Q(k,v₁) angular factor per mu
-            psi = np.zeros((len(self.mu), self._n_t), dtype=complex)
-            for j in range(len(self.mu)):
-                t1 = _cumulative_product_integral(dt, alpha_m[j], gam)
-                t1 = t1 + _cumulative_product_integral(dt, beta_m[j], dlt)
-                p1 = 1j * Q1[j] * t1
-                p2 = f_v * _cumulative_product_integral(
-                    dt, np.exp(-1j * au1[j] * self._t), gam
-                )
-                p2s = 1j * Q1[j] * _cumulative_product_integral(dt, beta_m[j], F_hat_free)
-                psi[j] = p1 + p2 + p2s
-            ang = np.einsum("m,mt->t", self.wmu * self.mu, psi)
-            contrib = -2j * np.pi * a**3 * W * ang
-            out = out + kw * np.interp(t_values, self._t, contrib.real) \
-                      + 1j * kw * np.interp(t_values, self._t, contrib.imag)
-        return out
+            for i, (v, (f_v, g_r)) in enumerate(zip(speeds, radial)):
+                u1 = self.mu * v
+                au1 = a * u1
+                alpha_m = _duhamel_pole(phiF, dt, au1)          # (n_mu, n_t)
+                beta_m = np.exp(-1j * np.outer(au1, self._t)) + _duhamel_pole(q_eps, dt, au1)
+                Q1 = a * W * (u1 / v) * g_r  # Q(k,v₁) angular factor per mu
+                psi = np.zeros((len(self.mu), self._n_t), dtype=complex)
+                for j in range(len(self.mu)):
+                    t1 = _cumulative_product_integral(dt, alpha_m[j], gam)
+                    t1 = t1 + _cumulative_product_integral(dt, beta_m[j], dlt)
+                    p1 = 1j * Q1[j] * t1
+                    p2 = f_v * _cumulative_product_integral(
+                        dt, np.exp(-1j * au1[j] * self._t), gam
+                    )
+                    p2s = 1j * Q1[j] * _cumulative_product_integral(dt, beta_m[j], F_hat_free)
+                    psi[j] = p1 + p2 + p2s
+                ang = np.einsum("m,mt->t", self.wmu * self.mu, psi)
+                contrib = -2j * np.pi * a**3 * W * ang
+                out[i] += kw * _interp_complex(t_values, self._t, contrib)
+        return out if np.ndim(v_mag) else out[0]
 
     def flux_J(self, t_values, v_mag, dv=0.08):
         """Ψ-part flux divergence J(t, v₁) = A' + 2A/|v₁| (3-point stencil)."""
-        vs = np.array([v_mag - dv, v_mag, v_mag + dv])
-        A = np.stack([self._psi_marginal_flux_scalar(v, t_values) for v in vs])
-        dA = (A[2] - A[0]) / (2 * dv)
-        return np.real(dA + 2.0 * A[1] / v_mag)
+        A = self._psi_marginal_flux_scalar(_stencil(v_mag, dv), t_values)
+        return _radial_divergence(A, v_mag, dv)
 
     def lambda_marginal_flux_scalar(self, g0: SeparableGaussianPair, v_mag, t_values):
-        """Λ-part angular-reduced flux A_λ(|v₁|, t)."""
+        """Λ-part angular-reduced flux A_λ(|v₁|, t); one row per speed for an array `v_mag`."""
         t_values = np.asarray(t_values, dtype=float)
         dt = self._t[1]
-        f_v, g_r = _radial_log_derivative(self.model.distribution, v_mag)
-        out = np.zeros((len(t_values),), dtype=complex)
-        for kap, kw in zip(self.k_q, self.k_w):
-            a = float(kap)
-            W = float(self.model.potential.fourier(np.asarray(a)))
-            kv = np.array([0.0, 0.0, a])
-            inv_eps = _epsilon_contour_fn(self.model, kv, self.contour).reciprocal()
-            inv_eps_m = _epsilon_contour_fn(
-                self.model, kv, self.contour, conjugate_mode=True
-            ).reciprocal()
-            one = ContourFn(self.contour, np.ones_like(inv_eps.vals), (1.0, 0, 0, 0))
-            u1 = self.mu * v_mag
-            au1 = a * u1
-            Q1 = a * W * (u1 / v_mag) * g_r
-            per_k = np.zeros((len(self.mu), self._n_t), dtype=complex)
+        speeds, radial = self._speeds(v_mag)
+        out = np.zeros((len(speeds), len(t_values)), dtype=complex)
+        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
+            excess_m = inv_eps_m - 1.0
+            sides = []
             for sa, sb in g0.orderings():
                 R_a = gaussian_radon(sa)
                 R_b = gaussian_radon(sb)
-                Ga_v1 = np.exp(-0.5 * (v_mag / sa) ** 2)
-                delta_b = ((inv_eps_m + (-1.0) * one) * R_b.cauchy_moment(self.contour, -a)).invert().values[: self._n_t]
-                phi_Ra = (R_a.cauchy_moment(self.contour, a) * inv_eps).invert().values[: self._n_t]
-                alpha_Ra = _duhamel_pole(phi_Ra, dt, au1)
-                Rb_hat = R_b.fourier(a * self._t)
+                delta_b = self._invert(excess_m * R_b.cauchy_moment(self.contour, -a))
+                phi_Ra = self._invert(R_a.cauchy_moment(self.contour, a) * inv_eps)
+                sides.append((sa, delta_b, phi_Ra, R_b.fourier(a * self._t)))
+            for i, (v, (_, g_r)) in enumerate(zip(speeds, radial)):
+                u1 = self.mu * v
+                au1 = a * u1
+                Q1 = a * W * (u1 / v) * g_r
                 free1 = np.exp(-1j * np.outer(au1, self._t))
-                for j in range(len(self.mu)):
-                    # separable in (z, z'): equal-time inverses are products
-                    ff = Ga_v1 * free1[j] * Rb_hat
-                    cc = 1j * Q1[j] * alpha_Ra[j] * delta_b
-                    fc = Ga_v1 * free1[j] * delta_b
-                    cf = 1j * Q1[j] * alpha_Ra[j] * Rb_hat
-                    per_k[j] = per_k[j] + 0.5 * (ff + cc + fc + cf)
-            ang = np.einsum("m,mt->t", self.wmu * self.mu, per_k)
-            contrib = -2j * np.pi * a**3 * W * g0.x_hat(a) * ang
-            out = out + kw * np.interp(t_values, self._t, contrib.real) \
-                      + 1j * kw * np.interp(t_values, self._t, contrib.imag)
-        return out
+                per_k = np.zeros((len(self.mu), self._n_t), dtype=complex)
+                for sa, delta_b, phi_Ra, Rb_hat in sides:
+                    Ga_v1 = np.exp(-0.5 * (v / sa) ** 2)
+                    alpha_Ra = _duhamel_pole(phi_Ra, dt, au1)
+                    for j in range(len(self.mu)):
+                        # separable in (z, z'): equal-time inverses are products
+                        ff = Ga_v1 * free1[j] * Rb_hat
+                        cc = 1j * Q1[j] * alpha_Ra[j] * delta_b
+                        fc = Ga_v1 * free1[j] * delta_b
+                        cf = 1j * Q1[j] * alpha_Ra[j] * Rb_hat
+                        per_k[j] = per_k[j] + 0.5 * (ff + cc + fc + cf)
+                ang = np.einsum("m,mt->t", self.wmu * self.mu, per_k)
+                contrib = -2j * np.pi * a**3 * W * g0.x_hat(a) * ang
+                out[i] += kw * _interp_complex(t_values, self._t, contrib)
+        return out if np.ndim(v_mag) else out[0]
 
     def flux_lambda(self, g0, t_values, v_mag, dv=0.08):
-        vs = np.array([v_mag - dv, v_mag, v_mag + dv])
-        A = np.stack([self.lambda_marginal_flux_scalar(g0, v, t_values) for v in vs])
-        dA = (A[2] - A[0]) / (2 * dv)
-        return np.real(dA + 2.0 * A[1] / v_mag)
+        A = self.lambda_marginal_flux_scalar(g0, _stencil(v_mag, dv), t_values)
+        return _radial_divergence(A, v_mag, dv)
 
 
 def bl_flux_vector(model, v_mag, table: TensorTable, n_q=24, n_phi=16, q_max=8.0):
@@ -963,12 +950,6 @@ def bl_flux_vector(model, v_mag, table: TensorTable, n_q=24, n_phi=16, q_max=8.0
     return float(total)
 
 
-def bl_flux_divergence(model, v_mag, table: TensorTable, dv=0.08, **kw):
-    vs = (v_mag - dv, v_mag, v_mag + dv)
-    D = [bl_flux_vector(model, v, table, **kw) for v in vs]
-    return (D[2] - D[0]) / (2 * dv) + 2.0 * D[1] / v_mag
-
-
 def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
                n_k=40, n_mu=32, dv=0.08):
     """t → ∞ flux target: J_∞(v₁) = ∇·(-i ∫ k φ̂(k) ĥ_B(k,v₁) dk).
@@ -987,8 +968,7 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
     kws = 0.5 * (b_ - a_) * kw
 
     def A_scalar(vm):
-        f_v = float(dist.density(np.array([0.0, 0.0, vm])))
-        g_r = float(np.array([0.0, 0.0, 1.0]) @ dist.gradient(np.array([0.0, 0.0, vm])))
+        f_v, g_r = _radial_log_derivative(dist, vm)
         tot = 0.0 + 0.0j
         for kk, ww in zip(ks, kws):
             W = float(model.potential.fourier(np.asarray(kk)))
@@ -996,5 +976,5 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
             tot += ww * (-2j * np.pi) * kk**3 * W * np.sum(wmu * mu * h)
         return tot
 
-    A = [A_scalar(v) for v in (v_mag - dv, v_mag, v_mag + dv)]
-    return float(np.real((A[2] - A[0]) / (2 * dv) + 2.0 * A[1] / v_mag))
+    A = [A_scalar(v) for v in _stencil(v_mag, dv)]
+    return float(_radial_divergence(A, v_mag, dv))

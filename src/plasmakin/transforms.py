@@ -40,10 +40,6 @@ class UGrid:
             raise InputError("u_max must be positive")
 
     @property
-    def u_min(self) -> float:
-        return -self.u_max
-
-    @property
     def spacing(self) -> float:
         return 2.0 * self.u_max / (self.n - 1)
 
@@ -89,13 +85,21 @@ def taper_window(grid: UGrid, fraction: float = TAPER_FRACTION) -> np.ndarray:
     Cosine ramp to zero at the endpoints; suppresses Gibbs leakage in the
     multiplier route.
     """
-    u = grid.points
-    edge = fraction * grid.u_max
-    w = np.ones_like(u)
-    ramp = np.abs(u) > edge
-    s = (np.abs(u[ramp]) - edge) / (grid.u_max - edge)
-    w[ramp] = 0.5 * (1.0 + np.cos(np.pi * np.clip(s, 0.0, 1.0)))
-    return w
+    return _smooth_cutoff(np.abs(grid.points), fraction * grid.u_max, grid.u_max)
+
+
+def perpendicular_unit(e):
+    """A unit vector orthogonal to each unit vector of `e` (shape (..., 3)).
+
+    e × x̂ normalized, or e × ŷ where |e_x| > 0.9 (e nearly along x̂).
+    """
+    e = np.asarray(e, dtype=float)
+    trial = np.zeros_like(e)
+    along_x = np.abs(e[..., 0]) > 0.9
+    trial[..., 0] = ~along_x
+    trial[..., 1] = along_x
+    p = np.cross(e, trial)
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
 def _next_pow2(m: int) -> int:

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.integrate import quad
 
-from plasmakin.cli import main
+from plasmakin.cli import _epsilon_at_rest, main
 from plasmakin.config import (
     RunManifest,
     compare_manifests,
@@ -15,7 +16,10 @@ from plasmakin.config import (
     read_manifest,
     write_manifest,
 )
+from plasmakin.dielectric import DielectricModel
+from plasmakin.distributions import ExponentialFamily, Maxwellian
 from plasmakin.errors import CompareError, ConfigError
+from plasmakin.potentials import CoulombPotential
 
 
 def write_cfg(path, text):
@@ -107,6 +111,32 @@ class TestCommands:
         m = read_manifest(tmp_path / "o" / "manifest.json")
         assert m.diagnostics["verdict"] == "UNSTABLE"
         assert (tmp_path / "o" / "penrose_offenders.csv").exists()
+
+    def test_dielectric_coulomb_mixture_exit0(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "d.cfg",
+            "scenario = dielectric\ndistribution = two-temperature\n"
+            "mixture-weights = 0.75 0.25\nmixture-sigmas = 1.0 1.35\n",
+        )
+        res = runner.invoke(main, ["dielectric", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert [c["passed"] for c in m.checks if c["name"] == "epsilon_k1_u0"] == [True]
+
+    @pytest.mark.parametrize("dist", [
+        Maxwellian(drift=(0.1, -0.3, 0.45), temperature=1.3),
+        ExponentialFamily(gamma=1, modulation=0.3),
+    ])
+    def test_epsilon_reference_matches_cauchy_quadrature(self, dist):
+        """The epsilon_k1_u0 reference against scipy's Cauchy-weight quadrature."""
+        chi = np.array([0.0, 0.0, 1.0])
+        model = DielectricModel(dist, CoulombPotential())
+
+        def dF(u):
+            return float(dist.radon_profile_derivative(chi, np.array([u]))[0])
+
+        pv = quad(dF, -40.0, 40.0, weight="cauchy", wvar=0.0, limit=400)[0]
+        assert abs(_epsilon_at_rest(model, chi) - (1.0 - (pv - 1j * np.pi * dF(0.0)))) < 1e-12
 
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "scenario = cloud\nwat = 1\n")

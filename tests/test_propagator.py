@@ -272,3 +272,18 @@ class TestFluxes:
         assert mags[-1] < 0.1 * mags[0]
         # after burn-in the envelope sits at the noise floor, far below initial
         assert np.all(mags[1:] < 0.01 * mags[0])
+
+    def test_speed_array_matches_single_speeds(self, mix_model):
+        """Speeds passed together share each κ node's inversions, not the arithmetic."""
+        from plasmakin.propagator import FluxEvaluator
+
+        fe = FluxEvaluator(mix_model, t_max=8.0, k_nodes=4, n_nodes=4096)
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        ts = np.array([1.0, 5.0])
+        speeds = [1.12, 1.2, 1.28]
+        psi = fe._psi_marginal_flux_scalar(speeds, ts)
+        lam = fe.lambda_marginal_flux_scalar(g0, speeds, ts)
+        assert psi.shape == lam.shape == (3, 2)
+        for i, v in enumerate(speeds):
+            assert np.array_equal(psi[i], fe._psi_marginal_flux_scalar(v, ts))
+            assert np.array_equal(lam[i], fe.lambda_marginal_flux_scalar(g0, v, ts))

@@ -9,6 +9,7 @@ from plasmakin.errors import DomainError, InputError, PreconditionError
 from plasmakin.transforms import (
     LineProfile,
     UGrid,
+    perpendicular_unit,
     plemelj_minus,
     plemelj_plus,
     pv_quadrature,
@@ -90,6 +91,16 @@ class TestRadon:
         prof = radon(Maxwellian(), CHI, GRID)
         fd = np.gradient(prof.values, GRID.spacing)
         assert np.max(np.abs(dprof.values[2:-2] - fd[2:-2])) < 5e-4
+
+    def test_perpendicular_unit_batches(self, rng):
+        e = rng.normal(size=(4, 5, 3))
+        e[0, 0] = [0.95, 0.1, 0.0]  # near x̂: the ŷ trial vector
+        e /= np.linalg.norm(e, axis=-1, keepdims=True)
+        p = perpendicular_unit(e)
+        assert p.shape == e.shape
+        assert np.max(np.abs(np.sum(p * e, axis=-1))) < 1e-14
+        assert np.max(np.abs(np.linalg.norm(p, axis=-1) - 1.0)) < 1e-14
+        assert np.array_equal(perpendicular_unit(e[2, 3]), p[2, 3])
 
 
 class TestPrincipalValue:
