@@ -8,6 +8,7 @@ numerical-consistency failure, 2 on an assumption violation
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -74,6 +75,7 @@ def _model(scn):
 
 
 def _run_guard(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             fn(*args, **kwargs)
@@ -90,8 +92,6 @@ def _run_guard(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONSISTENCY)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -287,6 +287,8 @@ def cloud(config_path, out):
 def evolve(config_path, out):
     """Per-mode linear evolution; optional pair-correlation weak convergence."""
     with _run(config_path, out, "evolve") as (scn, out_dir, manifest):
+        if build_potential(scn).is_coulomb:
+            raise ConfigError("evolve needs a soft potential: set potential = gaussian or zero")
         from .equilibrium import HSolution
         from .propagator import (
             GaussianTestFunction,

@@ -41,18 +41,18 @@ _COMMON_KEYS = {
 
 _SCENARIO_KEYS = {
     "penrose": set(),
-    "dielectric": {"k-values", "k-range", "u-max-scan"},
+    "dielectric": {"k-values"},
     "equilibrium": {"k-check", "ray-x", "ray-v1", "ray-v2", "ray-tau-max", "slopes",
                     "slope-window", "slope-v"},
     "cloud": {"sigma", "v0", "r-min", "r-max", "r-count"},
-    "evolve": {"k", "t-max", "dt", "amplitude", "pair", "test-sigmas", "flux-v"},
-    "kernel": {"k-max-list", "lattice-n", "half-width", "w", "v", "perturbation"},
+    "evolve": {"k", "t-max", "dt", "amplitude", "pair", "test-sigmas"},
+    "kernel": {"k-max-list", "lattice-n", "half-width", "w", "v"},
 }
 
 _VECTOR_KEYS = {
     "drift", "v0", "ray-x", "ray-v1", "ray-v2", "w", "v",
     "mixture-weights", "mixture-sigmas", "k-values", "k-max-list",
-    "k-range", "test-sigmas", "slope-window",
+    "test-sigmas", "slope-window",
 }
 _STRING_KEYS = {"scenario", "extends", "distribution", "potential"}
 _BOOL_KEYS = {"slopes", "pair"}

@@ -30,6 +30,15 @@ from .transforms import LineProfile, UGrid, pv_transform
 EPSILON_FLOOR = 1e-8
 
 
+def _directions(distribution, directions=None):
+    """The given directions as rows; by default ẑ, or all 26 lattice ones if anisotropic."""
+    if directions is None:
+        if distribution.is_isotropic:
+            return np.array([[0.0, 0.0, 1.0]])
+        return sphere_lattice_directions()
+    return np.atleast_2d(np.asarray(directions, dtype=float))
+
+
 def sphere_lattice_directions():
     """26 face/edge/corner directions of the cubic lattice, normalized."""
     dirs = []
@@ -97,12 +106,7 @@ class DielectricModel:
             ) == 1
             grid = UGrid(26.0, 2048) if wide else UGrid()
         self.grid = grid
-        if directions is None:
-            if distribution.is_isotropic:
-                directions = np.array([[0.0, 0.0, 1.0]])
-            else:
-                directions = sphere_lattice_directions()
-        self.directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        self.directions = _directions(distribution, directions)
         self._caches = [self._build_direction(chi) for chi in self.directions]
         self.lower_bound_estimate = None
 
@@ -425,51 +429,22 @@ def penrose_functional(distribution, chi, u_c, u_max=40.0, n=40001):
     return float(np.trapezoid(q, u))
 
 
-def _penrose_verdict(distribution, potential, directions, u_max, n, sup_w):
-    support = getattr(distribution, "half_width", None)
-    if support is not None:
-        u_max = min(u_max, 0.99 * support)
-    for chi in directions:
-        for u_c in _critical_points(distribution, chi, u_max, n):
-            a_c = penrose_functional(distribution, chi, u_c)
-            if potential.is_coulomb:
-                if a_c > 1e-8:
-                    return "UNSTABLE"
-            elif sup_w > 0 and a_c * sup_w >= 1.0:
-                return "UNSTABLE"
-    return "STABLE"
+def _offenders(distribution, potential, directions, u_max, n):
+    """Critical points of F that admit a growing mode, and the count of all of them.
 
-
-def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) -> StabilityReport:
-    """Penrose stability test.
-
-    For each sampled direction, critical points of F are located and the
-    Penrose functional evaluated there.  A positive value certifies an
-    attainable dispersion zero for Coulomb (|k|² spans (0,∞)); for a soft
-    potential the zero must additionally satisfy φ̂(k)·α = 1, i.e.
-    α ≥ 1/sup φ̂.
+    A positive Penrose functional certifies an attainable dispersion zero for
+    Coulomb (|k|² spans (0,∞)); for a soft potential the zero must
+    additionally satisfy φ̂(k)·α = 1, i.e. α ≥ 1/sup φ̂.
     """
-    if directions is None:
-        if distribution.is_isotropic:
-            directions = np.array([[0.0, 0.0, 1.0]])
-        else:
-            directions = sphere_lattice_directions()
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     support = getattr(distribution, "half_width", None)
     if support is not None:
         u_max = min(u_max, 0.999 * support)
     sup_w = None if potential.is_coulomb else potential.fourier_sup()
     offenders = []
-    details = {"directions": len(directions), "critical_points": 0}
-    if distribution.kind == "tabulated":
-        coarse = distribution.coarsened()
-        fine_verdict = _penrose_verdict(distribution, potential, directions, u_max, n, sup_w)
-        coarse_verdict = _penrose_verdict(coarse, potential, directions, u_max, n, sup_w)
-        if fine_verdict != coarse_verdict:
-            return StabilityReport("INCONCLUSIVE", [], {"reason": "verdict not grid-stable"})
+    n_critical = 0
     for chi in directions:
         crits = _critical_points(distribution, chi, u_max, n)
-        details["critical_points"] += len(crits)
+        n_critical += len(crits)
         for u_c in crits:
             a_c = penrose_functional(distribution, chi, u_c)
             if potential.is_coulomb:
@@ -480,5 +455,23 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
                 offenders.append(
                     {"chi": [float(x) for x in chi], "u": float(u_c), "alpha": float(a_c)}
                 )
+    return offenders, n_critical
+
+
+def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) -> StabilityReport:
+    """Penrose stability test.
+
+    For each sampled direction, critical points of F are located and the
+    Penrose functional evaluated there (see `_offenders`).  A tabulated
+    distribution is also tested at half resolution; when the two verdicts
+    differ the report is INCONCLUSIVE.
+    """
+    directions = _directions(distribution, directions)
+    offenders, n_critical = _offenders(distribution, potential, directions, u_max, n)
+    if distribution.kind == "tabulated":
+        coarse, _ = _offenders(distribution.coarsened(), potential, directions, u_max, n)
+        if bool(coarse) != bool(offenders):
+            return StabilityReport("INCONCLUSIVE", [], {"reason": "verdict not grid-stable"})
     verdict = "UNSTABLE" if offenders else "STABLE"
+    details = {"directions": len(directions), "critical_points": n_critical}
     return StabilityReport(verdict, offenders, details)

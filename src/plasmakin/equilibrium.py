@@ -26,7 +26,7 @@ Bogolyubov pre-collision boundary condition exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from .dielectric import DielectricModel, EPSILON_FLOOR
@@ -38,9 +38,16 @@ from .errors import (
     RootNotFoundError,
     SingularConfigurationError,
 )
-from .transforms import LineProfile, axial_inverse_transform, perpendicular_unit, pv_transform
+from .transforms import (
+    LineProfile,
+    axial_inverse_transform,
+    _interp_complex,
+    perpendicular_unit,
+    pv_transform,
+)
 
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
+_Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +117,27 @@ class HSolution:
     """A⁻, Ĥ_B caches over a log κ-grid for one stable model."""
 
     def __init__(self, model: DielectricModel, k_min=3e-3, k_max=45.0, n_k=240):
-        if not model.distribution.is_isotropic:
-            raise InputError("the equilibrium chain uses the isotropic fast path")
-        self.model = model
-        self.grid = model.grid
+        self._bind(model)
         self.k_grid = np.geomspace(k_min, k_max, n_k)
-        cache = model._caches[0]
-        self._F = cache.F.values
-        self._dF = cache.dF.values
-        self._alpha = cache.alpha
-        self._alpha_spline = cache.alpha_spline
-        self._dalpha_spline = cache.dalpha_spline
-        self._P_minus_F = pv_transform(cache.F).values - 1j * np.pi * self._F
         self.slices = [self._solve_slice(kk) for kk in self.k_grid]
         self._A_table = np.stack([s.A_minus for s in self.slices])
         self._logk0 = float(np.log(self.k_grid[0]))
         self._dlogk = float(np.log(self.k_grid[1]) - np.log(self.k_grid[0]))
 
     # -- construction --------------------------------------------------------
+    def _bind(self, model):
+        """Per-model prologue: the ẑ profiles, α and its splines; no κ table."""
+        if not model.distribution.is_isotropic:
+            raise InputError("the equilibrium chain uses the isotropic fast path")
+        self.model = model
+        self.grid = model.grid
+        self._cache = model.direction_cache(_Z_HAT)
+        self._F = self._cache.F.values
+        self._dF = self._cache.dF.values
+        self._alpha = self._cache.alpha
+        self._alpha_spline = self._cache.alpha_spline
+        self._dalpha_spline = self._cache.dalpha_spline
+
     def _eps_on_grid(self, kappa):
         W = float(self.model.potential.fourier(np.asarray(kappa)))
         return 1.0 - W * (self._alpha - 1j * np.pi * self._dF), W
@@ -141,38 +151,29 @@ class HSolution:
         except RootNotFoundError:
             return []
         dist = self.model.distribution
-        chi = np.array([0.0, 0.0, 1.0])
         poles = []
         for u0 in (roots.u0_plus, roots.u0_minus):
             da = float(self._dalpha_spline(u0)) if abs(u0) < self.grid.u_max else None
             if da is None or abs(u0) >= self.grid.u_max - 2 * self.grid.spacing:
-                m0, m1, m2 = self.model._caches[0].moments
+                m0, m1, m2 = self._cache.moments
                 da = -2 * m0 / u0**3 - 6 * m1 / u0**4 - 12 * m2 / u0**5
-            dF0 = float(dist.radon_profile_derivative(chi, np.array([u0]))[0])
+            dF0 = float(dist.radon_profile_derivative(_Z_HAT, np.array([u0]))[0])
             gamma = np.pi * abs(dF0) / abs(da) if dF0 != 0.0 else 0.0
             if gamma >= GAMMA_SPLIT_SPACINGS * self.grid.spacing or abs(da) < 1e-12:
                 continue
-            ratio = float(np.abs(dist.radon_ratio(chi, np.array([u0]))[0]))
+            ratio = float(np.abs(dist.radon_ratio(_Z_HAT, np.array([u0]))[0]))
             mass = kappa**4 * ratio / abs(da)
             height = mass * max(gamma, 0.0) / np.pi  # A in A/(s²+γ²)
             poles.append((mass, float(u0), float(gamma), height))
         return poles
 
     def _solve_slice(self, kappa) -> HSlice:
-        u = self.grid.points
         eps_u, W = self._eps_on_grid(kappa)
         abs2 = np.abs(eps_u) ** 2
         if np.min(abs2) < EPSILON_FLOOR**2:
             raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
-        g = self._F / abs2
         poles = self._resonance_poles(kappa)
-        g_smooth = g.copy()
-        pole_cauchy = np.zeros_like(u, dtype=complex)
-        for mass, u0, gamma, height in poles:
-            geff = max(gamma, 1e-13)
-            if height > 0.0:
-                g_smooth = g_smooth - height / ((u - u0) ** 2 + gamma**2)
-            pole_cauchy = pole_cauchy + mass / (u0 - u + 1j * geff)
+        g_smooth, pole_cauchy = _subtract_poles(poles, self.grid.points, self._F / abs2)
         prof = LineProfile(self.grid, g_smooth, endpoint_tol=1e-4)
         P_g = pv_transform(prof).values - 1j * np.pi * g_smooth + pole_cauchy
         A_minus = eps_u * P_g
@@ -201,27 +202,15 @@ class HSolution:
         h = self.grid.spacing
         w_tr = np.ones(self.grid.n)
         w_tr[0] = w_tr[-1] = 0.5
-        chi = np.array([0.0, 0.0, 1.0])
-        dist = self.model.distribution
-        F_eval = np.asarray(dist.radon_profile(chi, u_eval), dtype=float)
-        dF_eval = np.asarray(dist.radon_profile_derivative(chi, u_eval), dtype=float)
-        alpha_eval = self._alpha_spline(u_eval)
+        F_eval = np.asarray(self.model.distribution.radon_profile(_Z_HAT, u_eval), dtype=float)
+        eps_eval = self.eps(kappas[:, None], u_eval)
         log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
         out = np.empty((len(kappas), len(u_eval)), dtype=complex)
         for i, kap in enumerate(kappas):
-            W = float(self.model.potential.fourier(np.asarray(kap)))
-            eps_g = 1.0 - W * (self._alpha - 1j * np.pi * self._dF)
-            g = self._F / np.abs(eps_g) ** 2
-            eps_e = 1.0 - W * (alpha_eval - 1j * np.pi * dF_eval)
-            g_e = F_eval / np.abs(eps_e) ** 2
-            pole_c = np.zeros_like(u_eval, dtype=complex)
-            if self.model.potential.is_coulomb and kap < self._k_root_max:
-                for mass, u0, gamma, height in self._resonance_poles(kap):
-                    geff = max(gamma, 1e-13)
-                    if height > 0.0:
-                        g = g - height / ((u - u0) ** 2 + gamma**2)
-                        g_e = g_e - height / ((u_eval - u0) ** 2 + gamma**2)
-                    pole_c = pole_c + mass / (u0 - u_eval + 1j * geff)
+            eps_g, _ = self._eps_on_grid(kap)
+            poles = self._resonance_poles(kap)
+            g, _ = _subtract_poles(poles, u, self._F / np.abs(eps_g) ** 2)
+            g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)
             diff = u[None, :] - u_eval[:, None]
             safe = np.where(diff == 0.0, 1.0, diff)
             quot = (g[None, :] - g_e[:, None]) / safe
@@ -230,7 +219,7 @@ class HSolution:
                 hit = np.argwhere(diff == 0.0)
                 quot[hit[:, 0], hit[:, 1]] = dg[hit[:, 1]]
             P_g = h * (quot @ w_tr) + g_e * log_end
-            out[i] = eps_e * (P_g - 1j * np.pi * g_e + pole_c)
+            out[i] = eps_eval[i] * (P_g - 1j * np.pi * g_e + pole_c)
         return out
 
     @property
@@ -273,36 +262,37 @@ class HSolution:
         kappa = np.asarray(kappa, dtype=float)
         W = self.model.potential.fourier(kappa)
         a = self._alpha_spline(np.asarray(u, dtype=float))
-        dF = self.model.distribution.radon_profile_derivative(
-            np.array([0.0, 0.0, 1.0]), u
-        )
+        dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
         return 1.0 - W * (a - 1j * np.pi * np.asarray(dF))
+
+    def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
+        """ĥ_B = f(1-ε)/ε - φ̂ A⁻ (ω·∇f)/ε from A⁻ at (κ, u)."""
+        eps = self.eps(kappa, u)
+        if np.any(np.abs(eps) < EPSILON_FLOOR):
+            raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
+        W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
+        return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
 
     def h_hat_values(self, kappa, u, f_v, omega_grad_f):
         """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point."""
-        eps = self.eps(kappa, u)
-        small = np.abs(eps) < EPSILON_FLOOR
-        if np.any(small):
-            raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
-        W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
-        A = self.A_minus(kappa, u)
-        return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
+        return self._h_hat(kappa, u, self.A_minus(kappa, u), f_v, omega_grad_f)
 
     def h_hat_axial_exact(self, kappas, u_eval, f_v, g_r_over_v):
         """ĥ_B on a (κ, u) product set via the exact A⁻ path."""
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         u_eval = np.asarray(u_eval, dtype=float)
         A = self.A_minus_exact(kappas, u_eval)
-        chi = np.array([0.0, 0.0, 1.0])
-        dist = self.model.distribution
-        dF_e = np.asarray(dist.radon_profile_derivative(chi, u_eval), dtype=float)
-        alpha_e = self._alpha_spline(u_eval)
-        W = np.asarray(self.model.potential.fourier(kappas), dtype=float)[:, None]
-        eps = 1.0 - W * (alpha_e - 1j * np.pi * dF_e)[None, :]
-        if np.min(np.abs(eps)) < EPSILON_FLOOR:
-            raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
-        og = (u_eval * g_r_over_v)[None, :]
-        return f_v * (1.0 - eps) / eps - W * A / eps * og
+        return self._h_hat(kappas[:, None], u_eval, A, f_v, (u_eval * g_r_over_v)[None, :])
+
+
+def _subtract_poles(poles, u, g):
+    """g minus the poles' Lorentzians, and the poles' closed-form Cauchy sum at u."""
+    cauchy = np.zeros_like(u, dtype=complex)
+    for mass, u0, gamma, height in poles:
+        if height > 0.0:
+            g = g - height / ((u - u0) ** 2 + gamma**2)
+        cauchy = cauchy + mass / (u0 - u + 1j * max(gamma, 1e-13))
+    return g, cauchy
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +305,8 @@ def solve_H(model: DielectricModel, k, validate=True, tol=1e-5) -> HSlice:
     kappa = float(np.linalg.norm(k)) if k.ndim else float(abs(k))
     if kappa == 0.0:
         raise InputError("k = 0")
-    sol = _single_slice_solution(model)
+    sol = HSolution.__new__(HSolution)
+    sol._bind(model)
     sl = sol._solve_slice(kappa)
     sl.residual_l2 = h_equation_residual(sol, sl)
     if validate and sl.residual_l2 > tol:
@@ -325,33 +316,17 @@ def solve_H(model: DielectricModel, k, validate=True, tol=1e-5) -> HSlice:
     return sl
 
 
-def _single_slice_solution(model) -> HSolution:
-    sol = getattr(model, "_owl_single", None)
-    if sol is None:
-        sol = HSolution.__new__(HSolution)
-        sol.model = model
-        sol.grid = model.grid
-        cache = model._caches[0]
-        sol._F = cache.F.values
-        sol._dF = cache.dF.values
-        sol._alpha = cache.alpha
-        sol._alpha_spline = cache.alpha_spline
-        sol._dalpha_spline = cache.dalpha_spline
-        sol._P_minus_F = pv_transform(cache.F).values - 1j * np.pi * sol._F
-        model._owl_single = sol
-    return sol
-
-
 def h_equation_residual(sol: HSolution, sl: HSlice) -> float:
     """L² residual of the closed Ĥ_B fixed-point equation."""
     u = sol.grid.points
     W = float(sol.model.potential.fourier(np.asarray(sl.kappa)))
     H = np.real(sl.H_B)
+    P_minus_F = pv_transform(sol._cache.F).values - 1j * np.pi * sol._F
     P_minus_dF = sol._alpha - 1j * np.pi * sol._dF
     prof_H = LineProfile(sol.grid, H, endpoint_tol=1e-3)
     P_minus_H = pv_transform(prof_H).values - 1j * np.pi * H
     rhs = -W * (
-        sol._dF * sol._P_minus_F
+        sol._dF * P_minus_F
         - P_minus_dF * sol._F
         + sol._dF * P_minus_H
         - P_minus_dF * H
@@ -416,9 +391,7 @@ class CorrelationLine:
     v_r: float
 
     def at(self, d: float) -> complex:
-        re = np.interp(d, self.xi, self.g.real)
-        im = np.interp(d, self.xi, self.g.imag)
-        return complex(re + 1j * im)
+        return complex(_interp_complex(d, self.xi, self.g))
 
 
 def correlation_line(

@@ -41,7 +41,15 @@ from .errors import (
     TruncationError,
 )
 from .kernel import TensorTable
-from .transforms import LineProfile, UGrid, axial_inverse_transform, pv_transform, radial_inverse_transform
+from .transforms import (
+    LineProfile,
+    UGrid,
+    _interp_complex,
+    axial_inverse_transform,
+    perpendicular_unit,
+    pv_transform,
+    radial_inverse_transform,
+)
 
 # ---------------------------------------------------------------------------
 # contour machinery
@@ -100,15 +108,6 @@ class ContourFn:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if isinstance(other, ContourFn):
-            return ContourFn(
-                self.contour,
-                self.vals + other.vals,
-                tuple(x + y for x, y in zip(self.a, other.a)),
-            )
-        raise InputError("can only add ContourFn to ContourFn")
-
     def __sub__(self, c):
         """F - c for a constant c."""
         return ContourFn(self.contour, self.vals - c, (self.a[0] - c,) + self.a[1:])
@@ -138,11 +137,6 @@ class ContourFn:
         return TimeSeries(t=t, values=vals)
 
 
-def _interp_complex(t, tp, fp):
-    """Piecewise-linear interpolation of complex samples fp(tp) at t."""
-    return np.interp(t, tp, fp.real) + 1j * np.interp(t, tp, fp.imag)
-
-
 @dataclass
 class TimeSeries:
     t: np.ndarray
@@ -166,15 +160,15 @@ def _cumulative_product_integral(dt, *series):
 def _duhamel_pole(phi, dt, au):
     """y(t) = ∫₀^t e^{-i·au·(t-s)} φ(s) ds for each au, via the exact recursion.
 
-    Returns array (n_au, n_t).
+    Returns an array of shape au.shape + (n_t,).
     """
-    au = np.atleast_1d(np.asarray(au, dtype=float))
+    au = np.asarray(au, dtype=float)
     E = np.exp(-1j * au * dt)
     n_t = len(phi)
-    y = np.zeros((len(au), n_t), dtype=complex)
+    y = np.zeros(au.shape + (n_t,), dtype=complex)
     half = 0.5 * dt
     for m in range(n_t - 1):
-        y[:, m + 1] = E * y[:, m] + half * (E * phi[m] + phi[m + 1])
+        y[..., m + 1] = E * y[..., m] + half * (E * phi[m] + phi[m + 1])
     return y
 
 
@@ -353,8 +347,8 @@ def _epsilon_contour_fn(model, k, contour, conjugate_mode=False) -> ContourFn:
     a = float(np.linalg.norm(k)) if k.ndim else abs(float(k))
     W = float(model.potential.fourier(np.asarray(a)))
     vals = model.epsilon_laplace(k, contour.nodes, conjugate_mode=conjugate_mode)
-    chi = np.array([0.0, 0.0, 1.0])
-    m0, m1, _ = model._caches[0].moments
+    kvec = k if k.ndim else np.array([0.0, 0.0, a])
+    m0, m1, _ = model.direction_cache(kvec).moments
     sgn = -1.0 if conjugate_mode else 1.0
     a2 = W * a**2 * m0
     a3 = -2j * W * a**3 * m1 * sgn
@@ -759,14 +753,10 @@ class PairPropagator(_WeakFormEvaluator):
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         g01, g11 = G0_1.values(u), G1_1.values(u)
         g02, g12 = G0_2.values(u), G1_2.values(u)
-        chi = np.array([0.0, 0.0, 1.0])
-        dF = np.asarray(dist.radon_profile_derivative(chi, u))
-        alpha = hsol._alpha
         total = 0.0 + 0.0j
         for kap, kw in zip(self.k_q, self.k_w):
             a = float(kap)
-            W = float(self.model.potential.fourier(np.asarray(a)))
-            eps_u = 1.0 - W * (alpha - 1j * np.pi * dF)
+            eps_u, W = hsol._eps_on_grid(a)
             A = np.zeros(grid.n, dtype=complex)
             A[1:-1] = hsol.A_minus_exact(np.array([a]), u[1:-1])[0]
             H1 = (1.0 - eps_u) / eps_u * g01 - W * A / eps_u * g11
@@ -838,21 +828,20 @@ class FluxEvaluator(_WeakFormEvaluator):
             phiF = self._invert(m_F * inv_eps)
             q_eps = self._invert(inv_eps - 1.0)
             F_hat_free = self._F.fourier(-a * self._t)
+            u1 = speeds[:, None] * self.mu                      # (n_speeds, n_mu)
+            au = a * u1
+            free = np.exp(-1j * au[..., None] * self._t)
+            alpha_m = _duhamel_pole(phiF, dt, au)               # (n_speeds, n_mu, n_t)
+            beta_m = free + _duhamel_pole(q_eps, dt, au)
             for i, (v, (f_v, g_r)) in enumerate(zip(speeds, radial)):
-                u1 = self.mu * v
-                au1 = a * u1
-                alpha_m = _duhamel_pole(phiF, dt, au1)          # (n_mu, n_t)
-                beta_m = np.exp(-1j * np.outer(au1, self._t)) + _duhamel_pole(q_eps, dt, au1)
-                Q1 = a * W * (u1 / v) * g_r  # Q(k,v₁) angular factor per mu
+                Q1 = a * W * (u1[i] / v) * g_r  # Q(k,v₁) angular factor per mu
                 psi = np.zeros((len(self.mu), self._n_t), dtype=complex)
                 for j in range(len(self.mu)):
-                    t1 = _cumulative_product_integral(dt, alpha_m[j], gam)
-                    t1 = t1 + _cumulative_product_integral(dt, beta_m[j], dlt)
+                    t1 = _cumulative_product_integral(dt, alpha_m[i, j], gam)
+                    t1 = t1 + _cumulative_product_integral(dt, beta_m[i, j], dlt)
                     p1 = 1j * Q1[j] * t1
-                    p2 = f_v * _cumulative_product_integral(
-                        dt, np.exp(-1j * au1[j] * self._t), gam
-                    )
-                    p2s = 1j * Q1[j] * _cumulative_product_integral(dt, beta_m[j], F_hat_free)
+                    p2 = f_v * _cumulative_product_integral(dt, free[i, j], gam)
+                    p2s = 1j * Q1[j] * _cumulative_product_integral(dt, beta_m[i, j], F_hat_free)
                     psi[j] = p1 + p2 + p2s
                 ang = np.einsum("m,mt->t", self.wmu * self.mu, psi)
                 contrib = -2j * np.pi * a**3 * W * ang
@@ -872,28 +861,28 @@ class FluxEvaluator(_WeakFormEvaluator):
         out = np.zeros((len(speeds), len(t_values)), dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
             excess_m = inv_eps_m - 1.0
+            u1 = speeds[:, None] * self.mu                      # (n_speeds, n_mu)
+            au = a * u1
+            free1 = np.exp(-1j * au[..., None] * self._t)
             sides = []
             for sa, sb in g0.orderings():
                 R_a = gaussian_radon(sa)
                 R_b = gaussian_radon(sb)
                 delta_b = self._invert(excess_m * R_b.cauchy_moment(self.contour, -a))
                 phi_Ra = self._invert(R_a.cauchy_moment(self.contour, a) * inv_eps)
-                sides.append((sa, delta_b, phi_Ra, R_b.fourier(a * self._t)))
+                alpha_Ra = _duhamel_pole(phi_Ra, dt, au)        # (n_speeds, n_mu, n_t)
+                sides.append((sa, delta_b, alpha_Ra, R_b.fourier(a * self._t)))
             for i, (v, (_, g_r)) in enumerate(zip(speeds, radial)):
-                u1 = self.mu * v
-                au1 = a * u1
-                Q1 = a * W * (u1 / v) * g_r
-                free1 = np.exp(-1j * np.outer(au1, self._t))
+                Q1 = a * W * (u1[i] / v) * g_r
                 per_k = np.zeros((len(self.mu), self._n_t), dtype=complex)
-                for sa, delta_b, phi_Ra, Rb_hat in sides:
+                for sa, delta_b, alpha_Ra, Rb_hat in sides:
                     Ga_v1 = np.exp(-0.5 * (v / sa) ** 2)
-                    alpha_Ra = _duhamel_pole(phi_Ra, dt, au1)
                     for j in range(len(self.mu)):
                         # separable in (z, z'): equal-time inverses are products
-                        ff = Ga_v1 * free1[j] * Rb_hat
-                        cc = 1j * Q1[j] * alpha_Ra[j] * delta_b
-                        fc = Ga_v1 * free1[j] * delta_b
-                        cf = 1j * Q1[j] * alpha_Ra[j] * Rb_hat
+                        ff = Ga_v1 * free1[i, j] * Rb_hat
+                        cc = 1j * Q1[j] * alpha_Ra[i, j] * delta_b
+                        fc = Ga_v1 * free1[i, j] * delta_b
+                        cf = 1j * Q1[j] * alpha_Ra[i, j] * Rb_hat
                         per_k[j] = per_k[j] + 0.5 * (ff + cc + fc + cf)
                 ang = np.einsum("m,mt->t", self.wmu * self.mu, per_k)
                 contrib = -2j * np.pi * a**3 * W * g0.x_hat(a) * ang
@@ -935,12 +924,7 @@ def bl_flux_vector(model, v_mag, table: TensorTable, n_q=24, n_phi=16, q_max=8.0
             bracket = f1 * f2 * (gl1 - gl2)
             vperp = v1 - (v1 @ what) * what
             vpn = np.linalg.norm(vperp)
-            if vpn > 1e-12:
-                e1 = vperp / vpn
-            else:
-                e1 = np.array([1.0, 0.0, 0.0])
-                e1 = e1 - (e1 @ what) * what
-                e1 /= np.linalg.norm(e1)
+            e1 = vperp / vpn if vpn > 1e-12 else perpendicular_unit(what)
             e2 = np.cross(what, e1)
             A11, A22, A12 = table.components(np.array([vpn]))[0]
             b1 = bracket @ e1

@@ -102,6 +102,11 @@ def perpendicular_unit(e):
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
+def _interp_complex(t, tp, fp):
+    """Piecewise-linear interpolation of complex samples fp(tp) at t."""
+    return np.interp(t, tp, fp.real) + 1j * np.interp(t, tp, fp.imag)
+
+
 def _next_pow2(m: int) -> int:
     n = 1
     while n < m:

@@ -1,5 +1,6 @@
 """Scenario front end: exit codes, determinism, atomicity, compare."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from scipy.integrate import quad
 
 from plasmakin.cli import _epsilon_at_rest, main
 from plasmakin.config import (
+    _COMMON_KEYS,
+    _SCENARIO_KEYS,
     RunManifest,
     compare_manifests,
     load_scenario,
@@ -64,6 +67,28 @@ class TestConfig:
         scn = load_scenario(cfg)
         assert scn.get("pair") is True
         assert scn.get("test-sigmas") == [1.5, 1.0, 1.0]
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("dielectric", "k-range", "0.5 50"),
+        ("dielectric", "u-max-scan", "3.0"),
+        ("evolve", "flux-v", "1.2"),
+        ("kernel", "perturbation", "0.05"),
+    ])
+    def test_unused_keys_rejected(self, runner, tmp_path, kind, key, value):
+        cfg = write_cfg(tmp_path / "k.cfg",
+                        f"scenario = {kind}\npotential = gaussian\n{key} = {value}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert f"k.cfg:3:1: unknown key {key!r}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", sorted(_SCENARIO_KEYS))
+    def test_every_scenario_key_is_read(self, kind):
+        """Each subcommand reads every key its scenario kind accepts."""
+        source = inspect.getsource(main.commands[kind].callback)
+        for key in _SCENARIO_KEYS[kind] - _COMMON_KEYS:
+            assert f'scn.get("{key}"' in source, key
 
 
 class TestManifest:
@@ -137,6 +162,18 @@ class TestCommands:
 
         pv = quad(dF, -40.0, 40.0, weight="cauchy", wvar=0.0, limit=400)[0]
         assert abs(_epsilon_at_rest(model, chi) - (1.0 - (pv - 1j * np.pi * dF(0.0)))) < 1e-12
+
+    @pytest.mark.parametrize("text", [
+        "scenario = evolve\n",
+        "scenario = evolve\npotential = coulomb\npair = true\n",
+    ])
+    def test_evolve_coulomb_exit64_no_outputs(self, runner, tmp_path, text):
+        cfg = write_cfg(tmp_path / "e.cfg", text)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert "potential" in res.output
+        assert not out.exists()
 
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "scenario = cloud\nwat = 1\n")

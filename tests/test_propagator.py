@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from plasmakin.dielectric import DielectricModel
+from plasmakin.distributions import Maxwellian
 from plasmakin.equilibrium import HSolution
 from plasmakin.errors import InputError, StepSizeError, TruncationError
 from plasmakin.kernel import TensorTable
+from plasmakin.potentials import gaussian_soft
 from plasmakin.propagator import (
     BromwichContour,
     GaussianTestFunction,
     ModeState,
     PairPropagator,
     SeparableGaussianPair,
+    _duhamel_pole,
+    _epsilon_contour_fn,
     bl_flux_vector,
     debye_cloud,
     evolve_density,
@@ -141,6 +145,22 @@ class TestLaplaceEval:
         )
         assert len(info2["roots"]) == 0
         assert np.max(np.abs(rho - rho_shallow)) / np.max(np.abs(rho)) < 5e-3
+
+    @pytest.mark.parametrize("conjugate_mode", [False, True])
+    def test_contour_epsilon_asymptotics_follow_k(self, conjugate_mode):
+        """ε - 1 - a₂/z² - a₃/z³ is o(z⁻³) with the moments of k's direction."""
+        model = DielectricModel(Maxwellian(drift=(0.0, 0.0, 0.5)), gaussian_soft())
+        k = np.array([0.0, 0.0, 0.8])
+        scaled = []
+        for height in (80.0, 160.0):
+            contour = BromwichContour(gamma=0.5, height=height, n_nodes=4096)
+            fn = _epsilon_contour_fn(model, k, contour, conjugate_mode=conjugate_mode)
+            z = contour.nodes
+            top = np.argsort(np.abs(z))[-8:]
+            rem = (fn.vals - 1.0 - fn.a[2] / z**2 - fn.a[3] / z**3) * z**3
+            scaled.append(float(np.max(np.abs(rem[top]))))
+        assert scaled[1] < 0.6 * scaled[0]
+        assert scaled[1] < 0.05 * abs(fn.a[3])
 
     def test_landau_root_is_zero_of_continuation(self, model_ms):
         z0 = landau_root(model_ms, KZ)
@@ -272,6 +292,17 @@ class TestFluxes:
         assert mags[-1] < 0.1 * mags[0]
         # after burn-in the envelope sits at the noise floor, far below initial
         assert np.all(mags[1:] < 0.01 * mags[0])
+
+    def test_duhamel_pole_batches_rows(self):
+        """One call over (speeds, μ) rates equals one call per speed."""
+        phi = np.exp(-0.3 * np.arange(400) * 0.02) * (1.0 + 0.5j)
+        mu, _ = np.polynomial.legendre.leggauss(24)
+        speeds = np.array([1.12, 1.2, 1.28])
+        a = 0.7
+        y = _duhamel_pole(phi, 0.02, a * (speeds[:, None] * mu))
+        assert y.shape == (3, 24, 400)
+        for i, v in enumerate(speeds):
+            assert np.array_equal(y[i], _duhamel_pole(phi, 0.02, a * (mu * v)))
 
     def test_speed_array_matches_single_speeds(self, mix_model):
         """Speeds passed together share each κ node's inversions, not the arithmetic."""
