@@ -330,6 +330,9 @@ def evolve(config_path, out):
 def kernel(config_path, out):
     """Balescu-Lenard tensor sweeps and collision right-hand-side checks."""
     with _run(config_path, out, "kernel") as (scn, out_dir, manifest):
+        if not build_distribution(scn).is_isotropic:
+            raise ConfigError("kernel needs an isotropic distribution: drift must be zero "
+                              "and distribution one of maxwellian, two-temperature, exponential")
         from .kernel import (
             bl_rhs,
             bl_tensor,

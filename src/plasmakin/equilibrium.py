@@ -205,18 +205,18 @@ class HSolution:
         F_eval = np.asarray(self.model.distribution.radon_profile(_Z_HAT, u_eval), dtype=float)
         eps_eval = self.eps(kappas[:, None], u_eval)
         log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
+        diff = u[None, :] - u_eval[:, None]
+        hit = np.argwhere(diff == 0.0)
+        safe = np.where(diff == 0.0, 1.0, diff)
         out = np.empty((len(kappas), len(u_eval)), dtype=complex)
         for i, kap in enumerate(kappas):
             eps_g, _ = self._eps_on_grid(kap)
             poles = self._resonance_poles(kap)
             g, _ = _subtract_poles(poles, u, self._F / np.abs(eps_g) ** 2)
             g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)
-            diff = u[None, :] - u_eval[:, None]
-            safe = np.where(diff == 0.0, 1.0, diff)
             quot = (g[None, :] - g_e[:, None]) / safe
-            if np.any(diff == 0.0):
+            if hit.size:
                 dg = np.gradient(g, h)
-                hit = np.argwhere(diff == 0.0)
                 quot[hit[:, 0], hit[:, 1]] = dg[hit[:, 1]]
             P_g = h * (quot @ w_tr) + g_e * log_end
             out[i] = eps_eval[i] * (P_g - 1j * np.pi * g_e + pole_c)

@@ -7,13 +7,20 @@ plane integral is polar Gauss-Legendre in log r times a uniform θ rule.
 On the plane, ω·v depends only on the component of v orthogonal to w, so
 for isotropic models the tensor is a function of (|w|, |v_⊥|) in the
 (v̂_⊥, ŵ×v̂_⊥) eigenbasis; `TensorTable` caches that map for the double
-velocity-grid quadrature of the collision integral.
+velocity-grid quadrature of the collision integral.  The off-diagonal
+A12 vanishes by the reflection symmetry θ → -θ of the plane rule, so
+a = [A22 (I - ŵŵ) + (A11 - A22) e₁e₁]/|w| with e₁ = v̂_⊥, and the table
+keeps A11 and A22 only.
 
 The collision bracket is discretized in log form,
-(∇-∇')(ff') = f f' (∇ln f - ∇'ln f'), so central differences are exact on
-the Maxwellian exponent and the discrete Maxwellian is a steady state to
-rounding; the symmetrized entropy production then inherits positive
-semidefiniteness from the tensor.
+(∇-∇')(ff') = f f' (∇ln f - ∇'ln f'), with second-order differences at
+the interior nodes and on the lattice faces alike; both are exact on the
+Maxwellian's quadratic exponent, so the discrete Maxwellian is a steady
+state to rounding, and the symmetrized entropy production inherits
+positive semidefiniteness from the tensor.  The two velocities of a pair
+share v_⊥ and the bracket is antisymmetric, so the lattice sum visits each
+unordered pair once and adds its flux to one end and subtracts it from the
+other.  Mass is conserved up to the flux through the lattice faces.
 """
 
 from __future__ import annotations
@@ -67,8 +74,12 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32, epsilon_sign
     e1 is aligned with v_⊥; u(θ) = |v_⊥| cosθ is the phase velocity of the
     dielectric on the plane.  epsilon_sign=-1 matches ε(k, k·v) literally
     through the def:eps frequency mapping; for isotropic models |ε| is even
-    in u and the sign is immaterial.
+    in u and the sign is immaterial.  ε is taken at k ∥ ẑ, which stands for
+    every k on the plane only when the model is isotropic; anisotropic
+    models are refused.
     """
+    if not model.distribution.is_isotropic:
+        raise InputError("the Balescu-Lenard tensor needs an isotropic distribution")
     x, wr = np.polynomial.legendre.leggauss(n_r)
     s0, s1 = np.log(1e-4), np.log(K_max)
     s = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x
@@ -153,7 +164,7 @@ def landau_limit(model, w, v, K_max_list=(1e2, 1e3), **kw):
 
 
 class TensorTable:
-    """|v_⊥| lookup of the plane components for isotropic models.
+    """|v_⊥| lookup of the plane components (A11, A22) for isotropic models.
 
     The plane integral does not depend on |w| (the 1/|w| Jacobian is applied
     at evaluation), so a 1D table suffices.
@@ -163,18 +174,17 @@ class TensorTable:
         self.model = model
         self.K = _auto_cutoff(model, K_max)
         self.vp_grid = np.linspace(0.0, max(vperp_max, 1e-3), n_vp)
-        A = np.empty((n_vp, 3))
-        for j, vp in enumerate(self.vp_grid):
-            A[j] = _plane_components(model, vp, self.K, **kw)
-        self._A = A
+        A = np.array([_plane_components(model, vp, self.K, **kw)[:2] for vp in self.vp_grid])
+        self._A = A.T.copy()  # rows A11, A22
+        self._dA = np.diff(self._A, axis=1)
+        self._inv_step = 1.0 / (self.vp_grid[1] - self.vp_grid[0])
 
     def components(self, vp):
-        vp = np.clip(np.asarray(vp, dtype=float), self.vp_grid[0], self.vp_grid[-1])
-        idx = np.clip(
-            np.searchsorted(self.vp_grid, vp) - 1, 0, len(self.vp_grid) - 2
-        )
-        t = (vp - self.vp_grid[idx]) / np.diff(self.vp_grid)[idx]
-        return (1 - t)[..., None] * self._A[idx] + t[..., None] * self._A[idx + 1]
+        """(A11, A22) at |v_⊥| = vp: linear on the uniform grid, clamped at its ends."""
+        x = np.clip(np.asarray(vp, dtype=float) * self._inv_step, 0.0, self.vp_grid.size - 1)
+        idx = np.minimum(x.astype(np.intp), self.vp_grid.size - 2)
+        t = x - idx
+        return tuple(A[idx] + t * dA[idx] for A, dA in zip(self._A, self._dA))
 
 
 @dataclass
@@ -236,6 +246,41 @@ def maxwellian_field(mass_m, temperature, half_width=None, n=21) -> VelocityGrid
     return field
 
 
+def _pair_flux(v, f, glog, table):
+    """Σ_j a(vᵢ - vⱼ, vᵢ) fᵢfⱼ(∇ln fᵢ - ∇ln fⱼ) at each lattice point, as (3, N).
+
+    v and glog hold the x, y, z components of the velocities and of ∇ln f
+    as flat arrays.  Row i visits j > i only, adding each pair's term to
+    row i and subtracting it from row j.  With u = v_⊥ and the bracket B,
+    a·B = [A22 (B - w(w·B)/|w|²) + (A11 - A22) u(u·B)/|u|²]/|w|; the u term
+    gets weight 0 at |u| < 1e-12, where A11 - A22 → 0.
+    """
+    X, Y, Z = v
+    GX, GY, GZ = glog
+    flux = np.zeros((3, len(f)))
+    for i in range(len(f) - 1):
+        j = slice(i + 1, None)
+        px, py, pz = X[i], Y[i], Z[i]
+        wx, wy, wz = px - X[j], py - Y[j], pz - Z[j]
+        nw2 = wx * wx + wy * wy + wz * wz
+        q = (wx * px + wy * py + wz * pz) / nw2
+        ux, uy, uz = px - q * wx, py - q * wy, pz - q * wz
+        vp2 = ux * ux + uy * uy + uz * uz
+        A11, A22 = table.components(np.sqrt(vp2))
+        ff = f[i] * f[j]
+        bx, by, bz = ff * (GX[i] - GX[j]), ff * (GY[i] - GY[j]), ff * (GZ[i] - GZ[j])
+        nw = np.sqrt(nw2)
+        c_b = A22 / nw
+        c_w = c_b * (wx * bx + wy * by + wz * bz) / nw2
+        c_u = np.where(vp2 > 1e-24, (A11 - A22) / (np.maximum(vp2, 1e-24) * nw), 0.0)
+        c_u *= ux * bx + uy * by + uz * bz
+        for k, (b, w, u) in enumerate(((bx, wx, ux), (by, wy, uy), (bz, wz, uz))):
+            term = c_b * b - c_w * w + c_u * u
+            flux[k, i] += term.sum()
+            flux[k, j] -= term
+    return flux
+
+
 def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign=-1.0):
     """∂_t f = ∇·( Σ_{v'} a(v-v', v) f f' (∇ln f - ∇'ln f') Δv³ ).
 
@@ -246,46 +291,18 @@ def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign
     if n**3 > 33**3:
         raise InputError("grid larger than 33³; the double sum is O(n⁶)")
     ax = field.axis
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    v = [A.ravel() for A in np.meshgrid(ax, ax, ax, indexing="ij")]
     f = np.maximum(field.values, LOG_FLOOR)
-    logf = np.log(f)
     h = field.spacing
-    glog = np.stack(np.gradient(logf, h), axis=-1).reshape(-1, 3)
-    fflat = f.reshape(-1)
+    glog = [g.ravel() for g in np.gradient(np.log(f), h, edge_order=2)]
     if table is None:
         table = TensorTable(model, np.sqrt(3) * field.half_width,
                             K_max=K_max, epsilon_sign=epsilon_sign)
-    npts = len(pts)
-    flux = np.zeros((npts, 3))
-    cell = field.cell_volume
-    for i in range(npts):
-        w = pts[i] - pts  # (npts, 3)
-        nw2 = np.sum(w * w, axis=1)
-        ok = nw2 > 1e-20
-        wv = w[ok]
-        nw = np.sqrt(nw2[ok])
-        what = wv / nw[:, None]
-        # v_perp of the OUTER velocity relative to each pair direction
-        vdotw = pts[i] @ what.T
-        vperp = pts[i][None, :] - vdotw[:, None] * what
-        vp = np.linalg.norm(vperp, axis=1)
-        e1 = vperp / np.maximum(vp, 1e-300)[:, None]
-        small = vp < 1e-12
-        e1[small] = perpendicular_unit(what[small])
-        e2 = np.cross(what, e1)
-        A = table.components(vp)  # (m, 3): A11, A22, A12
-        bracket = fflat[ok, None] * fflat[i] * (glog[i][None, :] - glog[ok])
-        b1 = np.sum(bracket * e1, axis=1)
-        b2 = np.sum(bracket * e2, axis=1)
-        g1 = (A[:, 0] * b1 + A[:, 2] * b2) / nw
-        g2 = (A[:, 2] * b1 + A[:, 1] * b2) / nw
-        flux[i] = cell * (g1 @ e1 + g2 @ e2)
-    Fx, Fy, Fz = (flux[:, j].reshape(n, n, n) for j in range(3))
-    # central divergence with zero-flux ghost cells: the sum over the lattice
-    # telescopes exactly, so discrete mass is conserved to rounding
+    flux = field.cell_volume * _pair_flux(v, f.ravel(), glog, table)
+    # central divergence with zero-flux ghost cells: the lattice sum
+    # telescopes to the flux on the faces, so mass changes by that alone
     div = np.zeros((n, n, n))
-    for axis, F in enumerate((Fx, Fy, Fz)):
+    for axis, F in enumerate(flux.reshape(3, n, n, n)):
         padded = np.zeros((n + 2, n + 2, n + 2))
         padded[1:-1, 1:-1, 1:-1] = F
         sl_hi = [slice(1, -1)] * 3

@@ -46,7 +46,6 @@ from .transforms import (
     UGrid,
     _interp_complex,
     axial_inverse_transform,
-    perpendicular_unit,
     pv_transform,
     radial_inverse_transform,
 )
@@ -924,12 +923,12 @@ def bl_flux_vector(model, v_mag, table: TensorTable, n_q=24, n_phi=16, q_max=8.0
             bracket = f1 * f2 * (gl1 - gl2)
             vperp = v1 - (v1 @ what) * what
             vpn = np.linalg.norm(vperp)
-            e1 = vperp / vpn if vpn > 1e-12 else perpendicular_unit(what)
-            e2 = np.cross(what, e1)
-            A11, A22, A12 = table.components(np.array([vpn]))[0]
-            b1 = bracket @ e1
-            b2 = bracket @ e2
-            vec = ((A11 * b1 + A12 * b2) * e1 + (A12 * b1 + A22 * b2) * e2) / nw
+            A11, A22 = table.components(vpn)
+            vec = A22 * (bracket - what * (what @ bracket))
+            if vpn > 1e-12:
+                e1 = vperp / vpn
+                vec += (A11 - A22) * e1 * (e1 @ bracket)
+            vec /= nw
             total += wqi * wpj * 2 * np.pi * qi**2 * np.sin(pj) * vec[2]
     return float(total)
 

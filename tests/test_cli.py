@@ -175,6 +175,25 @@ class TestCommands:
         assert "potential" in res.output
         assert not out.exists()
 
+    def test_kernel_mass_conserved(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path / "k.cfg", "scenario = kernel\nlattice-n = 9\n")
+        res = runner.invoke(main, ["kernel", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert [c["passed"] for c in m.checks if c["name"] == "mass_conservation"] == [True]
+
+    @pytest.mark.parametrize("text, key", [
+        ("scenario = kernel\ndrift = 0 0 0.8\n", "drift"),
+        ("scenario = kernel\ndistribution = two-bump\n", "distribution"),
+    ])
+    def test_kernel_anisotropic_exit64_no_outputs(self, runner, tmp_path, text, key):
+        cfg = write_cfg(tmp_path / "k.cfg", text)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["kernel", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert key in res.output
+        assert not out.exists()
+
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "scenario = cloud\nwat = 1\n")
         out = tmp_path / "o"

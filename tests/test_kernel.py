@@ -2,17 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasmakin.dielectric import DielectricModel
+from plasmakin.distributions import Maxwellian
 from plasmakin.errors import InputError, ResolutionError, SingularConfigurationError
 from plasmakin.kernel import (
+    LOG_FLOOR,
     TensorTable,
+    VelocityGridField,
+    _plane_components,
     bl_rhs,
     bl_tensor,
     collision_diagnostics,
     landau_limit,
     maxwellian_field,
 )
+from plasmakin.transforms import perpendicular_unit
 
 W = np.array([0.8, -0.3, 0.5])
 V = np.array([0.4, 0.2, 0.1])
@@ -157,3 +164,124 @@ class TestCollisionRHS:
         table = TensorTable(soft_model, vperp_max=np.sqrt(3) * field17.half_width)
         dtf2 = bl_rhs(soft_model, field17, table=table)
         assert np.max(np.abs(dtf2 - dtf17)) <= 1e-14
+
+
+def _perturbed(field, amplitude=0.08):
+    ax = field.axis
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    r2 = X**2 + Y**2 + Z**2
+    values = field.values * (1.0 + amplitude * np.exp(-0.5 * r2) * (r2 - 1.5))
+    return VelocityGridField(field.half_width, field.n, np.maximum(values, 0.0))
+
+
+def _direct_sum_rhs(field, table):
+    """Row-by-row double sum over all ordered pairs: the oracle of `bl_rhs`.
+
+    Each row applies the tensor in the (e1, e2 = ŵ×e1) basis, with
+    `perpendicular_unit` standing in for e1 when v_⊥ vanishes; the table
+    holds no A12, which vanishes for isotropic models.
+    """
+    n = field.n
+    ax = field.axis
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    f = np.maximum(field.values, LOG_FLOOR)
+    h = field.spacing
+    glog = np.stack(np.gradient(np.log(f), h, edge_order=2), axis=-1).reshape(-1, 3)
+    fflat = f.reshape(-1)
+    flux = np.zeros((len(pts), 3))
+    for i in range(len(pts)):
+        w = pts[i] - pts
+        nw2 = np.sum(w * w, axis=1)
+        ok = nw2 > 1e-20
+        nw = np.sqrt(nw2[ok])
+        what = w[ok] / nw[:, None]
+        vperp = pts[i][None, :] - (pts[i] @ what.T)[:, None] * what
+        vp = np.linalg.norm(vperp, axis=1)
+        e1 = vperp / np.maximum(vp, 1e-300)[:, None]
+        small = vp < 1e-12
+        e1[small] = perpendicular_unit(what[small])
+        e2 = np.cross(what, e1)
+        A11, A22 = table.components(vp)
+        bracket = fflat[ok, None] * fflat[i] * (glog[i][None, :] - glog[ok])
+        b1 = np.sum(bracket * e1, axis=1)
+        b2 = np.sum(bracket * e2, axis=1)
+        flux[i] = field.cell_volume * ((A11 * b1 / nw) @ e1 + (A22 * b2 / nw) @ e2)
+    div = np.zeros((n, n, n))
+    for axis in range(3):
+        padded = np.zeros((n + 2, n + 2, n + 2))
+        padded[1:-1, 1:-1, 1:-1] = flux[:, axis].reshape(n, n, n)
+        hi = [slice(1, -1)] * 3
+        lo = [slice(1, -1)] * 3
+        hi[axis] = slice(2, None)
+        lo[axis] = slice(0, -2)
+        div += (padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h)
+    return div
+
+
+def _assert_matches_direct_sum(field, table):
+    oracle = _direct_sum_rhs(field, table)
+    fast = bl_rhs(table.model, field, table=table)
+    assert np.max(np.abs(fast - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+class TestPairSum:
+    @pytest.fixture(scope="class")
+    def field9(self):
+        return maxwellian_field(1.0, 1.0, n=9)
+
+    @pytest.fixture(scope="class")
+    def soft_table(self, model_ms, field9):
+        return TensorTable(model_ms, np.sqrt(3) * field9.half_width)
+
+    @pytest.fixture(scope="class")
+    def coulomb_table(self, model_mc, field9):
+        return TensorTable(model_mc, np.sqrt(3) * field9.half_width, K_max=1000.0)
+
+    def test_matches_direct_sum_soft(self, field9, soft_table):
+        _assert_matches_direct_sum(_perturbed(field9), soft_table)
+
+    def test_matches_direct_sum_coulomb(self, field9, coulomb_table):
+        _assert_matches_direct_sum(_perturbed(field9), coulomb_table)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
+    def test_matches_direct_sum_random_positive(self, field9, soft_table, seed, amplitude):
+        """f times 1 + a bounded random perturbation on every interior node.
+
+        Every node is perturbed, so the rate stays well above the rounding
+        level of a Maxwellian, against which a relative bound means nothing.
+        """
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, (7, 7, 7))
+        values = field9.values.copy()
+        values[1:-1, 1:-1, 1:-1] *= 1.0 + amplitude * noise
+        _assert_matches_direct_sum(VelocityGridField(field9.half_width, 9, values), soft_table)
+
+    def test_coulomb_maxwellian_mass_rate(self, model_mc, field9, coulomb_table):
+        d = collision_diagnostics(field9, bl_rhs(model_mc, field9, table=coulomb_table))
+        assert abs(d["mass_rate"]) <= 1e-8 * d["max_f"]
+
+    @pytest.mark.parametrize("name, K", [("model_ms", 20.0), ("model_mc", 1000.0)])
+    def test_a12_vanishes(self, request, name, K):
+        """The table drops A12: the θ → -θ symmetry of the plane rule zeroes it."""
+        model = request.getfixturevalue(name)
+        A = np.array([_plane_components(model, vp, K) for vp in np.linspace(0.0, 9.0, 7)])
+        assert np.max(np.abs(A[:, 2])) <= 1e-12 * np.max(np.abs(A[:, 0]))
+
+    def test_components_interpolate_linearly(self, soft_table):
+        grid = soft_table.vp_grid
+        nodes = np.array([_plane_components(soft_table.model, vp, soft_table.K)[:2]
+                          for vp in grid[:2]])
+        at_nodes = np.array(soft_table.components(grid[:2])).T
+        assert np.allclose(at_nodes, nodes, rtol=1e-14, atol=0.0)
+        mid = np.array(soft_table.components(0.5 * (grid[0] + grid[1])))
+        assert np.allclose(mid, nodes.mean(axis=0), rtol=1e-14, atol=0.0)
+        beyond = np.array(soft_table.components(grid[-1] + 1.0))
+        assert np.array_equal(beyond, np.array(soft_table.components(grid[-1])))
+
+    def test_anisotropic_model_rejected(self, coulomb):
+        model = DielectricModel(Maxwellian(drift=(0.0, 0.0, 0.8)), coulomb)
+        with pytest.raises(InputError):
+            bl_tensor(model, W, V, K_max=100.0)
+        with pytest.raises(InputError):
+            TensorTable(model, 6.0, K_max=100.0)
