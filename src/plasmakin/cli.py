@@ -334,10 +334,10 @@ def kernel(config_path, out):
             raise ConfigError("kernel needs an isotropic distribution: drift must be zero "
                               "and distribution one of maxwellian, two-temperature, exponential")
         from .kernel import (
+            _landau_summary,
             bl_rhs,
             bl_tensor,
             collision_diagnostics,
-            landau_limit,
             maxwellian_field,
         )
 
@@ -346,8 +346,10 @@ def kernel(config_path, out):
         v = np.asarray(scn.get("v", [0.4, 0.2, 0.1]))
         k_list = scn.get("k-max-list", [100.0, 1000.0])
         rows = {"K_max": [], "a11": [], "a22": [], "a33": [], "a12": [], "a13": [], "a23": []}
+        tensors = []
         for K in k_list:
             ten = bl_tensor(model, w, v, K_max=K if model.potential.is_coulomb else None)
+            tensors.append(ten)
             rows["K_max"].append(K)
             for (i, j), name in zip(
                 [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)],
@@ -356,7 +358,7 @@ def kernel(config_path, out):
                 rows[name].append(ten.matrix[i, j])
         write_csv(out_dir / "tensor_vs_cutoff.csv", rows, metadata={"scenario": "kernel"})
         if model.potential.is_coulomb:
-            rep = landau_limit(model, w, v, K_max_list=tuple(k_list))
+            rep = _landau_summary(tensors)
             manifest.diagnostics["landau_limit"] = {
                 k2: v2 for k2, v2 in rep.items() if k2 != "rows"
             }

@@ -1,10 +1,12 @@
 """Scenario configuration, run manifests and deterministic artifact output.
 
 Scenario files are flat `key = value` documents with `#` comments and an
-`extends = <relative path>` mechanism for sweep variants.  Unknown keys are
-rejected with line/column diagnostics.  CSV bodies are byte-stable: 17
-significant digits, scientific notation, LF endings, fixed column order,
-and `#`-prefixed metadata lines that never include wall-clock data.
+`extends = <relative path>` mechanism for sweep variants.  Unknown keys and
+values of the wrong type (non-finite, non-integer, non-positive, or a
+`grid-n` that is not a power of two) are rejected with line/column
+diagnostics.  CSV bodies are byte-stable: 17 significant digits,
+scientific notation, LF endings, fixed column order, and `#`-prefixed
+metadata lines that never include wall-clock data.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ _VECTOR_KEYS = {
 }
 _STRING_KEYS = {"scenario", "extends", "distribution", "potential"}
 _BOOL_KEYS = {"slopes", "pair"}
+_INT_KEYS = {"grid-n", "lattice-n", "r-count", "gamma"}
+_POSITIVE_KEYS = {
+    "temperature", "grid-u-max", "grid-n", "lattice-n", "r-count", "dt", "t-max",
+    "half-width", "sigma", "potential-amplitude", "potential-width",
+}
 
 
 @dataclass
@@ -69,6 +76,9 @@ class Scenario:
 
 
 def _parse_value(key, raw, line_no, path):
+    def reject(expected):
+        raise ConfigError(f"key {key!r}: expected {expected}, got {raw!r}", line_no, 1, path)
+
     if key in _STRING_KEYS:
         return raw
     if key in _BOOL_KEYS:
@@ -76,17 +86,25 @@ def _parse_value(key, raw, line_no, path):
             return True
         if raw.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"key {key!r}: expected boolean, got {raw!r}", line_no, 1, path)
-    parts = raw.split()
+        reject("boolean")
     try:
-        nums = [float(p) for p in parts]
+        nums = [float(p) for p in raw.split()]
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected number(s), got {raw!r}", line_no, 1, path)
+        reject("number(s)")
+    if not np.all(np.isfinite(nums)):
+        reject("finite number(s)")
     if key in _VECTOR_KEYS:
         return nums
     if len(nums) != 1:
-        raise ConfigError(f"key {key!r}: expected a scalar", line_no, 1, path)
-    return nums[0]
+        reject("a scalar")
+    x = nums[0]
+    if key in _INT_KEYS and not x.is_integer():
+        reject("an integer")
+    if key in _POSITIVE_KEYS and x <= 0:
+        reject("a positive number")
+    if key == "grid-n" and (x < 16 or int(x) & (int(x) - 1)):
+        reject("a power of two >= 16")
+    return x
 
 
 def _parse_file(path: Path) -> dict:

@@ -8,6 +8,9 @@ which is the boundary value 1 - φ̂ P⁻[∂_uF](u).  The companion
 Laplace-side evaluator `epsilon_laplace` returns 1 - φ̂ C[∂_uF](iz/|k|)
 (the denominator of the Fourier-Laplace Vlasov solution) and reduces to
 conj(ε(k,u)) on the imaginary axis z = -i|k|u.
+
+`DielectricModel` caches F, ∂_uF and α per exact direction χ (ẑ for
+isotropic kinds): ẑ at construction, any other χ on first use.
 """
 
 from __future__ import annotations
@@ -28,15 +31,18 @@ from .errors import (
 from .transforms import LineProfile, UGrid, pv_transform
 
 EPSILON_FLOOR = 1e-8
+MAX_CACHED_DIRECTIONS = 64  # one direction holds five 1024-node arrays, ~100 KB
+_Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
-def _directions(distribution, directions=None):
-    """The given directions as rows; by default ẑ, or all 26 lattice ones if anisotropic."""
-    if directions is None:
-        if distribution.is_isotropic:
-            return np.array([[0.0, 0.0, 1.0]])
-        return sphere_lattice_directions()
-    return np.atleast_2d(np.asarray(directions, dtype=float))
+def _as_vector(k):
+    """k as a 3-vector (a scalar lies along ẑ) and its norm; k = 0 is refused."""
+    k = np.asarray(k, dtype=float)
+    kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
+    nk = np.linalg.norm(kvec)
+    if nk == 0.0:
+        raise InputError("k = 0: dielectric undefined")
+    return kvec, nk
 
 
 def sphere_lattice_directions():
@@ -97,7 +103,7 @@ class DirectionCache:
 class DielectricModel:
     """Cached evaluator of ε and its ingredients for one (f, φ) pair."""
 
-    def __init__(self, distribution, potential, grid: UGrid | None = None, directions=None):
+    def __init__(self, distribution, potential, grid: UGrid | None = None):
         self.distribution = distribution
         self.potential = potential
         if grid is None:
@@ -106,9 +112,14 @@ class DielectricModel:
             ) == 1
             grid = UGrid(26.0, 2048) if wide else UGrid()
         self.grid = grid
-        self.directions = _directions(distribution, directions)
-        self._caches = [self._build_direction(chi) for chi in self.directions]
+        self._caches = {}
+        self.direction_cache(_Z_HAT)
         self.lower_bound_estimate = None
+
+    @property
+    def directions(self) -> np.ndarray:
+        """The cached directions χ as rows, oldest first."""
+        return np.array([cache.chi for cache in self._caches.values()])
 
     # -- construction ------------------------------------------------------
     def _build_direction(self, chi) -> DirectionCache:
@@ -120,7 +131,7 @@ class DielectricModel:
         alpha = np.real(pv_transform(dF).values)
         spline = CubicSpline(u, alpha)
         return DirectionCache(
-            chi=np.asarray(chi, float),
+            chi=np.array(chi, dtype=float),
             F=F,
             dF=dF,
             alpha=alpha,
@@ -129,16 +140,20 @@ class DielectricModel:
             moments=self.distribution.raw_moments(chi),
         )
 
+    def _chi(self, k) -> np.ndarray:
+        """The direction ε depends on: ẑ for isotropic kinds, k/|k| otherwise."""
+        kvec, nk = _as_vector(k)
+        return _Z_HAT if self.distribution.is_isotropic else kvec / nk
+
     def direction_cache(self, k) -> DirectionCache:
-        k = np.asarray(k, dtype=float)
-        nk = np.linalg.norm(k)
-        if nk == 0.0:
-            raise InputError("k = 0: dielectric undefined")
-        if self.distribution.is_isotropic:
-            return self._caches[0]
-        chi = k / nk
-        dots = self.directions @ chi
-        return self._caches[int(np.argmax(dots))]
+        """The cache of χ(k), built on first use."""
+        chi = self._chi(k)
+        key = tuple(chi)
+        if key not in self._caches:
+            if len(self._caches) >= MAX_CACHED_DIRECTIONS:
+                del self._caches[next(iter(self._caches))]
+            self._caches[key] = self._build_direction(chi)
+        return self._caches[key]
 
     # -- ingredient evaluations ---------------------------------------------
     def alpha(self, k, u):
@@ -156,12 +171,7 @@ class DielectricModel:
         return out if out.ndim else float(out)
 
     def dF(self, k, u):
-        cache = self.direction_cache(k)
-        return self.distribution.radon_profile_derivative(cache.chi, u)
-
-    def F(self, k, u):
-        cache = self.direction_cache(k)
-        return self.distribution.radon_profile(cache.chi, u)
+        return self.distribution.radon_profile_derivative(self._chi(k), u)
 
     def plemelj_minus_dF(self, k, u):
         """P⁻[∂_uF](u) = α(u) - iπ ∂_uF(u)."""
@@ -169,13 +179,8 @@ class DielectricModel:
 
     def epsilon(self, k, u):
         """ε(k, u) = 1 - φ̂(|k|) P⁻[∂_uF](u) (phase-velocity argument)."""
-        k = np.asarray(k, dtype=float)
-        nk = np.linalg.norm(k) if k.ndim else float(abs(k))
-        if nk == 0.0:
-            raise InputError("k = 0: dielectric undefined")
-        W = self.potential.fourier(np.asarray(nk))
-        kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
-        return 1.0 - W * self.plemelj_minus_dF(kvec, u)
+        kvec, nk = _as_vector(k)
+        return 1.0 - self.potential.fourier(np.asarray(nk)) * self.plemelj_minus_dF(kvec, u)
 
     def epsilon_laplace(self, k, z, conjugate_mode=False):
         """ε(±k, -iz) = 1 - φ̂ C[∂_uF](±iz/|k|) on Bromwich contours.
@@ -184,15 +189,11 @@ class DielectricModel:
         valid for Re z ≤ 0); otherwise direct quadrature, valid off the
         real w-axis, i.e. for Re z ≠ 0.
         """
-        k = np.asarray(k, dtype=float)
-        nk = np.linalg.norm(k) if k.ndim else float(abs(k))
-        if nk == 0.0:
-            raise InputError("k = 0: dielectric undefined")
+        kvec, nk = _as_vector(k)
         z = np.asarray(z, dtype=complex)
         w = 1j * z / nk
         if conjugate_mode:
             w = -w
-        kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
         cache = self.direction_cache(kvec)
         if self.distribution.has_continuation:
             branch = "integral" if conjugate_mode else "upper"
@@ -208,11 +209,7 @@ class DielectricModel:
     # -- spectral diagnostics -------------------------------------------------
     def dispersion_roots(self, k):
         """Far roots u₀± of α(χ,u) = |k|², with L± and the affine maps Ψ±."""
-        k = np.asarray(k, dtype=float)
-        kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
-        nk = np.linalg.norm(kvec)
-        if nk == 0.0:
-            raise InputError("k = 0")
+        kvec, nk = _as_vector(k)
         cache = self.direction_cache(kvec)
         target = nk**2
 
@@ -466,7 +463,9 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
     distribution is also tested at half resolution; when the two verdicts
     differ the report is INCONCLUSIVE.
     """
-    directions = _directions(distribution, directions)
+    if directions is None:
+        directions = [_Z_HAT] if distribution.is_isotropic else sphere_lattice_directions()
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     offenders, n_critical = _offenders(distribution, potential, directions, u_max, n)
     if distribution.kind == "tabulated":
         coarse, _ = _offenders(distribution.coarsened(), potential, directions, u_max, n)

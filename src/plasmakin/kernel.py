@@ -87,12 +87,12 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32, epsilon_sign
     r = np.exp(s)
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     wt = 2 * np.pi / n_theta
-    W2 = np.abs(model.potential.fourier(r)) ** 2
+    W = model.potential.fourier(r)
+    W2 = np.abs(W) ** 2
     u = epsilon_sign * v_perp_mag * np.cos(theta)
-    kvec = np.array([0.0, 0.0, 1.0])
-    eps2 = np.empty((len(r), len(theta)))
-    for i, rr in enumerate(r):
-        eps2[i] = np.abs(model.epsilon(rr * kvec, u)) ** 2
+    # ε = 1 - φ̂(r) P⁻[∂_uF](u): P⁻ does not depend on r
+    P = model.plemelj_minus_dF(np.array([0.0, 0.0, 1.0]), u)
+    eps2 = np.abs(1.0 - W[:, None] * P[None, :]) ** 2
     radial = (ws * r**4 * W2)[:, None] / eps2  # r³ dr = r⁴ ds in log vars
     c, sn = np.cos(theta), np.sin(theta)
     A11 = wt * float(np.sum(radial * c**2))
@@ -132,11 +132,16 @@ def landau_limit(model, w, v, K_max_list=(1e2, 1e3), **kw):
     """
     if not model.potential.is_coulomb:
         raise InputError("the Coulomb-log limit needs the Coulomb weight")
-    w = np.asarray(w, dtype=float)
+    return _landau_summary([bl_tensor(model, w, v, K_max=K, **kw) for K in K_max_list])
+
+
+def _landau_summary(tensors):
+    """`landau_limit`'s report from the tensors of one (w, v) at increasing cutoffs."""
+    w = tensors[0].w
     what = w / np.linalg.norm(w)
     rows = []
-    for K in K_max_list:
-        t = bl_tensor(model, w, v, K_max=K, **kw)
+    for t in tensors:
+        K = t.cutoff
         lam, vecs = np.linalg.eigh(t.matrix)
         # longitudinal eigenvalue = the one whose eigenvector is closest to ŵ
         align = np.abs(vecs.T @ what)

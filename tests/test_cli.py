@@ -194,6 +194,20 @@ class TestCommands:
         assert key in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("dielectric", "temperature", "nan"),
+        ("dielectric", "grid-n", "1000"),
+        ("kernel", "lattice-n", "9.5"),
+        ("cloud", "r-count", "0"),
+    ])
+    def test_bad_value_exit64_no_outputs(self, runner, tmp_path, kind, key, value):
+        cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n{key} = {value}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert f"v.cfg:2:1: key {key!r}" in res.output
+        assert not out.exists()
+
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "scenario = cloud\nwat = 1\n")
         out = tmp_path / "o"

@@ -1,9 +1,14 @@
 """Dielectric function, stability checks and unit scaling."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from plasmakin.dielectric import (
+    MAX_CACHED_DIRECTIONS,
     DielectricModel,
     debye_rescale,
     penrose_check,
@@ -52,6 +57,70 @@ class TestEpsilon:
     def test_alpha_is_even_for_even_F(self, model_mc):
         u = np.linspace(0.3, 5.0, 13)
         assert np.max(np.abs(model_mc.alpha(KZ, u) - model_mc.alpha(KZ, -u))) < 1e-9
+
+
+def _epsilon_drifted_reference(chi, drift, k, u):
+    """ε of a unit-temperature drifted Maxwellian, Coulomb weight, in mpmath.
+
+    F(χ,·) is the unit Gaussian about χ·drift, so with ζ = (u - χ·drift)/√2
+    the upper boundary value of C[∂_uF] is -(1 + ζZ(ζ)), Z(ζ) =
+    i√π e^{-ζ²} erfc(-iζ), and P⁻[∂_uF] is its complex conjugate.
+    """
+    zeta = mpmath.mpf(u - float(chi @ drift)) / mpmath.sqrt(2)
+    Z = 1j * mpmath.sqrt(mpmath.pi) * mpmath.exp(-zeta**2) * mpmath.erfc(-1j * zeta)
+    return complex(1 + mpmath.conj(1 + zeta * Z) / k**2)
+
+
+class TestExactDirection:
+    """Anisotropic kinds evaluate ε at the exact χ = k/|k|, caching each χ on first use."""
+
+    DRIFT = np.array([0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("theta, phi", [(0.3, 0.0), (0.3, 1.1), (1.2, 2.5), (2.0, -0.7)])
+    def test_drifted_maxwellian_matches_closed_form(self, coulomb, theta, phi):
+        model = DielectricModel(Maxwellian(drift=self.DRIFT), coulomb)
+        chi = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        for k in (0.5, 1.0, 2.0):
+            for u in (-1.3, 0.5, 2.0):
+                ref = _epsilon_drifted_reference(chi, self.DRIFT, k, u)
+                assert abs(model.epsilon(k * chi, u) - ref) <= 1e-6 * abs(ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        drift=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+        rotvec=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        k=st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda k: np.linalg.norm(k) > 0.2),
+        u=st.floats(-3.0, 3.0),
+    )
+    def test_rotation_covariance(self, coulomb, drift, rotvec, k, u):
+        """ε(Rk, u) under drift Rd equals ε(k, u) under drift d."""
+        R = Rotation.from_rotvec(rotvec).as_matrix()
+        d, k = np.array(drift), np.array(k)
+        eps = DielectricModel(Maxwellian(drift=d), coulomb).epsilon(k, u)
+        eps_rot = DielectricModel(Maxwellian(drift=R @ d), coulomb).epsilon(R @ k, u)
+        assert abs(eps_rot - eps) <= 1e-10 * max(1.0, abs(eps))
+
+    def test_tabulated_builds_directions_on_first_use(self, coulomb):
+        # coarse on purpose: this checks the caching, not the quadrature
+        ax = np.linspace(-60.0, 60.0, 31)
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+        vals = Maxwellian(drift=(0.5, 0.0, 0.0), temperature=4.0).density(
+            np.stack([X, Y, Z], axis=-1))
+        model = DielectricModel(Tabulated((ax, ax, ax), vals, plane_nodes=16), coulomb)
+        assert np.array_equal(model.directions, [KZ])
+        chi = np.array([0.6, 0.0, 0.8])
+        model.epsilon(2.0 * chi, 0.3)
+        model.epsilon(0.5 * chi, -0.1)
+        model.epsilon(KZ, 0.0)
+        np.testing.assert_allclose(model.directions, [KZ, chi], rtol=0, atol=1e-15)
+
+    def test_cache_is_bounded(self, coulomb):
+        model = DielectricModel(Maxwellian(drift=self.DRIFT), coulomb)
+        phis = np.linspace(0.0, 2.0 * np.pi, MAX_CACHED_DIRECTIONS + 1, endpoint=False)
+        chis = [np.array([0.6 * np.cos(p), 0.6 * np.sin(p), 0.8]) for p in phis]
+        for chi in chis:
+            model.alpha(chi, 0.5)
+        np.testing.assert_allclose(model.directions, chis[1:], rtol=0, atol=1e-15)
 
 
 class TestPenrose:
@@ -116,8 +185,7 @@ class TestInfimum:
 
     def test_floor_error(self):
         bump = BumpMixture([(0.5, (0, 0, 4.0), 1.0), (0.5, (0, 0, -4.0), 1.0)])
-        model = DielectricModel(bump, CoulombPotential(),
-                                directions=np.array([[0.0, 0.0, 1.0]]))
+        model = DielectricModel(bump, CoulombPotential())
         with pytest.raises(DegenerateDielectricError):
             model.epsilon_infimum(k_range=(0.05, 1.0), u_max=1.0)
 
