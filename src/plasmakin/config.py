@@ -2,11 +2,11 @@
 
 Scenario files are flat `key = value` documents with `#` comments and an
 `extends = <relative path>` mechanism for sweep variants.  Unknown keys and
-values of the wrong type (non-finite, non-integer, non-positive, or a
-`grid-n` that is not a power of two) are rejected with line/column
-diagnostics.  CSV bodies are byte-stable: 17 significant digits,
-scientific notation, LF endings, fixed column order, and `#`-prefixed
-metadata lines that never include wall-clock data.
+values of the wrong type (non-finite, non-integer, non-positive, a
+`grid-n` that is not a power of two, or a `lattice-n` below 3) are
+rejected with line/column diagnostics.  CSV bodies are byte-stable: 17
+significant digits, scientific notation, LF endings, fixed column order,
+and `#`-prefixed metadata lines that never include wall-clock data.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _BOOL_KEYS = {"slopes", "pair"}
 _INT_KEYS = {"grid-n", "lattice-n", "r-count", "gamma"}
 _POSITIVE_KEYS = {
     "temperature", "grid-u-max", "grid-n", "lattice-n", "r-count", "dt", "t-max",
-    "half-width", "sigma", "potential-amplitude", "potential-width",
+    "half-width", "sigma", "potential-amplitude", "potential-width", "r-min", "r-max",
 }
 
 
@@ -104,6 +104,8 @@ def _parse_value(key, raw, line_no, path):
         reject("a positive number")
     if key == "grid-n" and (x < 16 or int(x) & (int(x) - 1)):
         reject("a power of two >= 16")
+    if key == "lattice-n" and x < 3:
+        reject("an integer >= 3")
     return x
 
 

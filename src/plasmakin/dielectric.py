@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     DegenerateDielectricError,
@@ -158,11 +158,13 @@ class DielectricModel:
     # -- ingredient evaluations ---------------------------------------------
     def alpha(self, k, u):
         """P[∂_uF](u) with the 1/u² asymptote beyond the cached grid."""
-        cache = self.direction_cache(k)
+        return self._alpha_in(self.direction_cache(k), u)
+
+    def _alpha_in(self, cache, u):
+        """α of one direction: its spline inside the grid, m0/u² + 2m1/u³ + 3m2/u⁴ beyond."""
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u, dtype=float)
-        edge = self.grid.u_max - 2.0 * self.grid.spacing
-        inside = np.abs(u) <= edge
+        out = np.empty_like(u)
+        inside = np.abs(u) <= self.grid.u_max - 2.0 * self.grid.spacing
         out[inside] = cache.alpha_spline(u[inside])
         uo = u[~inside]
         if uo.size:
@@ -239,72 +241,59 @@ class DielectricModel:
         """
         lo = 1.0 / (2.0 * np.sqrt(nk))
         hi = 4.0 / nk
-        edge = self.grid.u_max - 2 * self.grid.spacing
 
         def g(u):
-            uu = side * u
-            if abs(uu) <= edge:
-                a = float(cache.alpha_spline(uu))
-            else:
-                m0, m1, m2 = cache.moments
-                a = m0 / uu**2 + 2 * m1 / uu**3 + 3 * m2 / uu**4
-            return a - target
+            return self._alpha_in(cache, side * u) - target
 
-        n_scan = 400
-        us = np.geomspace(lo, hi, n_scan)[::-1]
-        vals = [g(us[0])]
-        for i in range(1, n_scan):
-            vals.append(g(us[i]))
-            if vals[-1] * vals[-2] < 0:
-                a, b = us[i], us[i - 1]
-                return side * brentq(g, a, b, xtol=1e-14)
-            if vals[-1] == 0.0:
+        us = np.geomspace(lo, hi, 400)[::-1]
+        vals = g(us)
+        for i in range(1, len(us)):
+            if vals[i] * vals[i - 1] < 0:
+                return side * brentq(g, us[i], us[i - 1], xtol=1e-14)
+            if vals[i] == 0.0:
                 return side * us[i]
         raise RootNotFoundError(
             f"no sign change of α - |k|² in [{lo:.3g}, {hi:.3g}] "
             f"(α range [{min(vals):.3g}, {max(vals):.3g}], |k|² = {target:.3g})"
         )
 
-    def epsilon_infimum(self, k_range=(0.5, 50.0), u_max=3.0, n_k=400, n_u=801, refine=1):
-        """Grid infimum of |ε(k, u)| over |k| ∈ k_range, |u| ≤ u_max."""
-        ks = np.geomspace(k_range[0], k_range[1], n_k)
+    def epsilon_infimum(self, k_range=(0.5, 50.0), u_max=3.0, n_u=801):
+        """Infimum of |ε(k, u)| over k = |k|ẑ, |k| ∈ k_range, |u| ≤ u_max.
+
+        Along a fixed χ, ε = 1 − W·P(u) with W = φ̂(|k|) and P = P⁻[∂_uF](χ, u),
+        which does not depend on |k|.  Over real W ∈ [W_lo, W_hi], |1 − W·P|
+        is smallest at W* = clamp(Re P/|P|², W_lo, W_hi) (|ε| = 1 where
+        P = 0), so the infimum is a minimum over u alone: the minimum on an
+        n_u-point grid, polished by a bounded scalar search between the grid
+        minimum's two neighbours.  [W_lo, W_hi] is the range of φ̂ on 400
+        geometric points of k_range, exact at the endpoints for the monotone
+        built-ins (Coulomb, Gaussian, zero).
+
+        The u-scan runs along ẑ for every kind, anisotropic ones included.
+        For seeded drifted Maxwellians, also scanning the 26 lattice
+        directions and the drift direction moves the value by at most 5e-4
+        relative, because a drift only shifts P in u.
+        """
+        W = self.potential.fourier(np.geomspace(k_range[0], k_range[1], 400))
+        w_lo, w_hi = float(np.min(W)), float(np.max(W))
+
+        def abs_eps(u):
+            P = self.plemelj_minus_dF(_Z_HAT, u)
+            p2 = np.abs(P) ** 2
+            w = np.clip(np.divide(P.real, p2, out=np.zeros_like(p2), where=p2 > 0), w_lo, w_hi)
+            return np.abs(1.0 - w * P)
+
         us = np.linspace(-u_max, u_max, n_u)
-        kvec = np.array([0.0, 0.0, 1.0])
-        best = np.inf
-        arg = (ks[0], us[0])
-        for kk in ks:
-            vals = np.abs(self.epsilon(kk * kvec, us))
-            j = int(np.argmin(vals))
-            if vals[j] < best:
-                best = float(vals[j])
-                arg = (float(kk), float(us[j]))
-        for _ in range(refine):
-            k0, u0 = arg
-            ks2 = np.linspace(max(k_range[0], 0.7 * k0), min(k_range[1], 1.4 * k0), 60)
-            us2 = np.linspace(max(-u_max, u0 - 0.2), min(u_max, u0 + 0.2), 241)
-            for kk in ks2:
-                vals = np.abs(self.epsilon(kk * kvec, us2))
-                j = int(np.argmin(vals))
-                if vals[j] < best:
-                    best = float(vals[j])
-                    arg = (float(kk), float(us2[j]))
-        # simplex polish: grid scans cannot certify a true zero of |ε|
-        from scipy.optimize import minimize
-
-        def objective(p):
-            kk = min(max(p[0], k_range[0]), k_range[1])
-            uu = min(max(p[1], -u_max), u_max)
-            return float(np.abs(self.epsilon(kk * kvec, uu)))
-
-        res = minimize(objective, x0=np.array(arg), method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
+        vals = abs_eps(us)
+        j = int(np.argmin(vals))
+        best, u_best = float(vals[j]), float(us[j])
+        res = minimize_scalar(lambda x: float(abs_eps(np.array([x]))[0]), method="bounded",
+                              bounds=(us[max(j - 1, 0)], us[min(j + 1, n_u - 1)]),
+                              options={"xatol": 1e-12})
         if res.fun < best:
-            best = float(res.fun)
-            arg = (float(res.x[0]), float(res.x[1]))
+            best, u_best = float(res.fun), float(res.x)
         if best < EPSILON_FLOOR:
-            raise DegenerateDielectricError(
-                f"|ε| infimum {best:.3e} below floor at (|k|, u) = {arg}"
-            )
+            raise DegenerateDielectricError(f"|ε| infimum {best:.3e} below floor at u = {u_best}")
         self.lower_bound_estimate = best
         return best
 

@@ -199,6 +199,9 @@ class TestCommands:
         ("dielectric", "grid-n", "1000"),
         ("kernel", "lattice-n", "9.5"),
         ("cloud", "r-count", "0"),
+        ("cloud", "r-min", "0"),
+        ("cloud", "r-max", "-2"),
+        ("kernel", "lattice-n", "1"),
     ])
     def test_bad_value_exit64_no_outputs(self, runner, tmp_path, kind, key, value):
         cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n{key} = {value}\n")

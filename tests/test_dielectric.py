@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
 from plasmakin.dielectric import (
@@ -170,8 +171,8 @@ class TestPenrose:
 
 class TestInfimum:
     def test_positive_and_reproducible(self, model_mc):
-        a = model_mc.epsilon_infimum(k_range=(0.5, 50.0), u_max=3.0, n_k=200, n_u=401)
-        b = model_mc.epsilon_infimum(k_range=(0.5, 50.0), u_max=3.0, n_k=400, n_u=801)
+        a = model_mc.epsilon_infimum(k_range=(0.5, 50.0), u_max=3.0, n_u=401)
+        b = model_mc.epsilon_infimum(k_range=(0.5, 50.0), u_max=3.0, n_u=801)
         assert a > 0
         assert abs(a - b) / b < 0.01  # two significant digits across refinement
         assert model_mc.lower_bound_estimate == b
@@ -188,6 +189,66 @@ class TestInfimum:
         model = DielectricModel(bump, CoulombPotential())
         with pytest.raises(DegenerateDielectricError):
             model.epsilon_infimum(k_range=(0.05, 1.0), u_max=1.0)
+
+
+def _scan_infimum(model, k_range=(0.5, 50.0), u_max=3.0):
+    """Reference infimum of |ε| along ẑ: (k, u) grid scan, local refinement, simplex polish."""
+    best, arg = np.inf, None
+
+    def scan(ks, us):
+        nonlocal best, arg
+        for kk in ks:
+            vals = np.abs(model.epsilon(kk * KZ, us))
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                best, arg = float(vals[j]), (float(kk), float(us[j]))
+
+    scan(np.geomspace(k_range[0], k_range[1], 400), np.linspace(-u_max, u_max, 801))
+    k0, u0 = arg
+    scan(np.linspace(max(k_range[0], 0.7 * k0), min(k_range[1], 1.4 * k0), 60),
+         np.linspace(max(-u_max, u0 - 0.2), min(u_max, u0 + 0.2), 241))
+
+    def objective(p):
+        kk = min(max(p[0], k_range[0]), k_range[1])
+        uu = min(max(p[1], -u_max), u_max)
+        return float(np.abs(model.epsilon(kk * KZ, uu)))
+
+    res = minimize(objective, x0=np.array(arg), method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
+    return min(best, float(res.fun))
+
+
+class TestInfimumOracle:
+    @pytest.mark.parametrize("distribution, potential, kwargs", [
+        (Maxwellian(), CoulombPotential(), {}),
+        (Maxwellian(), gaussian_soft(), {}),
+        (Maxwellian(), gaussian_soft(), dict(k_range=(1e-3, 30.0), u_max=6.0)),
+        (Maxwellian(), gaussian_soft(amplitude=5.0), {}),
+        (BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]), CoulombPotential(), {}),
+        (ExponentialFamily(gamma=1), CoulombPotential(), {}),
+        (ExponentialFamily(gamma=2), CoulombPotential(), {}),
+        (Maxwellian(drift=(0.0, 0.0, 0.5)), CoulombPotential(), {}),
+        (Maxwellian(), zero_potential(), {}),
+    ], ids=["mc", "ms", "ms-wide", "ms-amp5", "two-temp", "exp1", "exp2", "drift", "zero"])
+    def test_matches_scan(self, distribution, potential, kwargs):
+        model = DielectricModel(distribution, potential)
+        ref = _scan_infimum(model, **kwargs)
+        assert abs(model.epsilon_infimum(**kwargs) - ref) <= 1e-8 * ref
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        temperature=st.floats(0.5, 2.5),
+        amplitude=st.floats(0.2, 8.0),
+        width=st.floats(0.3, 3.0),
+        samples=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(-3.0, 3.0)),
+                         min_size=1, max_size=50),
+    )
+    def test_no_sample_below(self, temperature, amplitude, width, samples):
+        model = DielectricModel(Maxwellian(temperature=temperature),
+                                gaussian_soft(amplitude, width))
+        inf = model.epsilon_infimum()
+        for k, u in samples:
+            assert abs(model.epsilon(k * KZ, u)) >= inf * (1.0 - 1e-12)
 
 
 class TestDispersionRoots:
