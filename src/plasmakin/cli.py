@@ -277,7 +277,8 @@ def cloud(config_path, out):
                                value=charge_dev, tolerance=0.01)
         manifest.diagnostics.update(
             {k: v for k, v in res.items() if k in
-             ("induced_charge", "epsilon_floor", "epsilon_floor_at_rest")}
+             ("induced_charge", "epsilon_floor", "epsilon_floor_at_rest",
+              "hermiticity_defect", "degeneracy_warning")}
         )
 
 

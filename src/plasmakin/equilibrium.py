@@ -47,6 +47,8 @@ from .transforms import (
 )
 
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
+_KAPPA_BLOCK = 128  # κ rows per matrix product in A_minus_exact (bounds its memory)
+_NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV form
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
 
 
@@ -131,6 +133,7 @@ class HSolution:
             raise InputError("the equilibrium chain uses the isotropic fast path")
         self.model = model
         self.grid = model.grid
+        self._u = self.grid.points
         self._cache = model.direction_cache(_Z_HAT)
         self._F = self._cache.F.values
         self._dF = self._cache.dF.values
@@ -173,7 +176,7 @@ class HSolution:
         if np.min(abs2) < EPSILON_FLOOR**2:
             raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
         poles = self._resonance_poles(kappa)
-        g_smooth, pole_cauchy = _subtract_poles(poles, self.grid.points, self._F / abs2)
+        g_smooth, pole_cauchy = _subtract_poles(poles, self._u, self._F / abs2)
         prof = LineProfile(self.grid, g_smooth, endpoint_tol=1e-4)
         P_g = pv_transform(prof).values - 1j * np.pi * g_smooth + pole_cauchy
         A_minus = eps_u * P_g
@@ -191,35 +194,66 @@ class HSolution:
     def A_minus_exact(self, kappas, u_eval):
         """A⁻ at arbitrary (κ, u*) without the (log κ, u) interpolant.
 
-        Off-grid subtracted-trapezoid PV per κ with the pole model added in
-        closed form; g(u*) is evaluated from closed-form profiles, so the
-        result carries no interpolation wiggle (the oscillatory transforms
+        P⁻[g](u*) is the off-grid subtracted trapezoid sum with the pole model
+        added in closed form; g(u*) is evaluated from closed-form profiles, so
+        the result carries no interpolation wiggle (the oscillatory transforms
         amplify such wiggles into r-independent noise floors).
+
+        The subtracted sum is evaluated for many κ at once through
+
+            Σⱼ wⱼ(gⱼ - g_e)/(uⱼ - u_e) = (G·C)[κ, e] - g_e c_e,
+            C[j, e] = wⱼ/(uⱼ - u_e),    c_e = Σⱼ C[j, e],
+
+        with C built once per call and one real matrix product per block of
+        `_KAPPA_BLOCK` κ.  The rows of G are F/|ε|² on the nodes, with ε the
+        outer product 1 - φ̂(κ) ⊗ P⁻[∂_uF].  Only κ that carry Langmuir poles
+        (Coulomb, κ below the far-root bound) subtract them row by row.  A u*
+        on a node takes g' there from the node gradient; a u* closer than
+        `_NEAR_NODE` spacings to a node keeps the subtracted form, because the
+        split form cancels there.
         """
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         u_eval = np.asarray(u_eval, dtype=float)
-        u = self.grid.points
+        u = self._u
         h = self.grid.spacing
         w_tr = np.ones(self.grid.n)
         w_tr[0] = w_tr[-1] = 0.5
         F_eval = np.asarray(self.model.distribution.radon_profile(_Z_HAT, u_eval), dtype=float)
-        eps_eval = self.eps(kappas[:, None], u_eval)
+        P_eval = self._p_minus_dF(u_eval)
         log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
         diff = u[None, :] - u_eval[:, None]
-        hit = np.argwhere(diff == 0.0)
-        safe = np.where(diff == 0.0, 1.0, diff)
+        hit_e, hit_j = np.nonzero(diff == 0.0)
+        near_e = np.flatnonzero(np.any((np.abs(diff) < _NEAR_NODE * h) & (diff != 0.0), axis=1))
+        C = w_tr / np.where(diff == 0.0, np.inf, diff)
+        C[near_e] = 0.0
+        C = C.T
+        c = C.sum(axis=0)
+        pi_dF = np.pi * self._dF
         out = np.empty((len(kappas), len(u_eval)), dtype=complex)
-        for i, kap in enumerate(kappas):
-            eps_g, _ = self._eps_on_grid(kap)
-            poles = self._resonance_poles(kap)
-            g, _ = _subtract_poles(poles, u, self._F / np.abs(eps_g) ** 2)
-            g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)
-            quot = (g[None, :] - g_e[:, None]) / safe
-            if hit.size:
-                dg = np.gradient(g, h)
-                quot[hit[:, 0], hit[:, 1]] = dg[hit[:, 1]]
-            P_g = h * (quot @ w_tr) + g_e * log_end
-            out[i] = eps_eval[i] * (P_g - 1j * np.pi * g_e + pole_c)
+        for b0 in range(0, len(kappas), _KAPPA_BLOCK):
+            kb = kappas[b0 : b0 + _KAPPA_BLOCK]
+            W = self.model.potential.fourier(kb)[:, None]
+            eps_e = 1.0 - W * P_eval
+            # ε on the nodes, filled part by part: the same bits as 1 - W·P⁻[∂_uF]
+            # without a complex product
+            eps_g = np.empty((len(kb), len(u)), dtype=complex)
+            eps_g.real = 1.0 - W * self._alpha
+            eps_g.imag = W * pi_dF
+            G = self._F / np.abs(eps_g) ** 2
+            g_e = F_eval / np.abs(eps_e) ** 2
+            pole_c = np.zeros(g_e.shape, dtype=complex)
+            for i in np.flatnonzero(kb < self._k_root_max):
+                poles = self._resonance_poles(kb[i])
+                if poles:
+                    G[i], _ = _subtract_poles(poles, u, G[i])
+                    g_e[i], pole_c[i] = _subtract_poles(poles, u_eval, g_e[i])
+            S = G @ C - g_e * c
+            if hit_e.size:
+                S[:, hit_e] += w_tr[hit_j] * np.gradient(G, h, axis=1)[:, hit_j]
+            for e in near_e:
+                S[:, e] = ((G - g_e[:, e, None]) / diff[e]) @ w_tr
+            P_g = h * S + g_e * log_end
+            out[b0 : b0 + len(kb)] = eps_e * (P_g - 1j * np.pi * g_e + pole_c)
         return out
 
     @property
@@ -237,10 +271,11 @@ class HSolution:
         """Bilinear table lookup on the uniform (log κ, u) product grid."""
         kappa = np.asarray(kappa, dtype=float)
         u = np.asarray(u, dtype=float)
-        lk, uu = np.broadcast_arrays(np.log(np.maximum(kappa, 1e-300)), u)
         n_k, n_u = self._A_table.shape
+        # the log-κ index and fraction at κ's own shape; they broadcast over u below
+        lk = np.log(np.maximum(kappa, 1e-300))
         fi = np.clip((lk - self._logk0) / self._dlogk, 0.0, n_k - 1.000001)
-        fj = np.clip((uu - self.grid.points[0]) / self.grid.spacing, 0.0, n_u - 1.000001)
+        fj = np.clip((u - self._u[0]) / self.grid.spacing, 0.0, n_u - 1.000001)
         i0 = fi.astype(np.intp)
         j0 = fj.astype(np.intp)
         fi = fi - i0
@@ -258,19 +293,18 @@ class HSolution:
             + a11 * fi * fj
         )
 
-    def eps(self, kappa, u):
-        kappa = np.asarray(kappa, dtype=float)
-        W = self.model.potential.fourier(kappa)
-        a = self._alpha_spline(np.asarray(u, dtype=float))
+    def _p_minus_dF(self, u):
+        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF]."""
+        u = np.asarray(u, dtype=float)
         dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
-        return 1.0 - W * (a - 1j * np.pi * np.asarray(dF))
+        return self._alpha_spline(u) - 1j * np.pi * np.asarray(dF)
 
     def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
         """ĥ_B = f(1-ε)/ε - φ̂ A⁻ (ω·∇f)/ε from A⁻ at (κ, u)."""
-        eps = self.eps(kappa, u)
+        W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
+        eps = 1.0 - W * self._p_minus_dF(u)
         if np.any(np.abs(eps) < EPSILON_FLOOR):
             raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
-        W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
         return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
 
     def h_hat_values(self, kappa, u, f_v, omega_grad_f):
@@ -318,7 +352,7 @@ def solve_H(model: DielectricModel, k, validate=True, tol=1e-5) -> HSlice:
 
 def h_equation_residual(sol: HSolution, sl: HSlice) -> float:
     """L² residual of the closed Ĥ_B fixed-point equation."""
-    u = sol.grid.points
+    u = sol._u
     W = float(sol.model.potential.fourier(np.asarray(sl.kappa)))
     H = np.real(sl.H_B)
     P_minus_F = pv_transform(sol._cache.F).values - 1j * np.pi * sol._F
@@ -410,6 +444,13 @@ def correlation_line(
     The plane integral over k ⊥ v̂_r is polar Gauss-Legendre (split radial
     panels toward k=0 for the Coulomb weight); the s → ξ transform is a DFT
     on the conjugate grid.
+
+    g_B is real, so Γ̂(-k) = -conj Γ̂(k).  The point (-s, r, θ) is -k of
+    (s, r, θ + π), and the phase e^{iK₁|b|} conjugates under θ → θ + π, so
+    the plane sums obey G_b(-s) = -conj G_b(s).  Only the rows with s ≥ 0
+    and the unpaired row s = -s_max are evaluated; the mirror rows are
+    filled from their partners.  This needs a θ grid closed under θ → θ + π,
+    so n_theta (given or from the default rule) is rounded up to even.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -427,6 +468,7 @@ def correlation_line(
 
     if n_theta is None:
         n_theta = max(32, int(1.4 * s_max * bnorm) + 16)
+    n_theta += n_theta % 2
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     w_theta = 2 * np.pi / n_theta
     x1, w1 = np.polynomial.legendre.leggauss(r_nodes[0])
@@ -437,6 +479,9 @@ def correlation_line(
     wr = np.concatenate([(b - a) / 2 * w for a, b, _, w in seg])
 
     s = (np.arange(n_s) - n_s // 2) * (2.0 * s_max / n_s)
+    half = n_s // 2
+    lo = 2 * half - n_s + 1  # rows j < lo have no mirror row 2·half - j
+    rows = np.r_[0:lo, half:n_s]
 
     dist = sol.model.distribution
     f1 = float(dist.density(v1))
@@ -446,34 +491,29 @@ def correlation_line(
     a_vec = g1 * f2 - f1 * g2
 
     cth, sth = np.cos(theta), np.sin(theta)
-    # in-plane geometry, broadcast over (s, r, theta)
+    # in-plane geometry on (r, theta); k·q = s (e·q) + k_⊥·q for
+    # q = v₁, v₂, ∇f(v₁), ∇f(v₂), a, stacked on a leading axis
     K1 = r[:, None] * cth[None, :]
     K2 = r[:, None] * sth[None, :]
     phase = np.exp(1j * K1 * bnorm)
-    u1_perp = (K1 * (e1 @ v1) + K2 * (e2 @ v1))
-    u2_perp = (K1 * (e1 @ v2) + K2 * (e2 @ v2))
-    ka_perp = (K1 * (e1 @ a_vec) + K2 * (e2 @ a_vec))
-    kg1_perp = (K1 * (e1 @ g1) + K2 * (e2 @ g1))
-    kg2_perp = (K1 * (e1 @ g2) + K2 * (e2 @ g2))
+    q = (v1, v2, g1, g2, a_vec)
+    q_par = np.array([e @ x for x in q])[:, None, None, None]
+    q_perp = np.stack([K1 * (e1 @ x) + K2 * (e2 @ x) for x in q])[:, None]
+    f12 = np.array([f1, f2])[:, None, None, None]
 
     G_b = np.empty(n_s, dtype=complex)
     chunk = 32
-    for i0 in range(0, n_s, chunk):
-        sb = s[i0 : i0 + chunk][:, None, None]
+    for i0 in range(0, len(rows), chunk):
+        idx = rows[i0 : i0 + chunk]
+        sb = s[idx][:, None, None]
         kappa = np.sqrt(sb**2 + r[None, :, None] ** 2)
         kappa = np.maximum(kappa, 1e-9)
-        u1 = (sb * (e @ v1) + u1_perp[None, :, :]) / kappa
-        u2 = (sb * (e @ v2) + u2_perp[None, :, :]) / kappa
-        h1 = sol.h_hat_values(kappa, u1, f1, (sb * (e @ g1) + kg1_perp[None]) / kappa)
-        h2 = sol.h_hat_values(kappa, u2, f2, (sb * (e @ g2) + kg2_perp[None]) / kappa)
+        k_dot = sb * q_par + q_perp
+        h = sol.h_hat_values(kappa, k_dot[:2] / kappa, f12, k_dot[2:4] / kappa)
         W = sol.model.potential.fourier(kappa)
-        k_dot_a = sb * (e @ a_vec) + ka_perp[None]
-        k_dot_g1 = sb * (e @ g1) + kg1_perp[None]
-        k_dot_g2 = sb * (e @ g2) + kg2_perp[None]
-        Gam = W * (k_dot_a + k_dot_g1 * np.conj(h2) - k_dot_g2 * h1)
-        G_b[i0 : i0 + chunk] = w_theta * np.einsum(
-            "srt,r->s", Gam * phase[None, :, :], wr * r
-        )
+        Gam = W * (k_dot[4] + k_dot[2] * np.conj(h[1]) - k_dot[3] * h[0])
+        G_b[idx] = w_theta * np.einsum("srt,r->s", Gam * phase[None, :, :], wr * r)
+    G_b[lo:half] = -np.conj(G_b[2 * half - lo : half : -1])
 
     # s -> xi DFT on the conjugate grid: Γ(ξ_m) = (2π)^{-3/2} ds Σ_j G(s_j) e^{i s_j ξ_m}.
     # Zero-padding refines the ξ sampling (sinc-exact since G_b is compactly

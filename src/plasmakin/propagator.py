@@ -752,12 +752,12 @@ class PairPropagator(_WeakFormEvaluator):
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         g01, g11 = G0_1.values(u), G1_1.values(u)
         g02, g12 = G0_2.values(u), G1_2.values(u)
+        A_all = np.zeros((len(self.k_q), grid.n), dtype=complex)
+        A_all[:, 1:-1] = hsol.A_minus_exact(self.k_q, u[1:-1])
         total = 0.0 + 0.0j
-        for kap, kw in zip(self.k_q, self.k_w):
+        for kap, kw, A in zip(self.k_q, self.k_w, A_all):
             a = float(kap)
             eps_u, W = hsol._eps_on_grid(a)
-            A = np.zeros(grid.n, dtype=complex)
-            A[1:-1] = hsol.A_minus_exact(np.array([a]), u[1:-1])[0]
             H1 = (1.0 - eps_u) / eps_u * g01 - W * A / eps_u * g11
             H2 = (1.0 - eps_u) / eps_u * g02 - W * A / eps_u * g12
             Y1 = g02 + np.conj(H2)

@@ -234,6 +234,17 @@ class TestCommands:
         m = read_manifest(tmp_path / "o1" / "manifest.json")
         assert m.all_passed()
 
+    def test_moving_cloud_manifest_records_health(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            "scenario = cloud\ndistribution = maxwellian\npotential = coulomb\n"
+            "v0 = 0.0 0.0 0.5\nr-count = 9\n",
+        )
+        res = runner.invoke(main, ["cloud", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert np.isfinite(m.diagnostics["hermiticity_defect"])
+
     def test_compare_command(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path / "c.cfg",

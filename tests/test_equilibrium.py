@@ -5,7 +5,9 @@ import pytest
 
 from plasmakin.dielectric import DielectricModel
 from plasmakin.equilibrium import (
+    _Z_HAT,
     HSolution,
+    _subtract_poles,
     correlation_line,
     fit_decay_slope,
     g_B_eval,
@@ -22,6 +24,7 @@ from plasmakin.equilibrium import (
 )
 from plasmakin.errors import InputError, SingularConfigurationError
 from plasmakin.potentials import zero_potential
+from plasmakin.transforms import _panel_nodes, perpendicular_unit
 
 V1 = np.array([0.6, 0.0, 0.0])
 V2 = np.array([-0.6, 0.0, 0.0])
@@ -250,3 +253,184 @@ class TestDecaySlopes:
         slope, resid = fit_decay_slope(r, h)
         assert 2.5 <= slope <= 3.5
         assert resid < 0.5
+
+
+# ---------------------------------------------------------------------------
+# oracles for the fast real-space evaluators
+# ---------------------------------------------------------------------------
+
+def _line_reference(sol, b_vec, v1, v2, s_max=12.0, n_s=512, n_theta=None,
+                    r_nodes=(16, 16, 32)):
+    """G_b(s) of `correlation_line` by the full-grid plane quadrature.
+
+    Every s row is evaluated, with one ĥ pass per velocity.
+    """
+    v_r = v1 - v2
+    nr = np.linalg.norm(v_r)
+    e = v_r / nr
+    bnorm = np.linalg.norm(b_vec)
+    e1 = b_vec / bnorm if bnorm > 0 else perpendicular_unit(e)
+    e2 = np.cross(e, e1)
+
+    if n_theta is None:
+        n_theta = max(32, int(1.4 * s_max * bnorm) + 16)
+    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    w_theta = 2 * np.pi / n_theta
+    x1, w1 = np.polynomial.legendre.leggauss(r_nodes[0])
+    x2, w2 = np.polynomial.legendre.leggauss(r_nodes[1])
+    x3, w3 = np.polynomial.legendre.leggauss(r_nodes[2])
+    seg = [(1e-6, 0.15, x1, w1), (0.15, 1.0, x2, w2), (1.0, s_max, x3, w3)]
+    r = np.concatenate([(a + b) / 2 + (b - a) / 2 * x for a, b, x, _ in seg])
+    wr = np.concatenate([(b - a) / 2 * w for a, b, _, w in seg])
+
+    s = (np.arange(n_s) - n_s // 2) * (2.0 * s_max / n_s)
+
+    dist = sol.model.distribution
+    f1 = float(dist.density(v1))
+    f2 = float(dist.density(v2))
+    g1 = dist.gradient(v1)
+    g2 = dist.gradient(v2)
+    a_vec = g1 * f2 - f1 * g2
+
+    cth, sth = np.cos(theta), np.sin(theta)
+    K1 = r[:, None] * cth[None, :]
+    K2 = r[:, None] * sth[None, :]
+    phase = np.exp(1j * K1 * bnorm)
+    u1_perp = (K1 * (e1 @ v1) + K2 * (e2 @ v1))
+    u2_perp = (K1 * (e1 @ v2) + K2 * (e2 @ v2))
+    ka_perp = (K1 * (e1 @ a_vec) + K2 * (e2 @ a_vec))
+    kg1_perp = (K1 * (e1 @ g1) + K2 * (e2 @ g1))
+    kg2_perp = (K1 * (e1 @ g2) + K2 * (e2 @ g2))
+
+    G_b = np.empty(n_s, dtype=complex)
+    chunk = 32
+    for i0 in range(0, n_s, chunk):
+        sb = s[i0 : i0 + chunk][:, None, None]
+        kappa = np.sqrt(sb**2 + r[None, :, None] ** 2)
+        kappa = np.maximum(kappa, 1e-9)
+        u1 = (sb * (e @ v1) + u1_perp[None, :, :]) / kappa
+        u2 = (sb * (e @ v2) + u2_perp[None, :, :]) / kappa
+        h1 = sol.h_hat_values(kappa, u1, f1, (sb * (e @ g1) + kg1_perp[None]) / kappa)
+        h2 = sol.h_hat_values(kappa, u2, f2, (sb * (e @ g2) + kg2_perp[None]) / kappa)
+        W = sol.model.potential.fourier(kappa)
+        k_dot_a = sb * (e @ a_vec) + ka_perp[None]
+        k_dot_g1 = sb * (e @ g1) + kg1_perp[None]
+        k_dot_g2 = sb * (e @ g2) + kg2_perp[None]
+        Gam = W * (k_dot_a + k_dot_g1 * np.conj(h2) - k_dot_g2 * h1)
+        G_b[i0 : i0 + chunk] = w_theta * np.einsum(
+            "srt,r->s", Gam * phase[None, :, :], wr * r
+        )
+    return G_b
+
+
+def _plane_spectrum(line, s_max, n_s):
+    """G_b recovered from a line's Γ samples by inverting its zero-padded DFT."""
+    n_pad = len(line.gamma_line)
+    scale = (2 * np.pi) ** -1.5 * (2.0 * s_max / n_s) * n_pad
+    G_pad = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(line.gamma_line / scale)))
+    lo = (n_pad - n_s) // 2
+    return G_pad[lo : lo + n_s]
+
+
+def _A_minus_exact_reference(sol, kappas, u_eval):
+    """A⁻ by the subtracted trapezoid sum, one κ at a time."""
+    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+    u_eval = np.asarray(u_eval, dtype=float)
+    u = sol.grid.points
+    h = sol.grid.spacing
+    w_tr = np.ones(sol.grid.n)
+    w_tr[0] = w_tr[-1] = 0.5
+    dist = sol.model.distribution
+    F_eval = np.asarray(dist.radon_profile(_Z_HAT, u_eval), dtype=float)
+    dF_eval = np.asarray(dist.radon_profile_derivative(_Z_HAT, u_eval))
+    W_eval = sol.model.potential.fourier(kappas[:, None])
+    eps_eval = 1.0 - W_eval * (sol._alpha_spline(u_eval) - 1j * np.pi * dF_eval)
+    log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
+    diff = u[None, :] - u_eval[:, None]
+    hit = np.argwhere(diff == 0.0)
+    safe = np.where(diff == 0.0, 1.0, diff)
+    out = np.empty((len(kappas), len(u_eval)), dtype=complex)
+    for i, kap in enumerate(kappas):
+        eps_g, _ = sol._eps_on_grid(kap)
+        poles = sol._resonance_poles(kap)
+        g, _ = _subtract_poles(poles, u, sol._F / np.abs(eps_g) ** 2)
+        g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)
+        quot = (g[None, :] - g_e[:, None]) / safe
+        if hit.size:
+            dg = np.gradient(g, h)
+            quot[hit[:, 0], hit[:, 1]] = dg[hit[:, 1]]
+        P_g = h * (quot @ w_tr) + g_e * log_end
+        out[i] = eps_eval[i] * (P_g - 1j * np.pi * g_e + pole_c)
+    return out
+
+
+def _rel_to_row_max(got, ref):
+    return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
+
+
+CRITERION_5 = ("soft-mixture", "coulomb-mixture", "coulomb-exponential")
+
+
+@pytest.fixture(scope="module")
+def criterion_5_chains(screening_mixture, exp_tail, soft, coulomb):
+    """The chains of acceptance criterion 5 (the Coulomb ones at the CLI's
+    k_max = 45, n_k = 240), each with the κ_max that h_realspace uses."""
+    return {
+        "soft-mixture": (
+            HSolution(DielectricModel(screening_mixture, soft), k_max=20.0, n_k=160), 15.0),
+        "coulomb-mixture": (
+            HSolution(DielectricModel(screening_mixture, coulomb), k_max=45.0, n_k=240), 44.0),
+        "coulomb-exponential": (HSolution(DielectricModel(exp_tail, coulomb)), 44.0),
+    }
+
+
+class TestCorrelationLineMirror:
+    @pytest.mark.parametrize("which", ["soft-maxwellian", "coulomb-mixture"])
+    def test_reference_obeys_mirror_identity(self, which, hsol_ms, criterion_5_chains,
+                                             line_kw):
+        """G_b(-s) = -conj G_b(s) on the full grid, row j against row n_s - j."""
+        sol = hsol_ms if which == "soft-maxwellian" else criterion_5_chains[which][0]
+        G = _line_reference(sol, np.array([0.0, 0.8, 0.3]), V1, V2, **line_kw)
+        half = len(G) // 2
+        defect = np.max(np.abs(G[1:half] + np.conj(G[:half:-1])))
+        assert defect <= 1e-13 * np.max(np.abs(G))
+
+    @pytest.mark.parametrize("bmag, n_theta", [
+        (0.0, None), (0.8, None), (3.0, None),
+        (2.5, None),  # the default rule gives 51 nodes
+        (2.5, 7),     # explicit and odd; too coarse for 7 and 8 nodes to agree
+    ])
+    def test_line_matches_reference(self, hsol_ms, line_kw, bmag, n_theta):
+        b = np.array([0.0, bmag, 0.0])
+        n_ref = n_theta or max(32, int(1.4 * line_kw["s_max"] * bmag) + 16)
+        ref = _line_reference(hsol_ms, b, V1, V2, n_theta=n_ref + n_ref % 2, **line_kw)
+        line = correlation_line(hsol_ms, b, V1, V2, n_theta=n_theta, **line_kw)
+        got = _plane_spectrum(line, line_kw["s_max"], line_kw["n_s"])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestAMinusExact:
+    @pytest.mark.parametrize("name", CRITERION_5)
+    def test_h_realspace_inputs(self, criterion_5_chains, name):
+        sol, k_max = criterion_5_chains[name]
+        kappas, _ = _panel_nodes(float(sol.k_grid[0]), k_max, 21.5)
+        u_eval = 1.2 * np.polynomial.legendre.leggauss(48)[0]
+        ref = _A_minus_exact_reference(sol, kappas, u_eval)
+        assert _rel_to_row_max(sol.A_minus_exact(kappas, u_eval), ref) <= 1e-9
+
+    @pytest.mark.parametrize("name", CRITERION_5)
+    def test_grid_nodes(self, criterion_5_chains, name):
+        sol, _ = criterion_5_chains[name]
+        kappas = np.geomspace(sol.k_grid[0], sol.k_grid[-1], 16)
+        u_eval = sol.grid.points[1:-1]
+        ref = _A_minus_exact_reference(sol, kappas, u_eval)
+        assert _rel_to_row_max(sol.A_minus_exact(kappas, u_eval), ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", CRITERION_5)
+    def test_near_nodes(self, criterion_5_chains, name):
+        sol, _ = criterion_5_chains[name]
+        kappas = np.geomspace(sol.k_grid[0], sol.k_grid[-1], 16)
+        nodes = np.linspace(40, sol.grid.n - 41, 24).astype(int)
+        u_eval = sol.grid.points[nodes] + 1e-9 * sol.grid.spacing
+        ref = _A_minus_exact_reference(sol, kappas, u_eval)
+        assert _rel_to_row_max(sol.A_minus_exact(kappas, u_eval), ref) <= 1e-9
