@@ -307,9 +307,10 @@ def evolve(config_path, out):
         kvec = np.array([0.0, 0.0, k])
         ts, rhos, _ = evolve_density(model, kvec, H0, t_max,
                                      dt=float(scn.get("dt", 0.01)), store_every=20)
-        _, rho_l = vlasov_laplace_eval(model, kvec, H0, ts)
+        _, rho_l, drift = vlasov_laplace_eval(model, kvec, H0, ts, richardson_check=True)
         cross = float(np.max(np.abs(rhos - rho_l)) / np.max(np.abs(rhos)))
         manifest.add_check("cross_method_density", cross <= 1e-4, value=cross, tolerance=1e-4)
+        manifest.diagnostics["bromwich_drift"] = drift
         columns = {"t": ts, "k": np.full_like(ts, k),
                    "re_rho": rhos.real, "im_rho": rhos.imag}
         if scn.get("pair", False):

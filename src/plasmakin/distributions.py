@@ -412,6 +412,10 @@ class Tabulated(VelocityDistribution):
         h = 1e-3
         return (self.radon_profile(chi, u + h) - self.radon_profile(chi, u - h)) / (2 * h)
 
+    def raw_moments(self, chi, u_max=60.0, n=6001):
+        """(M0, M1, M2) of F(χ,·) over the window clipped to the lattice's support."""
+        return super().raw_moments(chi, min(u_max, self.half_width), n)
+
     def coarsened(self) -> "Tabulated":
         """Half-resolution copy (used to test verdict grid-stability)."""
         axes = tuple(a[::2] for a in self.axes)

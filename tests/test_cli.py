@@ -245,6 +245,13 @@ class TestCommands:
         m = read_manifest(tmp_path / "o" / "manifest.json")
         assert np.isfinite(m.diagnostics["hermiticity_defect"])
 
+    def test_evolve_manifest_records_bromwich_drift(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path / "e.cfg", "scenario = evolve\npotential = gaussian\nt-max = 4\n")
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert 0.0 <= m.diagnostics["bromwich_drift"] <= 1e-6
+
     def test_compare_command(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path / "c.cfg",

@@ -18,6 +18,7 @@ from plasmakin.dielectric import (
 from plasmakin.distributions import BumpMixture, ExponentialFamily, Maxwellian, Tabulated
 from plasmakin.errors import DegenerateDielectricError, InputError, RootNotFoundError
 from plasmakin.potentials import CoulombPotential, gaussian_soft, zero_potential
+from plasmakin.transforms import UGrid
 
 KZ = np.array([0.0, 0.0, 1.0])
 
@@ -114,6 +115,31 @@ class TestExactDirection:
         model.epsilon(0.5 * chi, -0.1)
         model.epsilon(KZ, 0.0)
         np.testing.assert_allclose(model.directions, [KZ, chi], rtol=0, atol=1e-15)
+
+    def test_narrow_tabulated_matches_maxwellian(self, soft):
+        """A ±8 lattice builds a model, and its ε along ẑ tracks the analytic one.
+
+        Trilinear interpolation makes the lattice's Radon profile F piecewise
+        linear between lattice planes (spacing h): ∂_uF is off by up to
+        (h/2)·max|F''| inside a cell and jumps by up to h·max|F''| at each
+        plane, with max|F''| = 1/√(2π) for the unit Maxwellian.  So
+        |Δ Im ε| = π φ̂ |Δ∂_uF| ≤ φ̂ (π/2) h max|F''|, and in Re ε = −φ̂ α each
+        jump adds a logarithm to the principal value α, cut at the model's
+        u-spacing Δu: |Δ Re ε| ≤ φ̂ h max|F''| (1 + ln(h/Δu)).
+        """
+        ax = np.linspace(-8.0, 8.0, 33)
+        h = ax[1] - ax[0]
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+        vals = Maxwellian().density(np.stack([X, Y, Z], axis=-1))
+        grid = UGrid(6.0, 256)
+        model = DielectricModel(Tabulated((ax, ax, ax), vals, plane_nodes=32), soft, grid=grid)
+        exact = DielectricModel(Maxwellian(), soft, grid=grid)
+        k = 0.7 * KZ
+        u = np.linspace(-5.0, 5.0, 201)
+        diff = model.epsilon(k, u) - exact.epsilon(k, u)
+        scale = float(soft.fourier(np.asarray(0.7))) * h / np.sqrt(2.0 * np.pi)
+        assert np.max(np.abs(diff.imag)) <= scale * np.pi / 2
+        assert np.max(np.abs(diff.real)) <= scale * (1.0 + np.log(h / grid.spacing))
 
     def test_cache_is_bounded(self, coulomb):
         model = DielectricModel(Maxwellian(drift=self.DRIFT), coulomb)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasmakin.dielectric import DielectricModel
 from plasmakin.distributions import Maxwellian
@@ -12,7 +14,10 @@ from plasmakin.errors import InputError, StepSizeError, TruncationError
 from plasmakin.kernel import TensorTable
 from plasmakin.potentials import gaussian_soft
 from plasmakin.propagator import (
+    ALIAS_TARGET,
+    MAX_NODES,
     BromwichContour,
+    FluxEvaluator,
     GaussianTestFunction,
     ModeState,
     PairPropagator,
@@ -20,6 +25,8 @@ from plasmakin.propagator import (
     _duhamel_pole,
     _epsilon_contour_fn,
     bl_flux_vector,
+    causal_gamma,
+    contour_nodes,
     debye_cloud,
     evolve_density,
     flux_limit,
@@ -318,3 +325,110 @@ class TestFluxes:
         for i, v in enumerate(speeds):
             assert np.array_equal(psi[i], fe._psi_marginal_flux_scalar(v, ts))
             assert np.array_equal(lam[i], fe.lambda_marginal_flux_scalar(g0, v, ts))
+
+
+def _rel(got, ref):
+    """Largest deviation relative to the reference's largest magnitude."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+class TestContourSizing:
+    """`contour_nodes` against the fixed 65536-node contours it replaces."""
+
+    T35 = np.linspace(0.0, 35.0, 36)
+
+    @pytest.fixture(scope="class")
+    def mix_model(self, two_temperature, soft):
+        return DielectricModel(two_temperature, soft)
+
+    def test_contour_fields_validated(self):
+        for bad in (dict(n_nodes=0), dict(n_nodes=1), dict(height=-5.0), dict(height=0.0),
+                    dict(height=float("nan"))):
+            with pytest.raises(InputError):
+                BromwichContour(**bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.0, 2000.0), st.sampled_from(["weak", "laplace"]))
+    def test_rule(self, t_max, caller):
+        """Smallest power of two that reaches t_max within the alias target, or TruncationError."""
+        gamma = causal_gamma(t_max)
+        height = 160.0 if caller == "weak" else 200.0
+
+        def fits(n):
+            c = BromwichContour(gamma, height, n)
+            return c.n_nodes * c.dt >= t_max / 0.9 and c.reach >= t_max \
+                and c.alias_bound(t_max) <= ALIAS_TARGET
+
+        try:
+            n = contour_nodes(gamma, height, t_max)
+        except TruncationError:
+            assert not fits(MAX_NODES)
+            return
+        assert n & (n - 1) == 0 and 2 <= n <= MAX_NODES
+        assert fits(n)
+        assert n == 2 or not fits(n // 2)
+
+    def test_pair_propagator_matches_65536_nodes(self, model_ms):
+        test = GaussianTestFunction(1.5, 1.0, 1.0)
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        sized = PairPropagator(model_ms, t_max=35.0, k_nodes=4)
+        oracle = PairPropagator(model_ms, t_max=35.0, k_nodes=4, n_nodes=65536)
+        assert sized.contour.n_nodes == 16384
+        assert _rel(sized.psi_pairing(test, self.T35), oracle.psi_pairing(test, self.T35)) <= 1e-9
+        assert _rel(sized.lambda_pairing(g0, test, self.T35),
+                    oracle.lambda_pairing(g0, test, self.T35)) <= 1e-9
+
+    def test_flux_evaluator_matches_65536_nodes(self, mix_model):
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        ts = self.T35[1:]
+        sized = FluxEvaluator(mix_model, t_max=35.0, k_nodes=3)
+        oracle = FluxEvaluator(mix_model, t_max=35.0, k_nodes=3, n_nodes=65536)
+        assert _rel(sized.flux_J(ts, 1.2), oracle.flux_J(ts, 1.2)) <= 1e-9
+        assert _rel(sized.flux_lambda(g0, ts, 1.2), oracle.flux_lambda(g0, ts, 1.2)) <= 1e-9
+
+    def test_laplace_eval_matches_65536_nodes(self, model_ms):
+        """Against γ = 0.5, the former default, up to t = 10, and against the same γ up to 35.
+
+        Past t ≈ 20 a γ = 0.5 contour is itself off by more than 1e-9: e^{γt}
+        multiplies its height-truncation error (7e-7 of max|ρ̂| at t = 35, at
+        any node count).
+        """
+        H0 = initial_profile(model_ms.grid)
+        for ts, oracle in (
+            (np.linspace(0.0, 10.0, 6), BromwichContour(n_nodes=65536)),
+            (np.linspace(0.0, 35.0, 8), BromwichContour(causal_gamma(35.0), 200.0, 65536)),
+        ):
+            H, rho = vlasov_laplace_eval(model_ms, KZ, H0, ts)
+            H_o, rho_o = vlasov_laplace_eval(model_ms, KZ, H0, ts, contour=oracle)
+            assert _rel(rho, rho_o) <= 1e-9 and _rel(H, H_o) <= 1e-9
+
+    def test_explicit_contour_too_short(self, mix_model):
+        with pytest.raises(TruncationError):
+            FluxEvaluator(mix_model, t_max=100.0, k_nodes=2, n_nodes=1024)
+
+    def test_beyond_the_cap(self, model_ms):
+        with pytest.raises(TruncationError):
+            PairPropagator(model_ms, t_max=5000.0, k_nodes=2)
+
+    def test_node_doubling_drift(self, model_ms):
+        """The check compares n with 2n: quiet and returned when sized, loud when too small."""
+        H0 = initial_profile(model_ms.grid)
+        ts = np.linspace(0.0, 10.0, 11)
+        _, rho, drift = vlasov_laplace_eval(model_ms, KZ, H0, ts, richardson_check=True)
+        assert 0.0 <= drift <= 1e-9 * np.max(np.abs(rho))
+        small = BromwichContour(causal_gamma(10.0), 200.0, 2048)
+        with pytest.warns(UserWarning, match="^Bromwich node-doubling drift"):
+            *_, drift = vlasov_laplace_eval(model_ms, KZ, H0, ts, contour=small,
+                                            richardson_check=True)
+        assert drift > 1e-6
+
+
+class TestIsotropyRequired:
+    def test_weak_form_refuses_drift(self, soft):
+        """The weak form reads F along ẑ only, so a drifted F would be silently undrifted."""
+        model = DielectricModel(Maxwellian(drift=(0.0, 0.0, 0.5)), soft)
+        with pytest.raises(InputError):
+            FluxEvaluator(model, t_max=8.0, k_nodes=2)
+        with pytest.raises(InputError):
+            PairPropagator(model, t_max=8.0, k_nodes=2)
