@@ -118,6 +118,8 @@ def penrose(config_path, out):
         report = penrose_check(build_distribution(scn), build_potential(scn))
         manifest.diagnostics["verdict"] = report.verdict
         manifest.diagnostics["offenders"] = report.offenders
+        manifest.diagnostics["directions"] = report.details["directions"]
+        manifest.diagnostics["critical_points"] = report.details["critical_points"]
         manifest.add_check("penrose_conclusive", report.verdict != "INCONCLUSIVE")
         if report.offenders:
             write_csv(

@@ -19,6 +19,10 @@ from .transforms import perpendicular_unit
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 RADON_BLOCK = 64  # u values per batched plane quadrature: ~6 MB of points at 64 nodes
+# the 80-node Gauss-Legendre rule of `_exp_tail_integral`, mapped from [-1, 1] onto t ∈ [0, 60]
+_TAIL_T, _TAIL_W = np.polynomial.legendre.leggauss(80)
+_TAIL_T, _TAIL_W = 30.0 * (_TAIL_T + 1.0), 30.0 * _TAIL_W
+_TAIL_BLOCK = 128  # rows per `_exp_tail_integral` block: 128 × 80 doubles stay under 128 KiB
 
 
 def _plasma_z(zeta):
@@ -307,14 +311,13 @@ class ExponentialFamily(VelocityDistribution):
 
     @staticmethod
     def _exp_tail_integral(m):
-        """∫_m^∞ s e^{-s}/(1+s²) ds, vectorized Gauss-Legendre in s-m."""
+        """∫_m^∞ s e^{-s}/(1+s²) ds, Gauss-Legendre in t = s - m on [0, 60], rows in blocks."""
         m = np.atleast_1d(m)
-        x, w = np.polynomial.legendre.leggauss(80)
-        # map [0, 60] with substitution s = m + t
-        t = 30.0 * (x + 1.0)
-        wt = 30.0 * w
-        s = m[:, None] + t[None, :]
-        vals = np.sum(wt * s * np.exp(-s) / (1.0 + s * s), axis=1)
+        vals = np.empty(m.shape)
+        for start in range(0, m.size, _TAIL_BLOCK):
+            block = slice(start, start + _TAIL_BLOCK)
+            s = m[block, None] + _TAIL_T[None, :]
+            vals[block] = np.sum(_TAIL_W * s * np.exp(-s) / (1.0 + s * s), axis=1)
         return vals if vals.size > 1 else vals[0]
 
     def radon_profile_derivative(self, chi, u):

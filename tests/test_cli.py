@@ -125,6 +125,19 @@ class TestCommands:
         m = read_manifest(tmp_path / "o" / "manifest.json")
         assert m.diagnostics["verdict"] == "STABLE"
 
+    def test_penrose_manifest_records_health(self, runner, tmp_path):
+        """The manifest carries the direction and critical-point counts of the check."""
+        for name, body, directions, critical in (
+            ("iso", "distribution = maxwellian\n", 1, 1),
+            ("drift", "distribution = maxwellian\ndrift = 0.3 0.0 0.4\n", 26, 26),
+        ):
+            cfg = write_cfg(tmp_path / f"{name}.cfg", f"scenario = penrose\n{body}")
+            res = runner.invoke(main, ["penrose", "--config", cfg, "--out", str(tmp_path / name)])
+            assert res.exit_code == 0
+            m = read_manifest(tmp_path / name / "manifest.json")
+            assert m.diagnostics["directions"] == directions
+            assert m.diagnostics["critical_points"] == critical
+
     def test_penrose_unstable_exit2(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path / "p.cfg",

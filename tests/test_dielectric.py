@@ -5,17 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.integrate import quad
+from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
 
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
     DielectricModel,
+    _critical_points,
     debye_rescale,
     penrose_check,
     penrose_functional,
+    sphere_lattice_directions,
 )
-from plasmakin.distributions import BumpMixture, ExponentialFamily, Maxwellian, Tabulated
+from plasmakin.distributions import (
+    AnisotropicGaussian,
+    BumpMixture,
+    ExponentialFamily,
+    Maxwellian,
+    Tabulated,
+)
 from plasmakin.errors import DegenerateDielectricError, InputError, RootNotFoundError
 from plasmakin.potentials import CoulombPotential, gaussian_soft, zero_potential
 from plasmakin.transforms import UGrid
@@ -61,16 +70,21 @@ class TestEpsilon:
         assert np.max(np.abs(model_mc.alpha(KZ, u) - model_mc.alpha(KZ, -u))) < 1e-9
 
 
-def _epsilon_drifted_reference(chi, drift, k, u):
-    """ε of a unit-temperature drifted Maxwellian, Coulomb weight, in mpmath.
+def _epsilon_drifted_reference(chi, drift, k, u, variance=1.0):
+    """ε of a drifted Gaussian, Coulomb weight, in mpmath.
 
-    F(χ,·) is the unit Gaussian about χ·drift, so with ζ = (u - χ·drift)/√2
-    the upper boundary value of C[∂_uF] is -(1 + ζZ(ζ)), Z(ζ) =
-    i√π e^{-ζ²} erfc(-iζ), and P⁻[∂_uF] is its complex conjugate.
+    F(χ,·) is the Gaussian of the given variance σ² about χ·drift, so with
+    ζ = (u - χ·drift)/(√2σ) the upper boundary value of C[∂_uF] is
+    -(1 + ζZ(ζ))/σ², Z(ζ) = i√π e^{-ζ²} erfc(-iζ), and P⁻[∂_uF] is its
+    complex conjugate.
     """
-    zeta = mpmath.mpf(u - float(chi @ drift)) / mpmath.sqrt(2)
+    zeta = mpmath.mpf(u - float(chi @ drift)) / mpmath.sqrt(2 * variance)
     Z = 1j * mpmath.sqrt(mpmath.pi) * mpmath.exp(-zeta**2) * mpmath.erfc(-1j * zeta)
-    return complex(1 + mpmath.conj(1 + zeta * Z) / k**2)
+    return complex(1 + mpmath.conj(1 + zeta * Z) / (variance * k**2))
+
+
+ANISO_COV = np.array([[1.2, 0.3, 0.1], [0.3, 0.9, -0.2], [0.1, -0.2, 1.5]])
+ANISO_DRIFT = np.array([0.2, -0.4, 0.6])
 
 
 class TestExactDirection:
@@ -85,6 +99,18 @@ class TestExactDirection:
         for k in (0.5, 1.0, 2.0):
             for u in (-1.3, 0.5, 2.0):
                 ref = _epsilon_drifted_reference(chi, self.DRIFT, k, u)
+                assert abs(model.epsilon(k * chi, u) - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("theta, phi", [(0.3, 0.0), (0.3, 1.1), (1.2, 2.5), (2.0, -0.7)])
+    def test_anisotropic_gaussian_matches_closed_form(self, coulomb, theta, phi):
+        """F(χ,·) of an `AnisotropicGaussian` is the Gaussian of variance χᵀΣχ about χ·drift."""
+        dist = AnisotropicGaussian(ANISO_COV, drift=ANISO_DRIFT)
+        model = DielectricModel(dist, coulomb)
+        chi = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        variance = float(chi @ ANISO_COV @ chi)
+        for k in (0.5, 1.0, 2.0):
+            for u in (-1.3, 0.5, 2.0):
+                ref = _epsilon_drifted_reference(chi, ANISO_DRIFT, k, u, variance)
                 assert abs(model.epsilon(k * chi, u) - ref) <= 1e-6 * abs(ref)
 
     @settings(max_examples=25, deadline=None)
@@ -193,6 +219,158 @@ class TestPenrose:
                          [0.0, 1.0, 1.0] / np.sqrt(2.0)])
         rep = penrose_check(tab, CoulombPotential(), u_max=6.0, n=65, directions=dirs)
         assert rep.verdict == "INCONCLUSIVE"
+
+
+def _critical_points_reference(distribution, chi, u_max, n):
+    """The former per-interval scan of ∂_uF: the oracle of `_critical_points`."""
+    u = np.linspace(-u_max, u_max, n)
+    dF = np.asarray(distribution.radon_profile_derivative(chi, u), dtype=float)
+    crits = []
+    scale = float(np.max(np.abs(dF))) or 1.0
+    for i in range(len(u) - 1):
+        a, b = dF[i], dF[i + 1]
+        if a == 0.0 and abs(u[i]) < u_max - 1e-9:
+            crits.append(float(u[i]))
+        elif a * b < 0:
+            fn = lambda x: float(distribution.radon_profile_derivative(chi, np.array([x]))[0])
+            crits.append(float(brentq(fn, u[i], u[i + 1], xtol=1e-12)))
+    crits = sorted(crits)
+    merged = []
+    for c in crits:
+        if not merged or c - merged[-1] > 1e-6:
+            merged.append(c)
+    F = np.asarray(distribution.radon_profile(chi, np.array(merged)), dtype=float)
+    return [c for c, Fc in zip(merged, F) if Fc > 1e-10 * scale]
+
+
+def _penrose_functional_truncated(distribution, chi, u_c, u_max=40.0, n=40001):
+    """The former Penrose functional: trapezoid on [-u_max, u_max], tail dropped."""
+    u = np.linspace(-u_max, u_max, n)
+    F = np.asarray(distribution.radon_profile(chi, u), dtype=float)
+    Fc = float(distribution.radon_profile(chi, np.array([u_c]))[0])
+    d = u - u_c
+    q = np.empty_like(u)
+    near = np.abs(d) < 1e-7
+    q[~near] = (F[~near] - Fc) / d[~near] ** 2
+    if np.any(near):
+        h = 1e-4
+        Fp, Fm = distribution.radon_profile(chi, np.array([u_c + h, u_c - h]))
+        q[near] = 0.5 * (Fp - 2 * Fc + Fm) / h**2
+    return float(np.trapezoid(q, u))
+
+
+def _penrose_reference(distribution, potential, u_max=14.0, n=4097):
+    """(verdict, offender u, critical-point count) from the former scan and functional."""
+    dirs = [KZ] if distribution.is_isotropic else sphere_lattice_directions()
+    sup_w = None if potential.is_coulomb else potential.fourier_sup()
+    offender_u, n_critical = [], 0
+    for chi in dirs:
+        crits = _critical_points_reference(distribution, chi, u_max, n)
+        n_critical += len(crits)
+        for u_c in crits:
+            a_c = _penrose_functional_truncated(distribution, chi, u_c)
+            if a_c > 1e-8 if sup_w is None else sup_w > 0 and a_c * sup_w >= 1.0:
+                offender_u.append(u_c)
+    return ("UNSTABLE" if offender_u else "STABLE"), offender_u, n_critical
+
+
+TWO_BUMP = BumpMixture([(0.5, (0, 0, 4.0), 1.0), (0.5, (0, 0, -4.0), 1.0)])
+
+
+def _tabulated_two_bump(n_axis=7):
+    ax = np.linspace(-8.0, 8.0, n_axis)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    return Tabulated((ax, ax, ax), TWO_BUMP.density(np.stack([X, Y, Z], axis=-1)), plane_nodes=16)
+
+
+class TestPenroseOracle:
+    """The array scan against the former loop; the functional against closed forms."""
+
+    SWEEP_FAMILIES = [
+        Maxwellian(drift=(0.3, -0.2, 0.4), temperature=1.2),
+        Maxwellian(drift=(-0.1, 0.5, 0.05), temperature=1.35),
+        BumpMixture([(0.7, (0, 0, 0), 0.9), (0.3, (0, 0, 0), 1.4)]),
+        ExponentialFamily(gamma=1, modulation=0.3),
+        ExponentialFamily(gamma=2, modulation=0.2),
+    ]
+
+    @pytest.mark.parametrize("distribution", SWEEP_FAMILIES + [TWO_BUMP])
+    def test_scan_matches_reference(self, distribution):
+        dirs = [KZ] if distribution.is_isotropic else sphere_lattice_directions()
+        assert len(dirs) == (1 if distribution.is_isotropic else 26)
+        for chi in dirs:
+            assert _critical_points(distribution, chi, 14.0, 4097) == (
+                _critical_points_reference(distribution, chi, 14.0, 4097))
+
+    def test_scan_matches_reference_tabulated(self):
+        tab = _tabulated_two_bump()
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0] / np.sqrt(2.0)])
+        for dist in (tab, tab.coarsened()):
+            for chi in dirs:
+                assert _critical_points(dist, chi, 0.999 * 8.0, 257) == (
+                    _critical_points_reference(dist, chi, 0.999 * 8.0, 257))
+
+    def test_drifted_maxwellian_off_axis(self):
+        drift, temperature = np.array([0.3, -0.5, 0.8]), 1.3
+        dist = Maxwellian(drift=drift, temperature=temperature)
+        chi = np.array([0.48, 0.6, 0.64])
+        assert abs(penrose_functional(dist, chi, float(chi @ drift)) + 1.0 / temperature) <= 1e-8
+
+    @pytest.mark.parametrize("distribution", [
+        BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]),
+        TWO_BUMP,
+    ])
+    def test_mixtures_match_cauchy(self, distribution):
+        """At u_c, PV∫∂_uF/(u - u_c) du = ∫(F - F(u_c))/(u - u_c)² du = Re C[∂_uF](u_c)."""
+        crits = _critical_points(distribution, KZ, 14.0, 4097)
+        assert len(crits) == (1 if distribution.is_isotropic else 3)  # two-bump: peaks and centre
+        for u_c in crits:
+            ref = float(distribution.cauchy_dF(KZ, np.array([u_c + 0j]))[0].real)
+            assert abs(penrose_functional(distribution, KZ, u_c) - ref) <= 1e-8
+
+    def test_anisotropic_gaussian(self):
+        dist = AnisotropicGaussian(ANISO_COV, drift=ANISO_DRIFT)
+        for chi in sphere_lattice_directions()[::5]:
+            got = penrose_functional(dist, chi, float(chi @ ANISO_DRIFT))
+            assert abs(got + 1.0 / float(chi @ ANISO_COV @ chi)) <= 1e-8
+
+    @pytest.mark.parametrize("gamma, modulation", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)])
+    def test_exponential_family_matches_quad(self, gamma, modulation):
+        dist = ExponentialFamily(gamma=gamma, modulation=modulation)
+        Fc = float(dist.radon_profile(KZ, np.array([0.0]))[0])
+
+        def integrand(u):  # even in u
+            return (float(dist.radon_profile(KZ, np.array([u]))[0]) - Fc) / u**2
+
+        ref = 2.0 * (quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
+                     + quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0])
+        assert abs(penrose_functional(dist, KZ, 0.0) - ref) <= 1e-8
+
+    def test_critical_point_outside_window_rejected(self):
+        with pytest.raises(InputError):
+            penrose_functional(Maxwellian(), KZ, 40.0)
+        tab = _tabulated_two_bump()
+        with pytest.raises(InputError):
+            penrose_functional(tab, KZ, 0.9995 * tab.half_width)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["drifted", "two-temperature"]),
+        a=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
+        b=st.tuples(st.floats(0.55, 0.9), st.floats(0.8, 1.0), st.floats(1.1, 1.6)),
+        soft=st.none() | st.tuples(st.floats(0.3, 1.0), st.floats(0.8, 1.5)),
+    )
+    def test_verdicts_match_reference(self, kind, a, b, soft):
+        if kind == "drifted":
+            dist = Maxwellian(drift=a, temperature=b[2])
+        else:
+            dist = BumpMixture([(b[0], (0, 0, 0), b[1]), (1.0 - b[0], (0, 0, 0), b[2])])
+        potential = CoulombPotential() if soft is None else gaussian_soft(*soft)
+        rep = penrose_check(dist, potential)
+        verdict, offender_u, n_critical = _penrose_reference(dist, potential)
+        assert rep.verdict == verdict
+        assert [o["u"] for o in rep.offenders] == offender_u
+        assert rep.details["critical_points"] == n_critical
 
 
 class TestInfimum:
