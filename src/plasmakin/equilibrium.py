@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from .dielectric import DielectricModel, EPSILON_FLOOR
+from .dielectric import DielectricModel, EPSILON_FLOOR, alpha_tail
 from .errors import (
     ConsistencyError,
     DegenerateDielectricError,
@@ -49,6 +49,7 @@ from .transforms import (
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
 _KAPPA_BLOCK = 128  # κ rows per matrix product in A_minus_exact (bounds its memory)
 _NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV form
+_LINE_POINTS = 20480  # stacked (v₁, v₂) points per ĥ pass of correlation_line (8 rows at n_θ 32)
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
 
 
@@ -109,8 +110,6 @@ class HSlice:
     kappa: float
     A_minus: np.ndarray
     H_B: np.ndarray
-    P_minus_g: np.ndarray
-    eps_u: np.ndarray
     residual_l2: float | None = None
     split: bool = False
 
@@ -122,7 +121,9 @@ class HSolution:
         self._bind(model)
         self.k_grid = np.geomspace(k_min, k_max, n_k)
         self.slices = [self._solve_slice(kk) for kk in self.k_grid]
-        self._A_table = np.stack([s.A_minus for s in self.slices])
+        # the A⁻ table on the (log κ, u) grid as flat real and imaginary planes
+        table = np.stack([s.A_minus for s in self.slices]).ravel()
+        self._A_planes = (table.real.copy(), table.imag.copy())
         self._logk0 = float(np.log(self.k_grid[0]))
         self._dlogk = float(np.log(self.k_grid[1]) - np.log(self.k_grid[0]))
 
@@ -140,6 +141,9 @@ class HSolution:
         self._alpha = self._cache.alpha
         self._alpha_spline = self._cache.alpha_spline
         self._dalpha_spline = self._cache.dalpha_spline
+        # α's cubic on cell j in the cell fraction t: ((c₀t + c₁)t + c₂)t + c₃
+        powers = self.grid.spacing ** np.arange(3, -1, -1)
+        self._alpha_cubic = np.ascontiguousarray((self._alpha_spline.c * powers[:, None]).T)
 
     def _eps_on_grid(self, kappa):
         W = float(self.model.potential.fourier(np.asarray(kappa)))
@@ -185,8 +189,6 @@ class HSolution:
             kappa=float(kappa),
             A_minus=A_minus,
             H_B=H_B,
-            P_minus_g=P_g,
-            eps_u=eps_u,
             split=bool(poles),
         )
 
@@ -234,11 +236,8 @@ class HSolution:
             kb = kappas[b0 : b0 + _KAPPA_BLOCK]
             W = self.model.potential.fourier(kb)[:, None]
             eps_e = 1.0 - W * P_eval
-            # ε on the nodes, filled part by part: the same bits as 1 - W·P⁻[∂_uF]
-            # without a complex product
-            eps_g = np.empty((len(kb), len(u)), dtype=complex)
-            eps_g.real = 1.0 - W * self._alpha
-            eps_g.imag = W * pi_dF
+            # ε on the nodes part by part: the bits of 1 - W·P⁻[∂_uF]
+            eps_g = _complex(1.0 - W * self._alpha, W * pi_dF)
             G = self._F / np.abs(eps_g) ** 2
             g_e = F_eval / np.abs(eps_e) ** 2
             pole_c = np.zeros(g_e.shape, dtype=complex)
@@ -267,49 +266,68 @@ class HSolution:
         return cached
 
     # -- interpolated ingredient evaluations ---------------------------------
-    def A_minus(self, kappa, u):
-        """Bilinear table lookup on the uniform (log κ, u) product grid."""
-        kappa = np.asarray(kappa, dtype=float)
-        u = np.asarray(u, dtype=float)
-        n_k, n_u = self._A_table.shape
-        # the log-κ index and fraction at κ's own shape; they broadcast over u below
-        lk = np.log(np.maximum(kappa, 1e-300))
-        fi = np.clip((lk - self._logk0) / self._dlogk, 0.0, n_k - 1.000001)
-        fj = np.clip((u - self._u[0]) / self.grid.spacing, 0.0, n_u - 1.000001)
-        i0 = fi.astype(np.intp)
-        j0 = fj.astype(np.intp)
-        fi = fi - i0
-        fj = fj - j0
-        flat = self._A_table.ravel()
-        base = i0 * n_u + j0
-        a00 = flat[base]
-        a01 = flat[base + 1]
-        a10 = flat[base + n_u]
-        a11 = flat[base + n_u + 1]
-        return (
-            a00 * (1 - fi) * (1 - fj)
-            + a01 * (1 - fi) * fj
-            + a10 * fi * (1 - fj)
-            + a11 * fi * fj
-        )
-
     def _p_minus_dF(self, u):
-        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF]."""
+        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF].
+
+        α is the spline on the grid and its 1/u² expansion beyond ±u_max.
+        """
         u = np.asarray(u, dtype=float)
         dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
-        return self._alpha_spline(u) - 1j * np.pi * np.asarray(dF)
+        return self._alpha_past_grid(u, self._alpha_spline(u)) - 1j * np.pi * np.asarray(dF)
+
+    def _alpha_past_grid(self, u, alpha):
+        """α with its 1/u² expansion in place of the spline's beyond ±u_max."""
+        outside = np.abs(u) > self.grid.u_max
+        if not np.any(outside):
+            return alpha
+        return np.where(outside, alpha_tail(self._cache.moments, np.where(outside, u, 1.0)), alpha)
 
     def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
-        """ĥ_B = f(1-ε)/ε - φ̂ A⁻ (ω·∇f)/ε from A⁻ at (κ, u)."""
+        """ĥ_B from A⁻ at (κ, u), with ε = 1 - φ̂ P⁻[∂_uF](u)."""
         W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
-        eps = 1.0 - W * self._p_minus_dF(u)
-        if np.any(np.abs(eps) < EPSILON_FLOOR):
-            raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
-        return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
+        return _h_hat_formula(1.0 - W * self._p_minus_dF(u), W, A, f_v, omega_grad_f)
 
     def h_hat_values(self, kappa, u, f_v, omega_grad_f):
-        """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point."""
-        return self._h_hat(kappa, u, self.A_minus(kappa, u), f_v, omega_grad_f)
+        """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point.
+
+        One pass over the points: the u-cell (index j, fraction t) of each
+        point serves both the A⁻ lookup on the uniform (log κ, u) table,
+        linear in u and then in log κ, and α(u), the cubic of its spline on
+        that cell (the 1/u² expansion beyond ±u_max).  The log-κ index and
+        fraction and φ̂(κ) are computed at κ's own shape and broadcast over u.
+        The table lookup is held constant beyond its κ and u ranges.
+        """
+        kappa = np.asarray(kappa, dtype=float)
+        u = np.asarray(u, dtype=float)
+        n_k, n_u = len(self.k_grid), self.grid.n
+        fi = np.clip((np.log(np.maximum(kappa, 1e-300)) - self._logk0) / self._dlogk,
+                     0.0, n_k - 1.000001)
+        i0 = fi.astype(np.intp)
+        fi = fi - i0
+        fu = (u - self._u[0]) / self.grid.spacing
+        fj = np.clip(fu, 0.0, n_u - 1.000001)
+        j0 = fj.astype(np.intp)
+        t = fj - j0
+        base = i0 * n_u + j0
+        A_re, A_im = (
+            _lerp(_lerp(np.take(plane, base), np.take(plane[1:], base), t),
+                  _lerp(np.take(plane[n_u:], base), np.take(plane[n_u + 1:], base), t), fi)
+            for plane in self._A_planes
+        )
+        # α on the same cell, in the unclipped fraction so that u = u_max is the end knot
+        c = np.take(self._alpha_cubic, j0, axis=0)
+        t = fu - j0
+        alpha = c[..., 0] * t  # Horner, in place
+        for m in (1, 2):
+            alpha += c[..., m]
+            alpha *= t
+        alpha += c[..., 3]
+        alpha = self._alpha_past_grid(u, alpha)
+        dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
+        W = self.model.potential.fourier(kappa)
+        # ε = 1 - φ̂ (α - iπF') part by part, the bits of the complex expression
+        eps = _complex(1.0 - W * alpha, W * (np.pi * dF))
+        return _h_hat_formula(eps, W, _complex(A_re, A_im), f_v, omega_grad_f)
 
     def h_hat_axial_exact(self, kappas, u_eval, f_v, g_r_over_v):
         """ĥ_B on a (κ, u) product set via the exact A⁻ path."""
@@ -317,6 +335,29 @@ class HSolution:
         u_eval = np.asarray(u_eval, dtype=float)
         A = self.A_minus_exact(kappas, u_eval)
         return self._h_hat(kappas[:, None], u_eval, A, f_v, (u_eval * g_r_over_v)[None, :])
+
+
+def _h_hat_formula(eps, W, A, f_v, omega_grad_f):
+    """ĥ_B = f(1-ε)/ε - φ̂ A⁻ (ω·∇f)/ε; |ε| below the floor is refused."""
+    if np.any(np.abs(eps) < EPSILON_FLOOR):
+        raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
+    return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
+
+
+def _complex(re, im):
+    """re + i·im without a complex product."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _lerp(a, b, t):
+    """a + t·(b - a), written into b."""
+    b -= a
+    b *= t
+    b += a
+    return b
 
 
 def _subtract_poles(poles, u, g):
@@ -502,7 +543,7 @@ def correlation_line(
     f12 = np.array([f1, f2])[:, None, None, None]
 
     G_b = np.empty(n_s, dtype=complex)
-    chunk = 32
+    chunk = max(1, _LINE_POINTS // (2 * r.size * n_theta))
     for i0 in range(0, len(rows), chunk):
         idx = rows[i0 : i0 + chunk]
         sb = s[idx][:, None, None]

@@ -272,17 +272,33 @@ def radon_derivative(distribution, chi, grid: UGrid) -> LineProfile:
 # Oscillatory inverse-transform utilities (radial and axisymmetric 3D)
 # ---------------------------------------------------------------------------
 
-def _panel_nodes(k_min, k_max, r_scale, order=8, width_cap=0.4):
+_PANEL_RULE = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre nodes and weights per panel
+
+
+def _panel_count(k_min, k_max, r_scale):
+    """Panels of width at most min(0.4, 2.5/|r|) on [k_min, k_max]."""
+    width = min(0.4, 2.5 / max(abs(r_scale), 1.0))
+    return max(4, int(np.ceil((k_max - k_min) / width)))
+
+
+def _panel_nodes(k_min, k_max, r_scale):
     """Gauss-Legendre panels fine enough to resolve e^{i k r} oscillation."""
-    width = min(width_cap, 2.5 / max(abs(r_scale), 1.0))
-    n_panels = max(4, int(np.ceil((k_max - k_min) / width)))
-    edges = np.linspace(k_min, k_max, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(k_min, k_max, _panel_count(k_min, k_max, r_scale) + 1)
+    x, w = _PANEL_RULE
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def _panel_sets(k_min, k_max, r_values):
+    """The panel nodes and weights of each distinct panel set, with the indices
+    of the r values that share it; one set at a time."""
+    counts = np.array([_panel_count(k_min, k_max, r) for r in r_values])
+    for n in dict.fromkeys(counts.tolist()):
+        idx = np.flatnonzero(counts == n)
+        yield (*_panel_nodes(k_min, k_max, r_values[idx[0]]), idx)
 
 
 def _smooth_cutoff(k, k_roll, k_max):
@@ -295,17 +311,19 @@ def _smooth_cutoff(k, k_roll, k_max):
 
 
 def radial_inverse_transform(fn, r_values, k_min=1e-4, k_max=60.0, k_roll=40.0):
-    """ρ(r) = (2π)^{-3/2} (4π/r) ∫ fn(κ) κ sin(κr) dκ for radial fn(|k|)."""
+    """ρ(r) = (2π)^{-3/2} (4π/r) ∫ fn(κ) κ sin(κr) dκ for radial fn(|k|).
+
+    `fn` is evaluated once per distinct panel set (every r ≤ 6.25 shares one).
+    """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
+    if np.any(r_values <= 0):
+        raise InputError("radial transform defined for r > 0")
     out = np.empty(r_values.shape)
-    for i, r in enumerate(r_values):
-        if r <= 0:
-            raise InputError("radial transform defined for r > 0")
-        k, w = _panel_nodes(k_min, k_max, r)
-        vals = np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)
-        out[i] = np.sum(w * vals * k * np.sin(k * r)) * 4 * np.pi / (
-            (2 * np.pi) ** 1.5 * r
-        )
+    for k, w, idx in _panel_sets(k_min, k_max, r_values):
+        wfk = w * (np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)) * k
+        for i in idx:
+            r = r_values[i]
+            out[i] = np.sum(wfk * np.sin(k * r)) * 4 * np.pi / ((2 * np.pi) ** 1.5 * r)
     return out
 
 
@@ -317,9 +335,9 @@ def axial_inverse_transform(
     G depends on |k| and μ = cosθ relative to the symmetry axis; the μ
     integral is done exactly per Legendre mode (∫P_n(μ)e^{izμ}dμ = 2iⁿj_n(z))
     and the κ integral by oscillation-resolving panels with a smooth
-    roll-off.  `fn(kappa, mu)` must broadcast; negative r is handled by
-    parity.  Returns complex values (imaginary part is a Hermiticity
-    diagnostic).
+    roll-off.  `fn(kappa, mu)` must broadcast; it is evaluated once per
+    distinct panel set.  Negative r is handled by parity.  Returns complex
+    values (imaginary part is a Hermiticity diagnostic).
     """
     from numpy.polynomial import legendre as npleg
     from scipy.special import spherical_jn
@@ -327,20 +345,20 @@ def axial_inverse_transform(
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     # Legendre-Vandermonde and projection weights
+    orders = np.arange(n_leg)
     P = np.stack([npleg.legval(mu, [0.0] * n + [1.0]) for n in range(n_leg)])
-    proj = (2 * np.arange(n_leg) + 1)[:, None] / 2.0 * (P * wmu[None, :])
-    i_pow = 1j ** np.arange(n_leg)
+    proj = (2 * orders + 1)[:, None] / 2.0 * (P * wmu[None, :])
+    i_pow = 1j ** orders
     out = np.empty(r_values.shape, dtype=complex)
-    for i, r in enumerate(r_values):
-        k, w = _panel_nodes(k_min, k_max, r)
+    for k, w, idx in _panel_sets(k_min, k_max, r_values):
         G = np.asarray(fn(k[:, None], mu[None, :]), dtype=complex)
-        cn = proj @ G.T  # (n_leg, n_k)
-        zr = k * abs(r)
-        acc = 0.0 + 0.0j
-        cut = _smooth_cutoff(k, k_roll, k_max)
-        for n in range(n_leg):
-            jn = spherical_jn(n, zr)
-            parity = (-1.0) ** n if r < 0 else 1.0
-            acc += parity * i_pow[n] * 2.0 * np.sum(w * cut * k**2 * cn[n] * jn)
-        out[i] = acc / np.sqrt(2.0 * np.pi)
+        wcn = w * _smooth_cutoff(k, k_roll, k_max) * k**2 * (proj @ G.T)  # (n_leg, n_k)
+        for i in idx:
+            r = r_values[i]
+            modes = np.sum(wcn * spherical_jn(orders[:, None], k * abs(r)), axis=1)
+            acc = 0.0 + 0.0j
+            for n in range(n_leg):
+                parity = (-1.0) ** n if r < 0 else 1.0
+                acc += parity * i_pow[n] * 2.0 * modes[n]
+            out[i] = acc / np.sqrt(2.0 * np.pi)
     return out

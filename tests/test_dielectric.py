@@ -316,6 +316,13 @@ class TestPenroseOracle:
         chi = np.array([0.48, 0.6, 0.64])
         assert abs(penrose_functional(dist, chi, float(chi @ drift)) + 1.0 / temperature) <= 1e-8
 
+    @pytest.mark.parametrize("d", [2e-7, 1e-6, 1e-5])
+    def test_critical_point_near_a_node(self, d):
+        """u_c = d lies d from the node u = 0, where F(u) - F(u_c) cancels
+        (formerly 2e-5 off at d = 2e-7 and 3.9e-7 at 1e-6)."""
+        dist = Maxwellian(drift=(0.0, 0.0, d))
+        assert abs(penrose_functional(dist, KZ, d) + 1.0) <= 1e-8
+
     @pytest.mark.parametrize("distribution", [
         BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]),
         TWO_BUMP,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasmakin.dielectric import DielectricModel
 from plasmakin.equilibrium import (
@@ -89,6 +91,20 @@ class TestHhat:
             got = np.sum(W2 * hv)
             ref = np.interp(u_test, u_grid, np.real(sl.H_B))
             assert abs(got - ref) <= 1e-4
+
+    @pytest.mark.parametrize("u", [-40.0, -20.0, 20.0, 40.0])
+    def test_alpha_beyond_grid(self, hsol_mc, model_mc, u):
+        """Past ±u_max α is its 1/u² expansion, as in `DielectricModel.alpha`,
+        not the spline's cubic extrapolation (-0.30 instead of 6.3e-4 at 40).
+
+        With f = 1 and ω·∇f = 0, ĥ_B = (1 - ε)/ε, so ε = 1/(1 + ĥ_B).
+        """
+        kappa = np.array(1.0)
+        eps = 1.0 / (1.0 + complex(hsol_mc.h_hat_values(kappa, np.array(u), 1.0, 0.0)))
+        ref = complex(model_mc.epsilon(np.array([0.0, 0.0, 1.0]), np.array([u]))[0])
+        assert abs(eps - ref) <= 1e-12 * abs(ref)
+        P = complex(hsol_mc._p_minus_dF(np.array(u)))
+        assert P == complex(model_mc.plemelj_minus_dF(np.array([0.0, 0.0, 1.0]), np.array([u]))[0])
 
     def test_maxwellian_debye_hueckel_collapse(self, hsol_ms, model_ms):
         """Exact identity for Maxwellian f: ĥ_B = -f(v) φ̂/(1+φ̂)."""
@@ -434,3 +450,72 @@ class TestAMinusExact:
         u_eval = sol.grid.points[nodes] + 1e-9 * sol.grid.spacing
         ref = _A_minus_exact_reference(sol, kappas, u_eval)
         assert _rel_to_row_max(sol.A_minus_exact(kappas, u_eval), ref) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# oracle for the fused ĥ_B kernel
+# ---------------------------------------------------------------------------
+
+def _h_hat_values_reference(sol, kappa, u, f_v, omega_grad_f):
+    """ĥ_B by the former four-corner bilinear A⁻ lookup and `_h_hat`, whose α
+    is the `CubicSpline` (with the 1/u² expansion beyond ±u_max)."""
+    kappa = np.asarray(kappa, dtype=float)
+    u = np.asarray(u, dtype=float)
+    table = np.stack([s.A_minus for s in sol.slices])
+    n_k, n_u = table.shape
+    lk = np.log(np.maximum(kappa, 1e-300))
+    fi = np.clip((lk - sol._logk0) / sol._dlogk, 0.0, n_k - 1.000001)
+    fj = np.clip((u - sol.grid.points[0]) / sol.grid.spacing, 0.0, n_u - 1.000001)
+    i0 = fi.astype(np.intp)
+    j0 = fj.astype(np.intp)
+    fi = fi - i0
+    fj = fj - j0
+    flat = table.ravel()
+    base = i0 * n_u + j0
+    A = (
+        flat[base] * (1 - fi) * (1 - fj)
+        + flat[base + 1] * (1 - fi) * fj
+        + flat[base + n_u] * fi * (1 - fj)
+        + flat[base + n_u + 1] * fi * fj
+    )
+    return sol._h_hat(kappa, u, A, f_v, omega_grad_f)
+
+
+class TestHHatKernel:
+    """`h_hat_values` against the former lookup, on the shapes its callers use."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(),
+           which=st.sampled_from(["soft", "coulomb"]))
+    def test_matches_reference(self, hsol_ms, hsol_mc, seed, stacked, which):
+        # κ beyond both table ends for the soft chain (|ε| ≥ 0.75 everywhere);
+        # the Coulomb chain from κ = 0.5 up, where |ε| ≥ 0.3: nearer its
+        # Langmuir root 1/|ε| amplifies the last-bit differences of the two
+        # evaluation orders of α and A⁻ past the bound
+        sol, k_lo = (hsol_ms, 2e-4) if which == "soft" else (hsol_mc, 0.5)
+        rng = np.random.default_rng(seed)
+        shape_k, shape_u = ((3, 5, 1), (2, 3, 5, 6)) if stacked else ((), ())
+        kappa = np.exp(rng.uniform(np.log(k_lo), np.log(3 * sol.k_grid[-1]), shape_k))
+        nodes, h, u_max = sol.grid.points, sol.grid.spacing, sol.grid.u_max
+        on_node = nodes[rng.integers(0, sol.grid.n, shape_u)]
+        between = nodes[rng.integers(0, sol.grid.n - 1, shape_u)] + h * rng.uniform(0, 1, shape_u)
+        beyond = rng.choice([-1.0, 1.0], shape_u) * rng.uniform(u_max, 4 * u_max, shape_u)
+        u = np.choose(rng.integers(0, 3, shape_u), [on_node, between, beyond])
+        f_v = rng.uniform(0.0, 0.4, (2, 1, 1, 1) if stacked else ())
+        og = rng.normal(size=shape_u)
+        got = sol.h_hat_values(kappa, u, f_v, og)
+        ref = _h_hat_values_reference(sol, kappa, u, f_v, og)
+        assert got.shape == ref.shape == np.broadcast_shapes(shape_k, shape_u)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_grid_ends_and_nodes(self, hsol_ms):
+        """Every node, the two ends included, and points just inside and past ±u_max."""
+        sol = hsol_ms
+        eps = 1e-9 * sol.grid.spacing
+        u_max = sol.grid.u_max
+        u = np.concatenate([sol.grid.points, [-u_max + eps, u_max - eps, -u_max - eps,
+                                              u_max + eps]])[None, :]
+        kappa = np.concatenate([sol.k_grid, [sol.k_grid[0] / 2, 2 * sol.k_grid[-1]]])[:, None]
+        got = sol.h_hat_values(kappa, u, 0.3, 0.7)
+        ref = _h_hat_values_reference(sol, kappa, u, 0.3, 0.7)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -9,6 +9,10 @@ from plasmakin.errors import DomainError, InputError, PreconditionError
 from plasmakin.transforms import (
     LineProfile,
     UGrid,
+    _panel_count,
+    _panel_nodes,
+    _smooth_cutoff,
+    axial_inverse_transform,
     perpendicular_unit,
     plemelj_minus,
     plemelj_plus,
@@ -224,3 +228,79 @@ class TestGridValidation:
         got = radial_inverse_transform(fn, r, k_max=300.0, k_roll=200.0)
         exact = np.exp(-r) / (4 * np.pi * r)
         assert np.max(np.abs(got / exact - 1.0)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# inverse transforms against their former per-r loops
+# ---------------------------------------------------------------------------
+
+def _radial_reference(fn, r_values, k_min=1e-4, k_max=60.0, k_roll=40.0):
+    """One panel set, one `fn` call and one sum per r."""
+    out = np.empty(len(r_values))
+    for i, r in enumerate(r_values):
+        k, w = _panel_nodes(k_min, k_max, r)
+        vals = np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)
+        out[i] = np.sum(w * vals * k * np.sin(k * r)) * 4 * np.pi / ((2 * np.pi) ** 1.5 * r)
+    return out
+
+
+def _axial_reference(fn, r_values, k_min=3e-3, k_max=40.0, k_roll=28.0, n_mu=48, n_leg=32):
+    """One panel set, one `fn` call and one `spherical_jn` call per order per r."""
+    from numpy.polynomial import legendre as npleg
+    from scipy.special import spherical_jn
+
+    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    P = np.stack([npleg.legval(mu, [0.0] * n + [1.0]) for n in range(n_leg)])
+    proj = (2 * np.arange(n_leg) + 1)[:, None] / 2.0 * (P * wmu[None, :])
+    i_pow = 1j ** np.arange(n_leg)
+    out = np.empty(len(r_values), dtype=complex)
+    for i, r in enumerate(r_values):
+        k, w = _panel_nodes(k_min, k_max, r)
+        cn = proj @ np.asarray(fn(k[:, None], mu[None, :]), dtype=complex).T
+        cut = _smooth_cutoff(k, k_roll, k_max)
+        acc = 0.0 + 0.0j
+        for n in range(n_leg):
+            jn = spherical_jn(n, k * abs(r))
+            parity = (-1.0) ** n if r < 0 else 1.0
+            acc += parity * i_pow[n] * 2.0 * np.sum(w * cut * k**2 * cn[n] * jn)
+        out[i] = acc / np.sqrt(2.0 * np.pi)
+    return out
+
+
+class _Counted:
+    """A spectrum that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+# every r ≤ 6.25 shares one panel set; beyond, each r has its own, and the
+# values repeat and come out of order
+R_MIXED = np.array([0.3, 9.0, 2.0, 6.25, 7.0, 0.3, 12.5, 1.0, 7.0, 4.0, 30.0])
+
+
+class TestInverseTransformsBitForBit:
+    def test_radial(self):
+        fn = _Counted(lambda k: (2 * np.pi) ** -1.5 / (1.0 + k**2) * np.cos(0.3 * k))
+        got = radial_inverse_transform(fn, R_MIXED, k_max=300.0, k_roll=200.0)
+        assert np.array_equal(got, _radial_reference(fn.fn, R_MIXED, k_max=300.0, k_roll=200.0))
+        assert fn.calls == len({_panel_count(1e-4, 300.0, r) for r in R_MIXED}) == 5
+
+    def test_radial_rejects_nonpositive_r(self):
+        with pytest.raises(InputError):
+            radial_inverse_transform(lambda k: 1.0 / (1.0 + k**2), np.array([1.0, 0.0]))
+
+    def test_axial_with_negative_r(self):
+        def G(kappa, mu):  # not even in μ, so the parity of negative r matters
+            return (1.0 + 0.4j * mu + 0.2 * mu**2) / (1.0 + kappa**2 + 0.3 * kappa * mu)
+
+        fn = _Counted(G)
+        r = np.concatenate([R_MIXED, -R_MIXED[:6], [0.0]])
+        got = axial_inverse_transform(fn, r)
+        assert np.array_equal(got, _axial_reference(G, r))
+        assert fn.calls == len({_panel_count(3e-3, 40.0, x) for x in r}) == 5
