@@ -220,6 +220,7 @@ def equilibrium(config_path, out):
         )
         hsol = HSolution(model, k_max=20.0 if not model.potential.is_coulomb else 45.0,
                          n_k=160 if not model.potential.is_coulomb else 240)
+        manifest.diagnostics["split_slices"] = sum(1 for s in hsol.slices if s.split)
         x = np.asarray(scn.get("ray-x", [1.0, 0.8, 0.0]))
         v1 = np.asarray(scn.get("ray-v1", [0.6, 0.0, 0.0]))
         v2 = np.asarray(scn.get("ray-v2", [-0.6, 0.0, 0.0]))

@@ -10,7 +10,9 @@ Laplace-side evaluator `epsilon_laplace` returns 1 - φ̂ C[∂_uF](iz/|k|)
 conj(ε(k,u)) on the imaginary axis z = -i|k|u.
 
 `DielectricModel` caches F, ∂_uF and α per exact direction χ (ẑ for
-isotropic kinds): ẑ at construction, any other χ on first use.
+isotropic kinds): ẑ at construction, any other χ on first use.  A cache
+holds α once, as its spline's cubic per u-cell, and `DirectionCache.alpha_at`
+serves α and α′ to every reader, with the 1/u² tail beyond ±u_max.
 """
 
 from __future__ import annotations
@@ -97,13 +99,56 @@ def alpha_tail(moments, u):
 
 @dataclass
 class DirectionCache:
+    """F, ∂_uF and α = P[∂_uF] of one direction χ on the model's u-grid.
+
+    Row j of `alpha_cubic` is α's not-a-knot spline on [u_j, u_j+1] as a
+    cubic in t = (u - u_j)/h, highest power first.  `alpha_at` reads it
+    inside ±u_max and the 1/u² tail from the raw moments of F beyond: on
+    the default grid the spline is within 5e-9 of α up to u_max, the tail
+    5e-6 off there.
+    """
+
     chi: np.ndarray
+    grid: UGrid
     F: LineProfile
     dF: LineProfile
     alpha: np.ndarray
-    alpha_spline: CubicSpline
-    dalpha_spline: CubicSpline
+    alpha_cubic: np.ndarray  # (n - 1, 4)
     moments: tuple  # raw (M0, M1, M2) of F
+
+    def alpha_at(self, u, derivative=False, cell=None):
+        """α(u), or α′(u) with `derivative`; `cell` = (j, t) skips u's cell lookup.
+
+        j is u's cell index, clipped to the end cells, and t the unclipped
+        fraction (u - u_j)/h, so that u = u_max is the last cell's end knot.
+        Formed as a difference from the node u_j, t keeps α(u_j + δ) - α(u_j)
+        exact to rounding as δ → 0.
+        """
+        u = np.asarray(u, dtype=float)
+        h, u_max = self.grid.spacing, self.grid.u_max
+        if cell is None:
+            j = np.minimum(np.maximum((u + u_max) / h, 0.0), self.grid.n - 1.000001)
+            j = j.astype(np.intp)
+            cell = (j, (u - (j * h - u_max)) / h)  # j·h - u_max: node j, as `grid.points` has it
+        j, t = cell
+        c = np.take(self.alpha_cubic, j, axis=0)
+        if derivative:
+            out = (3.0 * c[..., 0] * t + 2.0 * c[..., 1]) * t + c[..., 2]
+            out /= h
+        else:
+            out = c[..., 0] * t  # Horner, in place
+            for m in (1, 2):
+                out += c[..., m]
+                out *= t
+            out += c[..., 3]
+        outside = np.abs(u) > u_max
+        if outside.any():
+            uo = np.where(outside, u, 1.0)
+            m0, m1, m2 = self.moments
+            tail = (-2 * m0 / uo**3 - 6 * m1 / uo**4 - 12 * m2 / uo**5 if derivative
+                    else alpha_tail(self.moments, uo))
+            out = np.where(outside, tail, out)
+        return out if np.ndim(out) else float(out)
 
 
 class DielectricModel:
@@ -135,14 +180,14 @@ class DielectricModel:
         F = LineProfile(self.grid, F_vals, real_valued=True)
         dF = LineProfile(self.grid, dF_vals, real_valued=True)
         alpha = np.real(pv_transform(dF).values)
-        spline = CubicSpline(u, alpha)
+        powers = self.grid.spacing ** np.arange(3, -1, -1)
         return DirectionCache(
             chi=np.array(chi, dtype=float),
+            grid=self.grid,
             F=F,
             dF=dF,
             alpha=alpha,
-            alpha_spline=spline,
-            dalpha_spline=spline.derivative(),
+            alpha_cubic=np.ascontiguousarray((CubicSpline(u, alpha).c * powers[:, None]).T),
             moments=self.distribution.raw_moments(chi),
         )
 
@@ -164,18 +209,7 @@ class DielectricModel:
     # -- ingredient evaluations ---------------------------------------------
     def alpha(self, k, u):
         """P[∂_uF](u) with the 1/u² asymptote beyond the cached grid."""
-        return self._alpha_in(self.direction_cache(k), u)
-
-    def _alpha_in(self, cache, u):
-        """α of one direction: its spline inside the grid, m0/u² + 2m1/u³ + 3m2/u⁴ beyond."""
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        inside = np.abs(u) <= self.grid.u_max - 2.0 * self.grid.spacing
-        out[inside] = cache.alpha_spline(u[inside])
-        uo = u[~inside]
-        if uo.size:
-            out[~inside] = alpha_tail(cache.moments, uo)
-        return out if out.ndim else float(out)
+        return self.direction_cache(k).alpha_at(u)
 
     def dF(self, k, u):
         return self.distribution.radon_profile_derivative(self._chi(k), u)
@@ -220,22 +254,18 @@ class DielectricModel:
         cache = self.direction_cache(kvec)
         target = nk**2
 
-        u_plus = self._far_root(cache, target, nk, side=+1)
-        u_minus = self._far_root(cache, target, nk, side=-1)
-        roots = {}
-        for name, u0 in (("plus", u_plus), ("minus", u_minus)):
-            dF0 = float(self.distribution.radon_profile_derivative(cache.chi, u0))
-            da0 = float(cache.dalpha_spline(u0))
-            L = dF0 / da0
-            roots[name] = dict(u0=u0, L=L, dF=dF0, dalpha=da0)
+        u0 = np.array([self._far_root(cache, target, nk, side=+1),
+                       self._far_root(cache, target, nk, side=-1)])
+        dF0 = np.asarray(self.distribution.radon_profile_derivative(cache.chi, u0), dtype=float)
+        da0 = cache.alpha_at(u0, derivative=True)
+        residual = np.abs(cache.alpha_at(u0) - target)
+        L = dF0 / da0
         return DispersionRoots(
-            k=kvec,
-            u0_plus=roots["plus"]["u0"],
-            u0_minus=roots["minus"]["u0"],
-            L_plus=roots["plus"]["L"],
-            L_minus=roots["minus"]["L"],
-            residual_plus=abs(float(cache.alpha_spline(roots["plus"]["u0"])) - target),
-            residual_minus=abs(float(cache.alpha_spline(roots["minus"]["u0"])) - target),
+            k=kvec, u0_plus=float(u0[0]), u0_minus=float(u0[1]),
+            L_plus=float(L[0]), L_minus=float(L[1]),
+            residual_plus=float(residual[0]), residual_minus=float(residual[1]),
+            dF_plus=float(dF0[0]), dF_minus=float(dF0[1]),
+            dalpha_plus=float(da0[0]), dalpha_minus=float(da0[1]),
         )
 
     def _far_root(self, cache, target, nk, side):
@@ -248,7 +278,7 @@ class DielectricModel:
         hi = 4.0 / nk
 
         def g(u):
-            return self._alpha_in(cache, side * u) - target
+            return cache.alpha_at(side * u) - target
 
         us = np.geomspace(lo, hi, 400)[::-1]
         vals = g(us)
@@ -344,6 +374,8 @@ class DielectricModel:
 
 @dataclass(frozen=True)
 class DispersionRoots:
+    """The far roots u₀± of α = |k|², with L± = ∂_uF/α′ and ∂_uF and α′ there."""
+
     k: np.ndarray
     u0_plus: float
     u0_minus: float
@@ -351,6 +383,10 @@ class DispersionRoots:
     L_minus: float
     residual_plus: float
     residual_minus: float
+    dF_plus: float
+    dF_minus: float
+    dalpha_plus: float
+    dalpha_minus: float
 
     def psi_plus(self, y):
         return self.u0_plus + np.asarray(y) * self.L_plus

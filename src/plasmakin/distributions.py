@@ -367,13 +367,10 @@ class Tabulated(VelocityDistribution):
         self._interp = interpolate.RegularGridInterpolator(
             self.axes, self.values, bounds_error=False, fill_value=0.0
         )
-        grads = np.gradient(self.values, *self.axes)
-        self._ginterp = [
-            interpolate.RegularGridInterpolator(
-                self.axes, g, bounds_error=False, fill_value=0.0
-            )
-            for g in grads
-        ]
+        self._ginterp = interpolate.RegularGridInterpolator(
+            self.axes, np.stack(np.gradient(self.values, *self.axes), axis=-1),
+            bounds_error=False, fill_value=0.0,
+        )
         self.half_width = float(min(a[-1] for a in self.axes))
         self.plane_nodes = int(plane_nodes)
         self.is_isotropic = False
@@ -384,9 +381,7 @@ class Tabulated(VelocityDistribution):
 
     def gradient(self, v):
         v = np.asarray(v, dtype=float)
-        flat = v.reshape(-1, 3)
-        g = np.stack([gi(flat) for gi in self._ginterp], axis=-1)
-        return g.reshape(v.shape)
+        return self._ginterp(v.reshape(-1, 3)).reshape(v.shape)
 
     def radon_profile(self, chi, u):
         scalar = np.ndim(u) == 0

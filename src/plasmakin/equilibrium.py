@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from .dielectric import DielectricModel, EPSILON_FLOOR, alpha_tail
+from .dielectric import DielectricModel, EPSILON_FLOOR
 from .errors import (
     ConsistencyError,
     DegenerateDielectricError,
@@ -129,7 +129,7 @@ class HSolution:
 
     # -- construction --------------------------------------------------------
     def _bind(self, model):
-        """Per-model prologue: the ẑ profiles, α and its splines; no κ table."""
+        """Per-model prologue: the ẑ profiles, α and the far-root bound; no κ table."""
         if not model.distribution.is_isotropic:
             raise InputError("the equilibrium chain uses the isotropic fast path")
         self.model = model
@@ -139,11 +139,8 @@ class HSolution:
         self._F = self._cache.F.values
         self._dF = self._cache.dF.values
         self._alpha = self._cache.alpha
-        self._alpha_spline = self._cache.alpha_spline
-        self._dalpha_spline = self._cache.dalpha_spline
-        # α's cubic on cell j in the cell fraction t: ((c₀t + c₁)t + c₂)t + c₃
-        powers = self.grid.spacing ** np.arange(3, -1, -1)
-        self._alpha_cubic = np.ascontiguousarray((self._alpha_spline.c * powers[:, None]).T)
+        # κ above which α(u) = κ² has no far root (no Langmuir resonance)
+        self._k_root_max = np.sqrt(max(float(np.max(self._alpha)), 0.0)) * 1.02 + 1e-9
 
     def _eps_on_grid(self, kappa):
         W = float(self.model.potential.fourier(np.asarray(kappa)))
@@ -159,12 +156,8 @@ class HSolution:
             return []
         dist = self.model.distribution
         poles = []
-        for u0 in (roots.u0_plus, roots.u0_minus):
-            da = float(self._dalpha_spline(u0)) if abs(u0) < self.grid.u_max else None
-            if da is None or abs(u0) >= self.grid.u_max - 2 * self.grid.spacing:
-                m0, m1, m2 = self._cache.moments
-                da = -2 * m0 / u0**3 - 6 * m1 / u0**4 - 12 * m2 / u0**5
-            dF0 = float(dist.radon_profile_derivative(_Z_HAT, np.array([u0]))[0])
+        for u0, dF0, da in ((roots.u0_plus, roots.dF_plus, roots.dalpha_plus),
+                            (roots.u0_minus, roots.dF_minus, roots.dalpha_minus)):
             gamma = np.pi * abs(dF0) / abs(da) if dF0 != 0.0 else 0.0
             if gamma >= GAMMA_SPLIT_SPACINGS * self.grid.spacing or abs(da) < 1e-12:
                 continue
@@ -255,32 +248,12 @@ class HSolution:
             out[b0 : b0 + len(kb)] = eps_e * (P_g - 1j * np.pi * g_e + pole_c)
         return out
 
-    @property
-    def _k_root_max(self):
-        """κ above which α(u) = κ² has no far root (no Langmuir resonance)."""
-        cached = getattr(self, "_k_root_max_val", None)
-        if cached is None:
-            alpha_max = float(np.max(self._alpha))
-            cached = np.sqrt(max(alpha_max, 0.0)) * 1.02 + 1e-9
-            self._k_root_max_val = cached
-        return cached
-
     # -- interpolated ingredient evaluations ---------------------------------
     def _p_minus_dF(self, u):
-        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF].
-
-        α is the spline on the grid and its 1/u² expansion beyond ±u_max.
-        """
+        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF]."""
         u = np.asarray(u, dtype=float)
         dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
-        return self._alpha_past_grid(u, self._alpha_spline(u)) - 1j * np.pi * np.asarray(dF)
-
-    def _alpha_past_grid(self, u, alpha):
-        """α with its 1/u² expansion in place of the spline's beyond ±u_max."""
-        outside = np.abs(u) > self.grid.u_max
-        if not np.any(outside):
-            return alpha
-        return np.where(outside, alpha_tail(self._cache.moments, np.where(outside, u, 1.0)), alpha)
+        return self._cache.alpha_at(u) - 1j * np.pi * np.asarray(dF)
 
     def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
         """ĥ_B from A⁻ at (κ, u), with ε = 1 - φ̂ P⁻[∂_uF](u)."""
@@ -292,10 +265,11 @@ class HSolution:
 
         One pass over the points: the u-cell (index j, fraction t) of each
         point serves both the A⁻ lookup on the uniform (log κ, u) table,
-        linear in u and then in log κ, and α(u), the cubic of its spline on
-        that cell (the 1/u² expansion beyond ±u_max).  The log-κ index and
-        fraction and φ̂(κ) are computed at κ's own shape and broadcast over u.
-        The table lookup is held constant beyond its κ and u ranges.
+        linear in u and then in log κ, and α(u), which the direction cache's
+        evaluator reads on that cell (the 1/u² tail beyond ±u_max).  The
+        log-κ index and fraction and φ̂(κ) are computed at κ's own shape and
+        broadcast over u.  The table lookup is held constant beyond its κ and
+        u ranges.
         """
         kappa = np.asarray(kappa, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -314,15 +288,7 @@ class HSolution:
                   _lerp(np.take(plane[n_u:], base), np.take(plane[n_u + 1:], base), t), fi)
             for plane in self._A_planes
         )
-        # α on the same cell, in the unclipped fraction so that u = u_max is the end knot
-        c = np.take(self._alpha_cubic, j0, axis=0)
-        t = fu - j0
-        alpha = c[..., 0] * t  # Horner, in place
-        for m in (1, 2):
-            alpha += c[..., m]
-            alpha *= t
-        alpha += c[..., 3]
-        alpha = self._alpha_past_grid(u, alpha)
+        alpha = self._cache.alpha_at(u, cell=(j0, fu - j0))
         dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
         W = self.model.potential.fourier(kappa)
         # ε = 1 - φ̂ (α - iπF') part by part, the bits of the complex expression

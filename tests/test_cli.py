@@ -258,6 +258,20 @@ class TestCommands:
         m = read_manifest(tmp_path / "o" / "manifest.json")
         assert np.isfinite(m.diagnostics["hermiticity_defect"])
 
+    @pytest.mark.parametrize("potential", ["coulomb", "gaussian"])
+    def test_equilibrium_manifest_records_split_slices(self, runner, tmp_path, potential,
+                                                       hsol_mc):
+        """The Coulomb chain (k_max 45, n_k 240, as `hsol_mc`) splits its
+        small-κ slices; a soft potential has no Langmuir poles to split."""
+        cfg = write_cfg(tmp_path / "q.cfg",
+                        f"scenario = equilibrium\npotential = {potential}\n")
+        res = runner.invoke(main, ["equilibrium", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        expected = sum(s.split for s in hsol_mc.slices) if potential == "coulomb" else 0
+        assert potential == "gaussian" or expected > 0
+        assert m.diagnostics["split_slices"] == expected
+
     def test_evolve_manifest_records_bromwich_drift(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", "scenario = evolve\npotential = gaussian\nt-max = 4\n")
         res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])

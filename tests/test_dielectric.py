@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq, minimize
 from scipy.spatial.transform import Rotation
+from scipy.special import wofz
 
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
@@ -174,6 +176,35 @@ class TestExactDirection:
         for chi in chis:
             model.alpha(chi, 0.5)
         np.testing.assert_allclose(model.directions, chis[1:], rtol=0, atol=1e-15)
+
+
+class TestTabulatedGradient:
+    def test_central_differences_exact_for_a_quadratic(self):
+        """∇f is the central difference of the lattice, exact for a quadratic
+        f at interior nodes; zero outside the lattice."""
+        axes = (np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 1.0, 11), np.linspace(-1.0, 2.0, 7))
+        X, Y, Z = np.meshgrid(*axes, indexing="ij")
+        f = 5.0 + 0.3 * X**2 + 0.2 * Y**2 + 0.1 * Z**2 + 0.05 * X * Y + 0.2 * X - 0.1 * Z
+        tab = Tabulated(axes, f)
+        interior = np.stack([X, Y, Z], axis=-1)[1:-1, 1:-1, 1:-1]
+        x, y, z = np.moveaxis(interior, -1, 0)
+        exact = np.stack([0.6 * x + 0.05 * y + 0.2, 0.4 * y + 0.05 * x, 0.2 * z - 0.1], axis=-1)
+        got = tab.gradient(interior)
+        assert got.shape == interior.shape
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.array_equal(tab.gradient(np.array([[2.5, 0.0, 0.0], [0.0, 0.0, -1.5]])),
+                              np.zeros((2, 3)))
+
+    def test_matches_one_interpolator_per_component(self, rng):
+        """The stacked interpolator gives the bits of three scalar ones."""
+        ax = np.linspace(-8.0, 8.0, 17)
+        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+        f = Maxwellian(drift=(0.3, 0.0, 0.0)).density(np.stack([X, Y, Z], axis=-1))
+        v = rng.uniform(-10.0, 10.0, (2000, 3))
+        ref = np.stack([RegularGridInterpolator((ax, ax, ax), g, bounds_error=False,
+                                                fill_value=0.0)(v)
+                        for g in np.gradient(f, ax, ax, ax)], axis=-1)
+        assert np.array_equal(Tabulated((ax, ax, ax), f).gradient(v), ref)
 
 
 class TestPenrose:
@@ -485,6 +516,89 @@ class TestDispersionRoots:
         r = model_mc.dispersion_roots(0.15 * KZ)
         y = np.array([-1.0, 0.0, 2.0])
         assert np.allclose(r.psi_plus(y), r.u0_plus + y * r.L_plus)
+
+    @pytest.mark.parametrize("k", [0.02, 0.05])
+    def test_root_past_the_grid_reads_the_tail(self, model_mc, k):
+        """Past ±u_max the root, its residual and the α′ in L± all come from the
+        1/u² tail, here m0/u² + 3m2/u⁴ with m0 = m2 = 1 (unit Maxwellian)."""
+        r = model_mc.dispersion_roots(k * KZ)
+        assert r.u0_plus > model_mc.grid.u_max
+        assert max(r.residual_plus, r.residual_minus) <= 1e-12
+        for u0, L, dalpha in ((r.u0_plus, r.L_plus, r.dalpha_plus),
+                              (r.u0_minus, r.L_minus, r.dalpha_minus)):
+            tail_dalpha = -2.0 / u0**3 - 12.0 / u0**5
+            assert abs(dalpha - tail_dalpha) <= 1e-12 * abs(tail_dalpha)
+            dF = float(Maxwellian().radon_profile_derivative(KZ, np.array([u0]))[0])
+            assert abs(L - dF / tail_dalpha) <= 1e-12 * abs(dF / tail_dalpha)
+
+
+def _alpha_reference(components, u, order=0):
+    """The order-th u-derivative of α for a centred isotropic Gaussian mixture.
+
+    A component of weight w and standard deviation σ gives
+    α = w·Re Z′(ζ)/(2σ²), ζ = u/(√2σ), since Z′ = -2(1 + ζZ) and
+    Re C[∂_uF] = -Re(1 + ζZ)/σ² (`_epsilon_drifted_reference`); its
+    derivatives follow from Z⁽ⁿ⁺¹⁾ = -2(nZ⁽ⁿ⁻¹⁾ + ζZ⁽ⁿ⁾).
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    for w, s in components:
+        zeta = u / (np.sqrt(2.0) * s)
+        Z = [1j * np.sqrt(np.pi) * wofz(zeta)]
+        Z.append(-2.0 * (1.0 + zeta * Z[0]))
+        for n in range(1, order + 1):
+            Z.append(-2.0 * (n * Z[n - 1] + zeta * Z[n]))
+        out += w * Z[order + 1].real / (2.0 * s**2 * (np.sqrt(2.0) * s) ** order)
+    return out
+
+
+class TestAlphaEvaluator:
+    """α and α′ of a direction cache against the plasma-Z oracle: at the nodes,
+    mid-cells, across the switch at ±u_max, and beyond it on the tail."""
+
+    @pytest.mark.parametrize("name, components", [
+        ("maxwellian", [(1.0, 1.0)]),
+        ("two_temperature", [(0.85, 1.0), (0.15, 1.3)]),
+    ])
+    def test_matches_plasma_z(self, name, components, request, coulomb):
+        dist = request.getfixturevalue(name)
+        model = DielectricModel(dist, coulomb)
+        cache = model.direction_cache(KZ)
+        nodes, h, u_max = model.grid.points, model.grid.spacing, model.grid.u_max
+        assert abs(dist.cauchy_dF(KZ, 0.7 + 0j).real - _alpha_reference(components, 0.7)) <= 1e-15
+
+        # Inside the grid the evaluator is the not-a-knot spline of the node
+        # values.  It carries their error E (from the PV transform) times the
+        # spline's Lebesgue constants on this grid, 1.97 for values and 8.6/h
+        # for slopes (largest in the end cells), plus the interpolation error
+        # of a smooth α, 5/384·h⁴·max|α⁗| and (√3/216 + 1/24)·h³·max|α⁗|
+        # (Hall & Meyer, J. Approx. Theory 16 (1976) 105, for the clamped
+        # spline; the end conditions differ only where α⁗ is tiny), the
+        # maximum taken within ten cells, past which a spline's error weight
+        # has decayed by (2 - √3)¹⁰ ≈ 2e-6.
+        E = float(np.max(np.abs(cache.alpha - _alpha_reference(components, nodes))))
+        assert E <= 1e-6  # the multiplier route's agreement target
+        band = u_max - h * np.linspace(0.0, 3.0, 61)
+        u = np.concatenate([nodes, nodes[:-1] + h / 2, band, -band])
+        window = u[:, None] + h * np.linspace(-10.0, 10.0, 81)
+        a4 = np.max(np.abs(_alpha_reference(components, window, order=4)), axis=1)
+        err = np.abs(model.alpha(KZ, u) - _alpha_reference(components, u))
+        assert np.all(err <= 2.0 * E + 5.0 / 384.0 * h**4 * a4)
+        err = np.abs(cache.alpha_at(u, derivative=True) - _alpha_reference(components, u, 1))
+        assert np.all(err <= 9.0 * E / h + (np.sqrt(3.0) / 216.0 + 1.0 / 24.0) * h**3 * a4)
+
+        # Beyond ±u_max the tail omits 5M₄/u⁶ + 7M₆/u⁸ + …, all positive; the
+        # ratio of consecutive terms is at most (2j + 3)σ²/u², 0.11 for the
+        # first one at σ = 1.3 and |u| = 12, so twice 7M₆/u⁸ covers the rest.
+        far = np.concatenate([u_max + h * np.array([1e-9, 0.5, 1.0, 3.0]),
+                              np.geomspace(13.0, 4.0 * u_max, 8)])
+        far = np.concatenate([far, -far])
+        m4 = sum(w * 3.0 * s**4 for w, s in components)
+        m6 = sum(w * 15.0 * s**6 for w, s in components)
+        err = np.abs(model.alpha(KZ, far) - _alpha_reference(components, far))
+        assert np.all(err <= 5.0 * m4 / far**6 + 2.0 * 7.0 * m6 / far**8)
+        err = np.abs(cache.alpha_at(far, derivative=True) - _alpha_reference(components, far, 1))
+        assert np.all(err <= 30.0 * m4 / np.abs(far) ** 7 + 2.0 * 56.0 * m6 / np.abs(far) ** 9)
 
 
 class TestAlphaAsymptotics:

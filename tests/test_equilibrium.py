@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
-from plasmakin.dielectric import DielectricModel
+from plasmakin.dielectric import DielectricModel, alpha_tail
 from plasmakin.equilibrium import (
     _Z_HAT,
     HSolution,
@@ -348,6 +349,16 @@ def _plane_spectrum(line, s_max, n_s):
     return G_pad[lo : lo + n_s]
 
 
+def _alpha_reference(sol, u):
+    """α built apart from the library's evaluator: a `CubicSpline` of the
+    cached node values inside the grid, `alpha_tail` beyond ±u_max."""
+    cache = sol.model.direction_cache(_Z_HAT)
+    u = np.asarray(u, dtype=float)
+    outside = np.abs(u) > sol.grid.u_max
+    return np.where(outside, alpha_tail(cache.moments, np.where(outside, u, 1.0)),
+                    CubicSpline(sol.grid.points, cache.alpha)(u))
+
+
 def _A_minus_exact_reference(sol, kappas, u_eval):
     """A⁻ by the subtracted trapezoid sum, one κ at a time."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
@@ -360,7 +371,7 @@ def _A_minus_exact_reference(sol, kappas, u_eval):
     F_eval = np.asarray(dist.radon_profile(_Z_HAT, u_eval), dtype=float)
     dF_eval = np.asarray(dist.radon_profile_derivative(_Z_HAT, u_eval))
     W_eval = sol.model.potential.fourier(kappas[:, None])
-    eps_eval = 1.0 - W_eval * (sol._alpha_spline(u_eval) - 1j * np.pi * dF_eval)
+    eps_eval = 1.0 - W_eval * (_alpha_reference(sol, u_eval) - 1j * np.pi * dF_eval)
     log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
     diff = u[None, :] - u_eval[:, None]
     hit = np.argwhere(diff == 0.0)
@@ -457,8 +468,8 @@ class TestAMinusExact:
 # ---------------------------------------------------------------------------
 
 def _h_hat_values_reference(sol, kappa, u, f_v, omega_grad_f):
-    """ĥ_B by the former four-corner bilinear A⁻ lookup and `_h_hat`, whose α
-    is the `CubicSpline` (with the 1/u² expansion beyond ±u_max)."""
+    """ĥ_B by the former four-corner bilinear A⁻ lookup and the closed formula,
+    with α from `_alpha_reference`."""
     kappa = np.asarray(kappa, dtype=float)
     u = np.asarray(u, dtype=float)
     table = np.stack([s.A_minus for s in sol.slices])
@@ -478,7 +489,10 @@ def _h_hat_values_reference(sol, kappa, u, f_v, omega_grad_f):
         + flat[base + n_u] * fi * (1 - fj)
         + flat[base + n_u + 1] * fi * fj
     )
-    return sol._h_hat(kappa, u, A, f_v, omega_grad_f)
+    W = sol.model.potential.fourier(kappa)
+    dF = sol.model.distribution.radon_profile_derivative(_Z_HAT, u)
+    eps = 1.0 - W * (_alpha_reference(sol, u) - 1j * np.pi * dF)
+    return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
 
 
 class TestHHatKernel:
