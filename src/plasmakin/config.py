@@ -3,8 +3,9 @@
 Scenario files are flat `key = value` documents with `#` comments and an
 `extends = <relative path>` mechanism for sweep variants.  Unknown keys and
 values of the wrong type (non-finite, non-integer, non-positive, a
-`grid-n` that is not a power of two, or a `lattice-n` below 3) are
-rejected with line/column diagnostics.  CSV bodies are byte-stable: 17
+`grid-n` that is not a power of two, a `lattice-n` below 3, or a
+`test-sigmas` that is not three positive numbers) are rejected with
+line/column diagnostics.  CSV bodies are byte-stable: 17
 significant digits, scientific notation, LF endings, fixed column order,
 and `#`-prefixed metadata lines that never include wall-clock data.
 """
@@ -93,6 +94,8 @@ def _parse_value(key, raw, line_no, path):
         reject("number(s)")
     if not np.all(np.isfinite(nums)):
         reject("finite number(s)")
+    if key == "test-sigmas" and (len(nums) != 3 or min(nums) <= 0):
+        reject("three positive numbers")
     if key in _VECTOR_KEYS:
         return nums
     if len(nums) != 1:

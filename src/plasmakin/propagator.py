@@ -15,6 +15,14 @@ asymptotics; inversion subtracts up to three asymptotic orders (whose
 inverses are exact) so the contour truncation error is O(height⁻³) and
 causality at t ≤ 0 is exact.
 
+Every pairing needs each factor at both signs of k.  For a real profile
+g the Cauchy integral obeys the Schwarz reflection C_g(w̄) = conj C_g(w),
+so m_{g,-a}(z) = conj m_{g,a}(z̄) and ε(-k,-iz) = conj ε(k,-iz̄), whatever
+the mean of F.  The contour nodes γ + iτ_j are closed under conjugation
+(node j pairs with node n - j; node 0, at τ = -height, has no partner),
+so `ContourFn.reflected` turns one sign's samples into the other's, and
+only node 0 is evaluated directly.
+
 The two-particle propagator G(t)[g₀] = V₁V₂[S + g₀] - T(t)[S] is evaluated
 in weak form against separable Gaussian test functions.  Every pairing
 reduces to one-dimensional inverse Laplace transforms of products of
@@ -183,6 +191,17 @@ class ContourFn:
         """F - c for a constant c."""
         return ContourFn(self.contour, self.vals - c, (self.a[0] - c,) + self.a[1:])
 
+    def reflected(self, first) -> "ContourFn":
+        """conj F(z̄) on the same contour, for F real on the real axis.
+
+        Node j takes the conjugate of node n - j; node 0 has no partner and
+        takes `first`, its directly evaluated value (see module docstring).
+        """
+        vals = np.empty_like(self.vals)
+        vals[0] = first
+        vals[1:] = np.conj(self.vals[:0:-1])
+        return ContourFn(self.contour, vals, tuple(x.conjugate() for x in self.a))
+
     def reciprocal(self):
         a0, a1, a2, a3 = self.a
         if a0 == 0:
@@ -219,28 +238,32 @@ class TimeSeries:
         return np.where(t_req < 0, 0.0, out) if out.ndim else (0.0 if t_req < 0 else complex(out))
 
 
-def _cumulative_product_integral(dt, *series):
-    """∫₀^t Πᵢ seriesᵢ(τ) dτ on the common grid (cumulative trapezoid)."""
-    prod = series[0].copy()
-    for s in series[1:]:
-        prod = prod * s
-    out = np.concatenate([[0.0], np.cumsum((prod[1:] + prod[:-1]) / 2.0)]) * dt
-    return out
+def _cumtrapz(y, dt, at=slice(None)):
+    """∫₀^{t_m} y(τ) dτ along the last axis by the trapezoid rule, at nodes `at`.
 
-
-def _duhamel_pole(phi, dt, au):
-    """y(t) = ∫₀^t e^{-i·au·(t-s)} φ(s) ds for each au, via the exact recursion.
-
-    Returns an array of shape au.shape + (n_t,).
+    The running sum of y less half its first and m-th terms; y is
+    overwritten by its running sum, so no second array of its size is made
+    when `at` picks a few nodes.
     """
-    au = np.asarray(au, dtype=float)
-    E = np.exp(-1j * au * dt)
-    n_t = len(phi)
-    y = np.zeros(au.shape + (n_t,), dtype=complex)
-    half = 0.5 * dt
-    for m in range(n_t - 1):
-        y[..., m + 1] = E * y[..., m] + half * (E * phi[m] + phi[m + 1])
-    return y
+    ends = 0.5 * (y[..., :1] + y[..., at])
+    np.cumsum(y, axis=-1, out=y)
+    return dt * (y[..., at] - ends)
+
+
+def _phase(au, t):
+    """e^{i·au·t} with shape au.shape + t.shape."""
+    arg = 1j * np.asarray(au, dtype=float)[..., None] * t
+    return np.exp(arg, out=arg)
+
+
+def _duhamel_pole(phi, dt, phase):
+    """y(t) = ∫₀^t e^{-i·au·(t-s)} φ(s) ds on a uniform grid, phase = `_phase`(au, t).
+
+    y = e^{-i·au·t}·∫₀^t e^{i·au·s} φ(s) ds with the integral by the
+    cumulative trapezoid rule: algebraically the step recursion
+    y_{m+1} = E·y_m + dt/2·(E·φ_m + φ_{m+1}), E = e^{-i·au·dt}.
+    """
+    return np.conj(phase) * _cumtrapz(phase * phi, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +322,19 @@ class UProfile:
             out = out + comp
         return out
 
+    def _moment_vals(self, z, a_signed):
+        return (-1j / a_signed) * self.cauchy(1j * z / a_signed)
+
     def cauchy_moment(self, contour: BromwichContour, a_signed: float) -> ContourFn:
         """m_g(z) = ∫ g(u)/(z + i·a·u) du = (-i/a)·C_g(iz/a) as a ContourFn."""
-        z = contour.nodes
-        vals = (-1j / a_signed) * self.cauchy(1j * z / a_signed)
+        vals = self._moment_vals(contour.nodes, a_signed)
         m0, m1, m2 = self.moments()
         return ContourFn(contour, vals, (0.0, m0, -1j * a_signed * m1, -(a_signed**2) * m2))
+
+    def cauchy_moments(self, contour: BromwichContour, a: float):
+        """(m_g at +a, m_g at -a), the second reflected from the first."""
+        m = self.cauchy_moment(contour, a)
+        return m, m.reflected(self._moment_vals(contour.nodes[:1], -a)[0])
 
 
 def gaussian_weighted_profiles(dist, sigma_psi):
@@ -373,6 +403,8 @@ def vlasov_step(model: DielectricModel, state: ModeState, dt: float) -> ModeStat
 
     Interaction picture g = e^{i|k|ut} Ĥ removes the stiff phase; the
     accuracy guard dt·|k|·u_max ≤ 1 keeps the collective term resolved.
+    The phases at t₀, t₀ + dt/2 and t₀ + dt are computed once each, and
+    e^{-i|k|ut} is taken as their conjugate.
     """
     _require_soft(model)
     k = np.asarray(state.k, dtype=float)
@@ -385,17 +417,19 @@ def vlasov_step(model: DielectricModel, state: ModeState, dt: float) -> ModeStat
     du = state.grid.spacing
     t0 = state.time
 
-    def rate(g, tau):
-        rho = np.trapezoid(np.exp(-1j * a * u * tau) * g, dx=du)
-        return 1j * a * W * dF * np.exp(1j * a * u * tau) * rho
+    e0, e_half, e1 = (np.exp(1j * a * u * tau) for tau in (t0, t0 + 0.5 * dt, t0 + dt))
 
-    g0 = np.exp(1j * a * u * t0) * state.H
-    k1 = rate(g0, t0)
-    k2 = rate(g0 + 0.5 * dt * k1, t0 + 0.5 * dt)
-    k3 = rate(g0 + 0.5 * dt * k2, t0 + 0.5 * dt)
-    k4 = rate(g0 + dt * k3, t0 + dt)
+    def rate(g, e):
+        rho = np.trapezoid(np.conj(e) * g, dx=du)
+        return 1j * a * W * dF * e * rho
+
+    g0 = e0 * state.H
+    k1 = rate(g0, e0)
+    k2 = rate(g0 + 0.5 * dt * k1, e_half)
+    k3 = rate(g0 + 0.5 * dt * k2, e_half)
+    k4 = rate(g0 + dt * k3, e1)
     g1 = g0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    H1 = np.exp(-1j * a * u * (t0 + dt)) * g1
+    H1 = np.conj(e1) * g1
     return ModeState(k=k, grid=state.grid, H=H1, time=t0 + dt)
 
 
@@ -448,8 +482,16 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
 
     ρ̃(z) = m_{Ĥ₀}(z)/ε(k,-iz) is inverted on the contour's time grid and
     the velocity profile reconstructed from hvlas:
-    Ĥ(t,u) = e^{-i|k|ut}Ĥ₀(u) + i|k|φ̂ ∂_uF(u) ∫₀^t e^{-i|k|u(t-s)} ρ̂(s) ds.
+    Ĥ(t,u) = e^{-i|k|ut}[Ĥ₀(u) + i|k|φ̂ ∂_uF(u) ∫₀^t e^{i|k|us} ρ̂(s) ds].
     Negative times return zero (the contour closes right).
+
+    `H0` is either samples on the model's grid, whose Cauchy moment m_{Ĥ₀}
+    is then a grid quadrature, or a `UProfile`, whose moment is its closed
+    form; the profile's grid samples then stand for Ĥ₀ in Ĥ.  The Duhamel
+    integral is one phase-factored cumulative trapezoid of e^{i|k|us} ρ̂(s)
+    over the contour's grid nodes up to each requested t, plus the partial
+    trapezoid step from the last node to t with ρ̂(t) interpolated; Ĥ comes
+    back as one row per requested time.
 
     Without `contour` the contour has γ = `causal_gamma`(max t), height
     200 and `contour_nodes` nodes, so its aliasing error stays below about
@@ -466,7 +508,8 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
         raise InputError("k = 0")
     grid = model.grid
     u = grid.points
-    H0 = np.asarray(H0, dtype=complex)
+    profile = H0 if isinstance(H0, UProfile) else None
+    H0 = np.asarray(H0 if profile is None else profile.values(u), dtype=complex)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_hi = np.max(t_arr, initial=0.0)
     if contour is None:
@@ -475,7 +518,10 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
     contour.check_reach(t_hi)
 
     def rho_on(c):
-        m_H0 = _grid_cauchy_moment(grid, H0, c, a)
+        if profile is None:
+            m_H0 = _grid_cauchy_moment(grid, H0, c, a)
+        else:
+            m_H0 = profile.cauchy_moment(c, a)
         return (m_H0 * _epsilon_contour_fn(model, k, c).reciprocal()).invert()
 
     rho_series = rho_on(contour)
@@ -488,23 +534,23 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
 
     W = float(model.potential.fourier(np.asarray(a)))
     dF = np.asarray(model.dF(k, u))
-    out_H = []
-    dt_grid = contour.dt
-    for tt in t_arr:
-        if tt < 0:
-            out_H.append(np.zeros_like(H0))
-            continue
-        n_sub = int(np.ceil(tt / dt_grid)) + 1
-        s = np.linspace(0.0, tt, max(n_sub, 2))
-        rho_s = rho_series.at(s)
-        kernel = np.exp(-1j * a * np.outer(u, tt - s))
-        integral = np.trapezoid(kernel * rho_s[None, :], s, axis=1)
-        out_H.append(np.exp(-1j * a * u * tt) * H0 + 1j * a * W * dF * integral)
-    rho_out = np.where(t_arr < 0, 0.0, rho_series.at(np.maximum(t_arr, 0.0)))
+    dt = contour.dt
+    t_in = np.maximum(t_arr, 0.0)
+    m = (t_in / dt).astype(int)                       # last grid node at or before t
+    phase = _phase(a * u, rho_series.t[: m.max() + 1])
+    phase *= rho_series.values[: m.max() + 1]         # e^{i|k|us} ρ̂(s) on the grid
+    last = phase[:, m]
+    duhamel = _cumtrapz(phase, dt, at=m)
+    del phase
+    e_t = _phase(a * u, t_in)
+    duhamel += 0.5 * (t_in - rho_series.t[m]) * (last + e_t * rho_series.at(t_in))
+    H = np.conj(e_t) * (H0[:, None] + 1j * a * W * dF[:, None] * duhamel)
+    H = np.where(t_arr < 0, 0.0, H).T
+    rho_out = np.where(t_arr < 0, 0.0, rho_series.at(t_in))
     if np.isscalar(t) or np.asarray(t).ndim == 0:
-        out = out_H[0], complex(rho_out[0])
+        out = H[0], complex(rho_out[0])
     else:
-        out = out_H, rho_out
+        out = H, rho_out
     return out + (drift,) if richardson_check else out
 
 
@@ -748,19 +794,33 @@ class _WeakFormEvaluator:
         self._t = self.contour.t_grid[: self._n_t]
 
     def _kappa_nodes(self):
-        """Yield (a, weight, W = φ̂(a), 1/ε, 1/ε̃) for each κ node in turn."""
+        """Yield (a, weight, W = φ̂(a), 1/ε, 1/ε̃) for each κ node in turn.
+
+        ε̃ = ε(-k, ·) is ε reflected (see module docstring): only its node 0
+        is evaluated.
+        """
         for kap, kw in zip(self.k_q, self.k_w):
             a = float(kap)
             W = float(self.model.potential.fourier(np.asarray(a)))
             kv = np.array([0.0, 0.0, a])
-            inv_eps = _epsilon_contour_fn(self.model, kv, self.contour).reciprocal()
-            inv_eps_m = _epsilon_contour_fn(
-                self.model, kv, self.contour, conjugate_mode=True
-            ).reciprocal()
-            yield a, kw, W, inv_eps, inv_eps_m
+            eps = _epsilon_contour_fn(self.model, kv, self.contour)
+            first = self.model.epsilon_laplace(kv, self.contour.nodes[:1], conjugate_mode=True)[0]
+            yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal()
 
     def _invert(self, fn: ContourFn):
         return fn.invert().values[: self._n_t]
+
+    def _test_moments(self, G1_1, G1_2, a):
+        """(m_{G1_1} at +a, m_{G1_2} at -a), the second reflected; one
+        evaluation serves both when the two velocity widths agree."""
+        m_G12, mt_G12 = G1_2.cauchy_moments(self.contour, a)
+        m_G11 = m_G12 if G1_1 == G1_2 else G1_1.cauchy_moment(self.contour, a)
+        return m_G11, mt_G12
+
+    def _radon_moments(self, g0: SeparableGaussianPair, a):
+        """{σ: (m at +a, m at -a)} of the Radon profiles of g₀'s two Gaussians."""
+        return {s: gaussian_radon(s).cauchy_moments(self.contour, a)
+                for s in (g0.sigma_a, g0.sigma_b)}
 
 
 class PairPropagator(_WeakFormEvaluator):
@@ -784,25 +844,21 @@ class PairPropagator(_WeakFormEvaluator):
         dist = self.model.distribution
         G0_1, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
-        dt = self._t[1]
-        total = np.zeros(self._n_t, dtype=complex)
+        # the κ sum of the equal-time integrands, integrated over time once
+        integrand = np.zeros(self._n_t, dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
-            m_F = self._F.cauchy_moment(self.contour, a)
-            mt_F = self._F.cauchy_moment(self.contour, -a)
-            m_G11 = G1_1.cauchy_moment(self.contour, a)
-            mt_G12 = G1_2.cauchy_moment(self.contour, -a)
+            m_F, mt_F = self._F.cauchy_moments(self.contour, a)
+            m_G11, mt_G12 = self._test_moments(G1_1, G1_2, a)
             P1 = self._invert(m_G11 * m_F * inv_eps)
             P2 = self._invert(mt_G12 * inv_eps_m)
             P3 = self._invert(m_G11 * inv_eps)
             P4 = self._invert(mt_G12 * mt_F * inv_eps_m)
-            psi1 = (a * W) ** 2 * _cumulative_product_integral(dt, P1, P2)
-            psi1 = psi1 + (a * W) ** 2 * _cumulative_product_integral(dt, P3, P4)
             G0_1_hat = G0_1.fourier(a * self._t)
-            psi2 = -1j * a * W * _cumulative_product_integral(dt, G0_1_hat, P2)
             G0_2_hat = G0_2.fourier(-a * self._t)
-            psi2s = 1j * a * W * _cumulative_product_integral(dt, P3, G0_2_hat)
-            total = total + kw * 4 * np.pi * a**2 * test.x_hat(a) * (psi1 + psi2 + psi2s)
-        return _interp_complex(t_values, self._t, total)
+            per_k = (a * W) ** 2 * (P1 * P2 + P3 * P4) \
+                - 1j * a * W * (G0_1_hat * P2 - P3 * G0_2_hat)
+            integrand += kw * 4 * np.pi * a**2 * test.x_hat(a) * per_k
+        return _interp_complex(t_values, self._t, _cumtrapz(integrand, self._t[1]))
 
     def lambda_pairing(self, g0: SeparableGaussianPair, test: GaussianTestFunction, t_values):
         """⟨Λ(t,t), ψ⟩ = ⟨V₁(t)V₂(t)[g₀], ψ⟩ for a separable Schwartz g₀."""
@@ -812,8 +868,8 @@ class PairPropagator(_WeakFormEvaluator):
         _, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         total = np.zeros(self._n_t, dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
-            m_G11 = G1_1.cauchy_moment(self.contour, a)
-            mt_G12 = G1_2.cauchy_moment(self.contour, -a)
+            m_G11, mt_G12 = self._test_moments(G1_1, G1_2, a)
+            moments = self._radon_moments(g0, a)
             per_k = np.zeros(self._n_t, dtype=complex)
             for sa, sb in g0.orderings():
                 # ψ-weighted reductions of the initial datum
@@ -821,12 +877,8 @@ class PairPropagator(_WeakFormEvaluator):
                 sb2 = 1.0 / np.sqrt(sb**-2 + test.sigma_v2**-2)
                 free_a = gaussian_radon(sa1).fourier(a * self._t)
                 free_b = gaussian_radon(sb2).fourier(-a * self._t)
-                coll_a = self._invert(
-                    m_G11 * gaussian_radon(sa).cauchy_moment(self.contour, a) * inv_eps
-                )
-                coll_b = self._invert(
-                    mt_G12 * gaussian_radon(sb).cauchy_moment(self.contour, -a) * inv_eps_m
-                )
+                coll_a = self._invert(m_G11 * moments[sa][0] * inv_eps)
+                coll_b = self._invert(mt_G12 * moments[sb][1] * inv_eps_m)
                 ff = free_a * free_b
                 cc = (a * W) ** 2 * coll_a * coll_b
                 fc = -1j * a * W * free_a * coll_b
@@ -901,48 +953,53 @@ class FluxEvaluator(_WeakFormEvaluator):
         self.mu, self.wmu = np.polynomial.legendre.leggauss(n_mu)
 
     def _speeds(self, v_mag):
-        """Speeds as an array, with (f, ∂_r f) at each."""
+        """Speeds as an array, with f and ∂_r f at each."""
         speeds = np.atleast_1d(np.asarray(v_mag, dtype=float))
         dist = self.model.distribution
-        return speeds, [_radial_log_derivative(dist, v) for v in speeds]
+        f_v, g_r = np.array([_radial_log_derivative(dist, v) for v in speeds]).T
+        return speeds, f_v, g_r
+
+    def _angular_setup(self, a, W, speeds, g_r):
+        """e^{i·a·u₁·t} on (speed, μ, t) and Q(k, v₁) on (speed, μ, 1), u₁ = |v₁|μ."""
+        u1 = speeds[:, None] * self.mu
+        Q1 = a * W * (u1 / speeds[:, None]) * g_r[:, None]
+        return _phase(a * u1, self._t), Q1[..., None]
+
+    def _angular_sum(self, per_mu):
+        """Σ_μ w_μ μ (·) over the μ axis of a (speed, μ, t) array."""
+        return np.einsum("m,smt->st", self.wmu * self.mu, per_mu)
+
+    def _rows_at(self, t_values, rows, v_mag):
+        out = np.array([_interp_complex(t_values, self._t, r) for r in rows])
+        return out if np.ndim(v_mag) else out[0]
 
     def _psi_marginal_flux_scalar(self, v_mag, t_values):
         """A(|v₁|, t) with J = ∇·(A v̂₁): the Ψ-part angular-reduced flux.
 
-        An array `v_mag` gives one row per speed.
+        An array `v_mag` gives one row per speed.  Each κ node's terms are
+        (speed, μ, t) arrays; the μ and κ sums come before the time
+        integral, which is taken once per speed.
         """
         t_values = np.asarray(t_values, dtype=float)
         dt = self._t[1]
-        speeds, radial = self._speeds(v_mag)
-        out = np.zeros((len(speeds), len(t_values)), dtype=complex)
+        speeds, f_v, g_r = self._speeds(v_mag)
+        integrand = np.zeros((len(speeds), self._n_t), dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
-            m_F = self._F.cauchy_moment(self.contour, a)
-            mt_F = self._F.cauchy_moment(self.contour, -a)
+            m_F, mt_F = self._F.cauchy_moments(self.contour, a)
             excess_m = inv_eps_m - 1.0
             gam = self._invert(excess_m)
             dlt = self._invert(mt_F * excess_m)
             phiF = self._invert(m_F * inv_eps)
             q_eps = self._invert(inv_eps - 1.0)
             F_hat_free = self._F.fourier(-a * self._t)
-            u1 = speeds[:, None] * self.mu                      # (n_speeds, n_mu)
-            au = a * u1
-            free = np.exp(-1j * au[..., None] * self._t)
-            alpha_m = _duhamel_pole(phiF, dt, au)               # (n_speeds, n_mu, n_t)
-            beta_m = free + _duhamel_pole(q_eps, dt, au)
-            for i, (v, (f_v, g_r)) in enumerate(zip(speeds, radial)):
-                Q1 = a * W * (u1[i] / v) * g_r  # Q(k,v₁) angular factor per mu
-                psi = np.zeros((len(self.mu), self._n_t), dtype=complex)
-                for j in range(len(self.mu)):
-                    t1 = _cumulative_product_integral(dt, alpha_m[i, j], gam)
-                    t1 = t1 + _cumulative_product_integral(dt, beta_m[i, j], dlt)
-                    p1 = 1j * Q1[j] * t1
-                    p2 = f_v * _cumulative_product_integral(dt, free[i, j], gam)
-                    p2s = 1j * Q1[j] * _cumulative_product_integral(dt, beta_m[i, j], F_hat_free)
-                    psi[j] = p1 + p2 + p2s
-                ang = np.einsum("m,mt->t", self.wmu * self.mu, psi)
-                contrib = -2j * np.pi * a**3 * W * ang
-                out[i] += kw * _interp_complex(t_values, self._t, contrib)
-        return out if np.ndim(v_mag) else out[0]
+            phase, Q1 = self._angular_setup(a, W, speeds, g_r)
+            free = np.conj(phase)
+            alpha_m = _duhamel_pole(phiF, dt, phase)
+            beta_m = free + _duhamel_pole(q_eps, dt, phase)
+            psi = 1j * Q1 * (alpha_m * gam + beta_m * (dlt + F_hat_free))
+            psi += f_v[:, None, None] * free * gam
+            integrand += kw * (-2j * np.pi * a**3 * W) * self._angular_sum(psi)
+        return self._rows_at(t_values, _cumtrapz(integrand, dt), v_mag)
 
     def flux_J(self, t_values, v_mag, dv=0.08):
         """Ψ-part flux divergence J(t, v₁) = A' + 2A/|v₁| (3-point stencil)."""
@@ -953,37 +1010,23 @@ class FluxEvaluator(_WeakFormEvaluator):
         """Λ-part angular-reduced flux A_λ(|v₁|, t); one row per speed for an array `v_mag`."""
         t_values = np.asarray(t_values, dtype=float)
         dt = self._t[1]
-        speeds, radial = self._speeds(v_mag)
-        out = np.zeros((len(speeds), len(t_values)), dtype=complex)
+        speeds, _, g_r = self._speeds(v_mag)
+        total = np.zeros((len(speeds), self._n_t), dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
             excess_m = inv_eps_m - 1.0
-            u1 = speeds[:, None] * self.mu                      # (n_speeds, n_mu)
-            au = a * u1
-            free1 = np.exp(-1j * au[..., None] * self._t)
-            sides = []
+            phase, Q1 = self._angular_setup(a, W, speeds, g_r)
+            free = np.conj(phase)
+            moments = self._radon_moments(g0, a)
+            per_k = np.zeros_like(phase)
             for sa, sb in g0.orderings():
-                R_a = gaussian_radon(sa)
-                R_b = gaussian_radon(sb)
-                delta_b = self._invert(excess_m * R_b.cauchy_moment(self.contour, -a))
-                phi_Ra = self._invert(R_a.cauchy_moment(self.contour, a) * inv_eps)
-                alpha_Ra = _duhamel_pole(phi_Ra, dt, au)        # (n_speeds, n_mu, n_t)
-                sides.append((sa, delta_b, alpha_Ra, R_b.fourier(a * self._t)))
-            for i, (v, (_, g_r)) in enumerate(zip(speeds, radial)):
-                Q1 = a * W * (u1[i] / v) * g_r
-                per_k = np.zeros((len(self.mu), self._n_t), dtype=complex)
-                for sa, delta_b, alpha_Ra, Rb_hat in sides:
-                    Ga_v1 = np.exp(-0.5 * (v / sa) ** 2)
-                    for j in range(len(self.mu)):
-                        # separable in (z, z'): equal-time inverses are products
-                        ff = Ga_v1 * free1[i, j] * Rb_hat
-                        cc = 1j * Q1[j] * alpha_Ra[i, j] * delta_b
-                        fc = Ga_v1 * free1[i, j] * delta_b
-                        cf = 1j * Q1[j] * alpha_Ra[i, j] * Rb_hat
-                        per_k[j] = per_k[j] + 0.5 * (ff + cc + fc + cf)
-                ang = np.einsum("m,mt->t", self.wmu * self.mu, per_k)
-                contrib = -2j * np.pi * a**3 * W * g0.x_hat(a) * ang
-                out[i] += kw * _interp_complex(t_values, self._t, contrib)
-        return out if np.ndim(v_mag) else out[0]
+                delta_b = self._invert(excess_m * moments[sb][1])
+                alpha_Ra = _duhamel_pole(self._invert(moments[sa][0] * inv_eps), dt, phase)
+                Ga_v1 = np.exp(-0.5 * (speeds / sa) ** 2)[:, None, None]
+                Rb_hat = gaussian_radon(sb).fourier(a * self._t)
+                # separable in (z, z'): equal-time inverses are products
+                per_k += 0.5 * (Ga_v1 * free + 1j * Q1 * alpha_Ra) * (Rb_hat + delta_b)
+            total += kw * (-2j * np.pi * a**3 * W * g0.x_hat(a)) * self._angular_sum(per_k)
+        return self._rows_at(t_values, total, v_mag)
 
     def flux_lambda(self, g0, t_values, v_mag, dv=0.08):
         A = self.lambda_marginal_flux_scalar(g0, _stencil(v_mag, dv), t_values)

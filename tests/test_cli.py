@@ -1,7 +1,9 @@
 """Scenario front end: exit codes, determinism, atomicity, compare."""
 
+import hashlib
 import inspect
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,11 @@ from plasmakin.dielectric import DielectricModel
 from plasmakin.distributions import ExponentialFamily, Maxwellian
 from plasmakin.errors import CompareError, ConfigError
 from plasmakin.potentials import CoulombPotential
+
+
+# SHA-256 of evolve.csv's t, k, re_rho and im_rho columns at the defaults
+# with pair = true (see `test_evolve_density_columns_pinned`)
+EVOLVE_RHO_SHA256 = "0f87784f2cec2ac7e0703cd2d2f2dae903e914a865961c783806308806daae5f"
 
 
 def write_cfg(path, text):
@@ -278,6 +285,58 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         m = read_manifest(tmp_path / "o" / "manifest.json")
         assert 0.0 <= m.diagnostics["bromwich_drift"] <= 1e-6
+
+    @pytest.mark.parametrize("value", ["1.5", "-1 1 1", "1.5 1 1 1", "1.5 0 1"])
+    def test_evolve_test_sigmas_exit64_no_outputs(self, runner, tmp_path, value):
+        """test-sigmas is exactly three positive numbers (σx, σv1, σv2)."""
+        cfg = write_cfg(tmp_path / "v.cfg",
+                        "scenario = evolve\npotential = gaussian\npair = true\n"
+                        f"test-sigmas = {value}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert "v.cfg:4:1: key 'test-sigmas': expected three positive numbers" in res.output
+        assert not out.exists()
+
+    def test_evolve_zero_amplitude_passes(self, runner, tmp_path):
+        """ρ̂ ≡ 0: both methods give exactly zero and the check reads 0."""
+        cfg = write_cfg(tmp_path / "e.cfg",
+                        "scenario = evolve\npotential = gaussian\nt-max = 4\namplitude = 0\n")
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert [(c["passed"], c["value"]) for c in m.checks] == [(True, 0.0)]
+
+    @pytest.mark.parametrize("pair", ["false", "true"])
+    def test_evolve_t_max_past_the_cap_fails_at_once(self, runner, tmp_path, pair):
+        """No contour of ≤ 2²⁰ nodes reaches t = 5000: refused before the
+        500 000 RK4 steps, which would take minutes."""
+        cfg = write_cfg(tmp_path / "e.cfg",
+                        f"scenario = evolve\npotential = gaussian\nt-max = 5000\npair = {pair}\n")
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(out)])
+        assert time.perf_counter() - t0 < 5.0
+        assert res.exit_code == 64
+        assert "key 't-max'" in res.output and "contour nodes" in res.output
+        assert not out.exists()
+
+    def test_evolve_density_columns_pinned(self, runner, tmp_path):
+        """The RK4 columns of `evolve` at its defaults with pair = true.
+
+        The SHA-256 covers the header and the t, k, re_rho and im_rho fields
+        of every row, one LF-terminated line per row; it was computed before
+        `vlasov_step` reused its phases, which must leave these bytes alone.
+        """
+        cfg = write_cfg(tmp_path / "e.cfg",
+                        "scenario = evolve\npotential = gaussian\npair = true\n")
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        rows = [line for line in (tmp_path / "o" / "evolve.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == "t,k,re_rho,im_rho,weak_gap"
+        text = "".join(",".join(row.split(",")[:4]) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == EVOLVE_RHO_SHA256
 
     def test_compare_command(self, runner, tmp_path):
         cfg = write_cfg(

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasmakin.dielectric import DielectricModel
-from plasmakin.distributions import Maxwellian
+from plasmakin.distributions import BumpMixture, Maxwellian
 from plasmakin.equilibrium import HSolution
 from plasmakin.errors import InputError, StepSizeError, TruncationError
 from plasmakin.kernel import TensorTable
 from plasmakin.potentials import gaussian_soft
+from plasmakin.transforms import _interp_complex
 from plasmakin.propagator import (
     ALIAS_TARGET,
     MAX_NODES,
@@ -22,15 +23,22 @@ from plasmakin.propagator import (
     ModeState,
     PairPropagator,
     SeparableGaussianPair,
+    UProfile,
     _duhamel_pole,
     _epsilon_contour_fn,
+    _grid_cauchy_moment,
+    _phase,
+    _radial_log_derivative,
     bl_flux_vector,
     causal_gamma,
     contour_nodes,
     debye_cloud,
     evolve_density,
     flux_limit,
+    gaussian_radon,
+    gaussian_weighted_profiles,
     landau_root,
+    radon_profile_of,
     vlasov_laplace_eval,
     vlasov_laplace_residue_split,
     vlasov_step,
@@ -118,6 +126,38 @@ class TestLaplaceEval:
         assert err <= 1e-4
         # profile agreement at the final time
         assert np.max(np.abs(Hs[-1] - state.H)) / np.max(np.abs(state.H)) <= 1e-3
+
+    def test_closed_form_moment_matches_sampled(self, model_ms):
+        """A `UProfile` Ĥ₀ (closed-form m_{Ĥ₀}) against its samples (grid quadrature).
+
+        Per node the trapezoid sum of Ĥ₀/(z + i|k|u) has no discretization
+        error worth naming (the pole sits γ/|k| off the real axis, so it is
+        O(e^{-2πγ/(|k|h)})); it carries the grid's tail mass / γ and
+        n_u·ε·m₀/γ of rounding.  The inversion maps a moment error δ to at
+        most e^{γt}·(height/π)·max|1/ε|·δ in ρ̂, and Ĥ then moves by at most
+        |k|·φ̂·max|∂_uF|·t·max|Δρ̂|.
+        """
+        from scipy.special import erfc
+
+        grid, a = model_ms.grid, 0.5
+        amp, s = 0.1 * np.sqrt(3.0 * np.pi), np.sqrt(1.5)
+        profile = UProfile([(amp, s, 0)])
+        samples = profile.values(grid.points)
+        ts = np.linspace(0.0, 10.0, 11)
+        c = BromwichContour(causal_gamma(10.0), 200.0, contour_nodes(causal_gamma(10.0), 200.0,
+                                                                    10.0))
+        delta = (grid.n * np.finfo(float).eps * amp + amp * erfc(grid.u_max / (np.sqrt(2) * s))) \
+            / c.gamma
+        m_grid = _grid_cauchy_moment(grid, samples.astype(complex), c, a)
+        assert np.max(np.abs(m_grid.vals - profile.cauchy_moment(c, a).vals)) <= delta
+        inv_eps = np.max(np.abs(1.0 / _epsilon_contour_fn(model_ms, KZ, c).vals))
+        rho_bound = np.exp(c.gamma * ts[-1]) * (c.height / np.pi) * inv_eps * delta
+        H_p, rho_p = vlasov_laplace_eval(model_ms, KZ, profile, ts)
+        H_s, rho_s = vlasov_laplace_eval(model_ms, KZ, samples, ts)
+        assert np.max(np.abs(rho_p - rho_s)) <= rho_bound
+        dF = np.max(np.abs(model_ms.dF(KZ, grid.points)))
+        W = float(model_ms.potential.fourier(np.asarray(a)))
+        assert np.max(np.abs(H_p - H_s)) <= a * W * dF * ts[-1] * rho_bound
 
     def test_truncation_guard(self, model_ms):
         grid = model_ms.grid
@@ -269,6 +309,20 @@ class TestPairPropagator:
         with pytest.raises(InputError):
             PairPropagator(model_mc)
 
+    @pytest.mark.parametrize("sigmas", [(1.5, 1.0, 1.0), (1.5, 0.8, 1.3)])
+    def test_pairings_match_reference(self, model_ms, sigmas):
+        """Reflected ε̃ and moments, one time integral, against the former
+        per-term path; they differ by rounding, within n_t·ε of the
+        largest value (see `test_batched_scalars_match_loop_reference`)."""
+        pp = PairPropagator(model_ms, t_max=8.0, k_nodes=4, n_nodes=4096)
+        test = GaussianTestFunction(*sigmas)
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        ts = np.linspace(0.0, 8.0, 9)
+        psi_ref, lam_ref = _pairings_reference(pp, test, g0, ts)
+        tol = pp._n_t * np.finfo(float).eps
+        assert _rel(pp.psi_pairing(test, ts), psi_ref) <= tol
+        assert _rel(pp.lambda_pairing(g0, test, ts), lam_ref) <= tol
+
 
 class TestFluxes:
     @pytest.fixture(scope="class")
@@ -302,14 +356,34 @@ class TestFluxes:
 
     def test_duhamel_pole_batches_rows(self):
         """One call over (speeds, μ) rates equals one call per speed."""
-        phi = np.exp(-0.3 * np.arange(400) * 0.02) * (1.0 + 0.5j)
+        t = np.arange(400) * 0.02
+        phi = np.exp(-0.3 * t) * (1.0 + 0.5j)
         mu, _ = np.polynomial.legendre.leggauss(24)
         speeds = np.array([1.12, 1.2, 1.28])
         a = 0.7
-        y = _duhamel_pole(phi, 0.02, a * (speeds[:, None] * mu))
+        y = _duhamel_pole(phi, 0.02, _phase(a * (speeds[:, None] * mu), t))
         assert y.shape == (3, 24, 400)
         for i, v in enumerate(speeds):
-            assert np.array_equal(y[i], _duhamel_pole(phi, 0.02, a * (mu * v)))
+            assert np.array_equal(y[i], _duhamel_pole(phi, 0.02, _phase(a * (mu * v), t)))
+
+    def test_duhamel_pole_matches_recursion(self):
+        """The cumulative sum against the step recursion it replaces.
+
+        Both sum the same n_t trapezoid terms of size ≤ dt·max|φ|, so each
+        partial sum carries ≤ n_t·ε·t·max|φ| of rounding; the phases
+        e^{±i·au·t} carry ≤ ε·(1 + |au|·t) each, directly or compounded
+        step by step in E^m.  Twice their sum bounds the difference.
+        """
+        dt, n_t = 0.0196, 1785
+        t = np.arange(n_t) * dt
+        phi = np.exp(-0.2 * t) * np.cos(1.3 * t) + 0.4j * np.exp(-0.05 * t)
+        mu, _ = np.polynomial.legendre.leggauss(24)
+        au = 6.0 * (np.array([1.12, 1.2, 1.28])[:, None] * mu)
+        got = _duhamel_pole(phi, dt, _phase(au, t))
+        ref = _duhamel_pole_reference(phi, dt, au)
+        eps = np.finfo(float).eps
+        bound = 2 * eps * (n_t + 1 + np.max(np.abs(au)) * t[-1]) * t[-1] * np.max(np.abs(phi))
+        assert np.max(np.abs(got - ref)) <= bound
 
     def test_speed_array_matches_single_speeds(self, mix_model):
         """Speeds passed together share each κ node's inversions, not the arithmetic."""
@@ -325,6 +399,91 @@ class TestFluxes:
         for i, v in enumerate(speeds):
             assert np.array_equal(psi[i], fe._psi_marginal_flux_scalar(v, ts))
             assert np.array_equal(lam[i], fe.lambda_marginal_flux_scalar(g0, v, ts))
+
+    def test_batched_scalars_match_loop_reference(self, mix_model):
+        """(speed, μ) arrays against the former per-(speed, μ) loops.
+
+        The two differ by rounding: reflected against direct ε̃ and
+        moments (≤ 1e-14 relative, `TestSchwarzReflection`) and reordered
+        sums, each cumulative one of n_t terms carrying ≤ n_t·ε of its
+        running magnitude.
+        """
+        fe = FluxEvaluator(mix_model, t_max=8.0, k_nodes=4, n_nodes=4096)
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        ts = np.linspace(0.5, 7.5, 8)
+        speeds = np.array([1.12, 1.2, 1.28])
+        psi_ref, lam_ref = _flux_scalars_reference(fe, g0, speeds, ts)
+        tol = fe._n_t * np.finfo(float).eps
+        assert _rel(fe._psi_marginal_flux_scalar(speeds, ts), psi_ref) <= tol
+        assert _rel(fe.lambda_marginal_flux_scalar(g0, speeds, ts), lam_ref) <= tol
+
+
+class TestSchwarzReflection:
+    """ε(-k, ·) and m_{g,-a} as the reflections of ε(k, ·) and m_{g,a}."""
+
+    CONTOUR = BromwichContour(causal_gamma(35.0), 160.0, 16384)
+
+    @pytest.mark.parametrize("dist, k", [
+        (BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]), (0.0, 0.0, 0.8)),
+        (Maxwellian(drift=(0.0, 0.0, 0.5)), (0.0, 0.0, 0.8)),
+        (Maxwellian(drift=(0.2, 0.0, 0.5)), (0.3, 0.4, 0.5)),
+    ])
+    def test_epsilon(self, dist, k, soft):
+        """At every node, whatever the mean of F: both sides evaluate one
+        closed form at mirror-image points, so they differ by rounding."""
+        model = DielectricModel(dist, soft)
+        k = np.array(k)
+        direct = _epsilon_contour_fn(model, k, self.CONTOUR, conjugate_mode=True)
+        reflected = _epsilon_contour_fn(model, k, self.CONTOUR).reflected(direct.vals[0])
+        assert np.max(np.abs(reflected.vals - direct.vals)) <= 1e-14 * np.max(np.abs(direct.vals))
+        assert reflected.a == direct.a
+
+    @pytest.mark.parametrize("a", [0.8, 6.0])
+    def test_cauchy_moment(self, a, two_temperature):
+        for g in (radon_profile_of(two_temperature),
+                  *gaussian_weighted_profiles(two_temperature, 1.0)):
+            m, reflected = g.cauchy_moments(self.CONTOUR, a)
+            direct = g.cauchy_moment(self.CONTOUR, -a)
+            assert np.array_equal(m.vals, g.cauchy_moment(self.CONTOUR, a).vals)
+            assert np.max(np.abs(reflected.vals - direct.vals)) \
+                <= 1e-14 * np.max(np.abs(direct.vals))
+            assert reflected.a == direct.a
+
+    def test_cauchy_moment_at_small_a(self, two_temperature):
+        """Against quadrature where the direct -a formula cancels.
+
+        At a = 0.02 the direct formula evaluates C_g at Im w = -γ/a = -5.7,
+        where the continued Z and the jump 2πi·g(w) are each about
+        e^{(γ/a)²/2s²} (1e14 for the ψ-weighted s = 0.71) and cancel.  The
+        reflection stays at Im w = +5.7, where wofz is good to about 1e-13
+        and 1 + w·C_N cancels by at most |w|² ≈ 33 for the degree-1 part.
+        """
+        import mpmath as mp
+
+        _, g = gaussian_weighted_profiles(two_temperature, 1.0)
+        a, c = 0.02, self.CONTOUR
+        _, reflected = g.cauchy_moments(c, a)
+        for j in (c.n_nodes // 2, c.n_nodes // 2 + 7):
+            z = complex(c.nodes[j])
+
+            def integrand(u, z=z):
+                dens = sum(amp * u * mp.exp(-0.5 * (u / s) ** 2) / (s * mp.sqrt(2 * mp.pi))
+                           for amp, s, _ in g.comps)
+                return dens / (z - 1j * a * u)
+
+            with mp.workdps(30):
+                ref = complex(mp.quad(integrand, [-mp.inf, -2, 0, 2, mp.inf]))
+            assert abs(reflected.vals[j] - ref) <= 1e-11 * abs(ref)
+
+
+def _duhamel_pole_reference(phi, dt, au):
+    """The former `_duhamel_pole`: the exact step recursion, one step at a time."""
+    au = np.asarray(au, dtype=float)
+    E = np.exp(-1j * au * dt)
+    y = np.zeros(au.shape + (len(phi),), dtype=complex)
+    for m in range(len(phi) - 1):
+        y[..., m + 1] = E * y[..., m] + 0.5 * dt * (E * phi[m] + phi[m + 1])
+    return y
 
 
 def _rel(got, ref):
@@ -432,3 +591,99 @@ class TestIsotropyRequired:
             FluxEvaluator(model, t_max=8.0, k_nodes=2)
         with pytest.raises(InputError):
             PairPropagator(model, t_max=8.0, k_nodes=2)
+
+
+def _cumulative_product_integral(dt, *series):
+    """∫₀^t Πᵢ seriesᵢ(τ) dτ on the common grid (cumulative trapezoid)."""
+    prod = np.prod(np.array(series), axis=0)
+    return np.concatenate([[0.0], np.cumsum((prod[1:] + prod[:-1]) / 2.0)]) * dt
+
+
+def _pairings_reference(pp, test, g0, t_values):
+    """The former `psi_pairing` and `lambda_pairing`: ε(-k, ·) and every
+    moment at -a evaluated directly, each term's time integral on its own."""
+    c, t, dt, model = pp.contour, pp._t, pp._t[1], pp.model
+    G0_1, G1_1 = gaussian_weighted_profiles(model.distribution, test.sigma_v1)
+    G0_2, G1_2 = gaussian_weighted_profiles(model.distribution, test.sigma_v2)
+    psi = np.zeros(len(t), dtype=complex)
+    lam = np.zeros_like(psi)
+    for a, kw in zip(pp.k_q, pp.k_w):
+        W = float(model.potential.fourier(np.asarray(a)))
+        kv = np.array([0.0, 0.0, a])
+        inv_eps = _epsilon_contour_fn(model, kv, c).reciprocal()
+        inv_eps_m = _epsilon_contour_fn(model, kv, c, conjugate_mode=True).reciprocal()
+        m_F, mt_F = pp._F.cauchy_moment(c, a), pp._F.cauchy_moment(c, -a)
+        m_G11, mt_G12 = G1_1.cauchy_moment(c, a), G1_2.cauchy_moment(c, -a)
+        P1 = pp._invert(m_G11 * m_F * inv_eps)
+        P2 = pp._invert(mt_G12 * inv_eps_m)
+        P3 = pp._invert(m_G11 * inv_eps)
+        P4 = pp._invert(mt_G12 * mt_F * inv_eps_m)
+        per_k = ((a * W) ** 2 * (_cumulative_product_integral(dt, P1, P2)
+                                 + _cumulative_product_integral(dt, P3, P4))
+                 - 1j * a * W * _cumulative_product_integral(dt, G0_1.fourier(a * t), P2)
+                 + 1j * a * W * _cumulative_product_integral(dt, P3, G0_2.fourier(-a * t)))
+        psi += kw * 4 * np.pi * a**2 * test.x_hat(a) * per_k
+        per_k = np.zeros_like(psi)
+        for sa, sb in g0.orderings():
+            sa1 = 1.0 / np.sqrt(sa**-2 + test.sigma_v1**-2)
+            sb2 = 1.0 / np.sqrt(sb**-2 + test.sigma_v2**-2)
+            free_a = gaussian_radon(sa1).fourier(a * t)
+            free_b = gaussian_radon(sb2).fourier(-a * t)
+            coll_a = pp._invert(m_G11 * gaussian_radon(sa).cauchy_moment(c, a) * inv_eps)
+            coll_b = pp._invert(mt_G12 * gaussian_radon(sb).cauchy_moment(c, -a) * inv_eps_m)
+            per_k += 0.5 * (free_a * free_b + (a * W) ** 2 * coll_a * coll_b
+                            - 1j * a * W * free_a * coll_b + 1j * a * W * coll_a * free_b)
+        lam += kw * 4 * np.pi * a**2 * g0.x_hat(a) * test.x_hat(a) * per_k
+    return _interp_complex(t_values, t, psi), _interp_complex(t_values, t, lam)
+
+
+def _flux_scalars_reference(fe, g0, speeds, t_values):
+    """The former per-(speed, μ) loops of both flux scalars.
+
+    ε(-k, ·) and every moment at -a are evaluated directly, not reflected,
+    and the Duhamel poles come from the step recursion.
+    """
+    c, t, dt, model = fe.contour, fe._t, fe._t[1], fe.model
+    psi_out = np.zeros((len(speeds), len(t_values)), dtype=complex)
+    lam_out = np.zeros_like(psi_out)
+    for a, kw in zip(fe.k_q, fe.k_w):
+        W = float(model.potential.fourier(np.asarray(a)))
+        kv = np.array([0.0, 0.0, a])
+        inv_eps = _epsilon_contour_fn(model, kv, c).reciprocal()
+        inv_eps_m = _epsilon_contour_fn(model, kv, c, conjugate_mode=True).reciprocal()
+        excess_m = inv_eps_m - 1.0
+        gam = fe._invert(excess_m)
+        dlt = fe._invert(fe._F.cauchy_moment(c, -a) * excess_m)
+        phiF = fe._invert(fe._F.cauchy_moment(c, a) * inv_eps)
+        q_eps = fe._invert(inv_eps - 1.0)
+        F_hat_free = fe._F.fourier(-a * t)
+        sides = []
+        for sa, sb in g0.orderings():
+            delta_b = fe._invert(excess_m * gaussian_radon(sb).cauchy_moment(c, -a))
+            phi_Ra = fe._invert(gaussian_radon(sa).cauchy_moment(c, a) * inv_eps)
+            sides.append((sa, delta_b, phi_Ra, gaussian_radon(sb).fourier(a * t)))
+        for i, v in enumerate(speeds):
+            f_v, g_r = _radial_log_derivative(model.distribution, v)
+            au = a * v * fe.mu
+            alpha = _duhamel_pole_reference(phiF, dt, au)
+            beta_q = _duhamel_pole_reference(q_eps, dt, au)
+            alpha_R = [_duhamel_pole_reference(s[2], dt, au) for s in sides]
+            psi = np.zeros((len(fe.mu), len(t)), dtype=complex)
+            lam = np.zeros_like(psi)
+            for j, mu in enumerate(fe.mu):
+                free = np.exp(-1j * au[j] * t)
+                beta = free + beta_q[j]
+                Q1 = a * W * mu * g_r
+                psi[j] = (1j * Q1 * (_cumulative_product_integral(dt, alpha[j], gam)
+                                     + _cumulative_product_integral(dt, beta, dlt))
+                          + f_v * _cumulative_product_integral(dt, free, gam)
+                          + 1j * Q1 * _cumulative_product_integral(dt, beta, F_hat_free))
+                for (sa, delta_b, _, Rb_hat), alpha_Ra in zip(sides, alpha_R):
+                    Ga = np.exp(-0.5 * (v / sa) ** 2)
+                    lam[j] += 0.5 * (Ga * free * Rb_hat + 1j * Q1 * alpha_Ra[j] * delta_b
+                                     + Ga * free * delta_b + 1j * Q1 * alpha_Ra[j] * Rb_hat)
+            wm = fe.wmu * fe.mu
+            psi_out[i] += kw * _interp_complex(t_values, t, -2j * np.pi * a**3 * W * (wm @ psi))
+            lam_out[i] += kw * _interp_complex(
+                t_values, t, -2j * np.pi * a**3 * W * g0.x_hat(a) * (wm @ lam))
+    return psi_out, lam_out
