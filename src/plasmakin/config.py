@@ -3,7 +3,8 @@
 Scenario files are flat `key = value` documents with `#` comments and an
 `extends = <relative path>` mechanism for sweep variants.  Unknown keys and
 values of the wrong type (non-finite, non-integer, non-positive, a
-`grid-n` that is not a power of two, a `lattice-n` below 3, or a
+`grid-n` that is not a power of two, a `lattice-n` below 3, a 3-vector
+key such as `drift` or `ray-x` without exactly three numbers, or a
 `test-sigmas` that is not three positive numbers) are rejected with
 line/column diagnostics.  CSV bodies are byte-stable: 17
 significant digits, scientific notation, LF endings, fixed column order,
@@ -57,6 +58,7 @@ _VECTOR_KEYS = {
     "mixture-weights", "mixture-sigmas", "k-values", "k-max-list",
     "test-sigmas", "slope-window",
 }
+_THREE_VECTOR_KEYS = {"drift", "v0", "ray-x", "ray-v1", "ray-v2", "w", "v"}
 _STRING_KEYS = {"scenario", "extends", "distribution", "potential"}
 _BOOL_KEYS = {"slopes", "pair"}
 _INT_KEYS = {"grid-n", "lattice-n", "r-count", "gamma"}
@@ -96,6 +98,8 @@ def _parse_value(key, raw, line_no, path):
         reject("finite number(s)")
     if key == "test-sigmas" and (len(nums) != 3 or min(nums) <= 0):
         reject("three positive numbers")
+    if key in _THREE_VECTOR_KEYS and len(nums) != 3:
+        reject("three numbers (a 3-vector)")
     if key in _VECTOR_KEYS:
         return nums
     if len(nums) != 1:

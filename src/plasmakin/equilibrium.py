@@ -20,11 +20,19 @@ resolvable and loses only an odd sub-grid dipole otherwise.
 
 Real space: g_B(x,v₁,v₂) = (i/|v_r|) ∫_{-∞}^{x·v̂_r} Γ(b + ξ v̂_r) dξ with
 Γ = F⁻¹[k·V̂]; the half-line integral realizes the -i0 prescription and the
-Bogolyubov pre-collision boundary condition exactly.
+Bogolyubov pre-collision boundary condition exactly.  f is isotropic, so
+∇f(v) = c(|v|) v and
+
+    k·V̂ = φ̂ [c₁ (k·v₁)(f₂ + conj ĥ_B(k,v₂)) - c₂ (k·v₂)(f₁ + ĥ_B(k,v₁))]
+
+needs only the projections k·v₁ and k·v₂.  When b lies in the plane of v₁
+and v₂, Γ is even under the reflection of k across that plane, and a line's
+plane quadrature sums half its θ circle (`correlation_line`).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -49,8 +57,9 @@ from .transforms import (
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
 _KAPPA_BLOCK = 128  # κ rows per matrix product in A_minus_exact (bounds its memory)
 _NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV form
-_LINE_POINTS = 20480  # stacked (v₁, v₂) points per ĥ pass of correlation_line (8 rows at n_θ 32)
+_LINE_POINTS = 20480  # stacked (v₁, v₂) points per ĥ pass of correlation_line (15 rows at n_θ 32)
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
+_IN_PLANE = 1e-14  # largest |e₂·v|/max(|v₁|, |v₂|) a g_B line counts as in-plane
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +269,7 @@ class HSolution:
         W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
         return _h_hat_formula(1.0 - W * self._p_minus_dF(u), W, A, f_v, omega_grad_f)
 
-    def h_hat_values(self, kappa, u, f_v, omega_grad_f):
+    def h_hat_values(self, kappa, u, f_v, omega_grad_f, W=None):
         """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point.
 
         One pass over the points: the u-cell (index j, fraction t) of each
@@ -268,7 +277,8 @@ class HSolution:
         linear in u and then in log κ, and α(u), which the direction cache's
         evaluator reads on that cell (the 1/u² tail beyond ±u_max).  The
         log-κ index and fraction and φ̂(κ) are computed at κ's own shape and
-        broadcast over u.  The table lookup is held constant beyond its κ and
+        broadcast over u; a caller that already holds φ̂(κ) at that shape
+        passes it as W.  The table lookup is held constant beyond its κ and
         u ranges.
         """
         kappa = np.asarray(kappa, dtype=float)
@@ -290,7 +300,8 @@ class HSolution:
         )
         alpha = self._cache.alpha_at(u, cell=(j0, fu - j0))
         dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
-        W = self.model.potential.fourier(kappa)
+        if W is None:
+            W = self.model.potential.fourier(kappa)
         # ε = 1 - φ̂ (α - iπF') part by part, the bits of the complex expression
         eps = _complex(1.0 - W * alpha, W * (np.pi * dF))
         return _h_hat_formula(eps, W, _complex(A_re, A_im), f_v, omega_grad_f)
@@ -304,10 +315,14 @@ class HSolution:
 
 
 def _h_hat_formula(eps, W, A, f_v, omega_grad_f):
-    """ĥ_B = f(1-ε)/ε - φ̂ A⁻ (ω·∇f)/ε; |ε| below the floor is refused."""
+    """ĥ_B = (f(1-ε) - φ̂ A⁻ (ω·∇f))/ε; |ε| below the floor is refused.
+
+    One division, over the whole numerator: the form (f - φ̂ A⁻ ω·∇f)/ε - f
+    cancels where |ĥ_B| ≪ f.
+    """
     if np.any(np.abs(eps) < EPSILON_FLOOR):
         raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
-    return f_v * (1.0 - eps) / eps - W * A / eps * omega_grad_f
+    return (f_v * (1.0 - eps) - A * (W * omega_grad_f)) / eps
 
 
 def _complex(re, im):
@@ -420,6 +435,20 @@ def g_hat(sol: HSolution, k, v1, v2) -> complex:
 
 # -- real-space correlation ---------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _radial_rule(r_nodes, s_max):
+    """Radial nodes and weights of `correlation_line`'s plane quadrature:
+    Gauss-Legendre panels on [1e-6, 0.15], [0.15, 1] and [1, s_max] with
+    r_nodes nodes each; built once per (r_nodes, s_max), read-only."""
+    seg = [(a, b, *np.polynomial.legendre.leggauss(n))
+           for (a, b), n in zip(((1e-6, 0.15), (0.15, 1.0), (1.0, s_max)), r_nodes)]
+    r = np.concatenate([(a + b) / 2 + (b - a) / 2 * x for a, b, x, _ in seg])
+    wr = np.concatenate([(b - a) / 2 * w for a, b, _, w in seg])
+    r.setflags(write=False)
+    wr.setflags(write=False)
+    return r, wr
+
+
 @dataclass
 class CorrelationLine:
     """g_B on the line {b + ξ v̂_r} for fixed (v₁, v₂)."""
@@ -450,14 +479,30 @@ def correlation_line(
 
     The plane integral over k ⊥ v̂_r is polar Gauss-Legendre (split radial
     panels toward k=0 for the Coulomb weight); the s → ξ transform is a DFT
-    on the conjugate grid.
+    on the conjugate grid.  With k = s e + K₁ e₁ + K₂ e₂, e = v̂_r, e₁ = b̂
+    (any unit vector ⊥ e if b = 0) and e₂ = e × e₁, the node (s, r, θ) has
+    K₁ = r cos θ, K₂ = r sin θ.
+
+    f is isotropic, so ∇f(v) = c(|v|) v and Γ needs only the projections
+    k·v₁ and k·v₂:
+
+        Γ = φ̂(κ) [c₁ (k·v₁)(f₂ + conj ĥ₂) - c₂ (k·v₂)(f₁ + ĥ₁)].
+
+    When v₁ and v₂ lie in the (e, e₁) plane, k·v₁, k·v₂ and the phase
+    e^{iK₁|b|} are even in θ, and so is Γ.  The θ grid is closed under
+    θ → -θ, so only the columns θ_0 … θ_{n_θ/2} are evaluated and the
+    interior ones count twice.  "In the plane" means |e₂·v| ≤
+    `_IN_PLANE`·max(|v₁|, |v₂|) for both velocities; other lines sum the
+    full circle.  x, v₁ and v₂ in one plane with b ≠ 0, as in
+    `marginal_check`, always qualify.
 
     g_B is real, so Γ̂(-k) = -conj Γ̂(k).  The point (-s, r, θ) is -k of
     (s, r, θ + π), and the phase e^{iK₁|b|} conjugates under θ → θ + π, so
     the plane sums obey G_b(-s) = -conj G_b(s).  Only the rows with s ≥ 0
     and the unpaired row s = -s_max are evaluated; the mirror rows are
-    filled from their partners.  This needs a θ grid closed under θ → θ + π,
-    so n_theta (given or from the default rule) is rounded up to even.
+    filled from their partners.  Both mirrors need a θ grid closed under
+    θ → θ + π, so n_theta (given or from the default rule) is rounded up
+    to even.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -476,14 +521,14 @@ def correlation_line(
     if n_theta is None:
         n_theta = max(32, int(1.4 * s_max * bnorm) + 16)
     n_theta += n_theta % 2
-    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    w_theta = 2 * np.pi / n_theta
-    x1, w1 = np.polynomial.legendre.leggauss(r_nodes[0])
-    x2, w2 = np.polynomial.legendre.leggauss(r_nodes[1])
-    x3, w3 = np.polynomial.legendre.leggauss(r_nodes[2])
-    seg = [(1e-6, 0.15, x1, w1), (0.15, 1.0, x2, w2), (1.0, s_max, x3, w3)]
-    r = np.concatenate([(a + b) / 2 + (b - a) / 2 * x for a, b, x, _ in seg])
-    wr = np.concatenate([(b - a) / 2 * w for a, b, _, w in seg])
+    v_max = max(np.linalg.norm(v1), np.linalg.norm(v2))
+    in_plane = all(abs(e2 @ v) <= _IN_PLANE * v_max for v in (v1, v2))
+    n_col = n_theta // 2 + 1 if in_plane else n_theta
+    theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)[:n_col]
+    # the n_θ - n_col columns left out mirror columns 1 … n_θ - n_col
+    w_col = np.full(n_col, 2 * np.pi / n_theta)
+    w_col[1 : n_theta - n_col + 1] *= 2.0
+    r, wr = _radial_rule(tuple(r_nodes), float(s_max))
 
     s = (np.arange(n_s) - n_s // 2) * (2.0 * s_max / n_s)
     half = n_s // 2
@@ -491,35 +536,34 @@ def correlation_line(
     rows = np.r_[0:lo, half:n_s]
 
     dist = sol.model.distribution
-    f1 = float(dist.density(v1))
-    f2 = float(dist.density(v2))
-    g1 = dist.gradient(v1)
-    g2 = dist.gradient(v2)
-    a_vec = g1 * f2 - f1 * g2
+    f1, f2 = (float(dist.density(v)) for v in (v1, v2))
+    # c in ∇f(v) = c v; any c serves where |v|² underflows, as k·v ≈ 0 there
+    c1, c2 = (float(dist.gradient(v) @ v / (v @ v)) if v @ v > 0.0 else 0.0
+              for v in (v1, v2))
 
-    cth, sth = np.cos(theta), np.sin(theta)
-    # in-plane geometry on (r, theta); k·q = s (e·q) + k_⊥·q for
-    # q = v₁, v₂, ∇f(v₁), ∇f(v₂), a, stacked on a leading axis
-    K1 = r[:, None] * cth[None, :]
-    K2 = r[:, None] * sth[None, :]
-    phase = np.exp(1j * K1 * bnorm)
-    q = (v1, v2, g1, g2, a_vec)
-    q_par = np.array([e @ x for x in q])[:, None, None, None]
-    q_perp = np.stack([K1 * (e1 @ x) + K2 * (e2 @ x) for x in q])[:, None]
+    K1 = r[:, None] * np.cos(theta)[None, :]
+    K2 = r[:, None] * np.sin(theta)[None, :]
+    # quadrature weights with the phase, per (r, θ) column
+    weight = ((wr * r)[:, None] * w_col[None, :] * np.exp(1j * K1 * bnorm)).ravel()
+    # k·v = s (e·v) + k_⊥·v for v = v₁, v₂, stacked on a leading axis
+    v_par = np.array([e @ v1, e @ v2])[:, None, None, None]
+    v_perp = np.stack([K1 * (e1 @ v) + K2 * (e2 @ v) for v in (v1, v2)])[:, None]
     f12 = np.array([f1, f2])[:, None, None, None]
+    c12 = np.array([c1, c2])[:, None, None, None]
 
     G_b = np.empty(n_s, dtype=complex)
-    chunk = max(1, _LINE_POINTS // (2 * r.size * n_theta))
+    chunk = max(1, _LINE_POINTS // (2 * weight.size))
     for i0 in range(0, len(rows), chunk):
         idx = rows[i0 : i0 + chunk]
         sb = s[idx][:, None, None]
         kappa = np.sqrt(sb**2 + r[None, :, None] ** 2)
         kappa = np.maximum(kappa, 1e-9)
-        k_dot = sb * q_par + q_perp
-        h = sol.h_hat_values(kappa, k_dot[:2] / kappa, f12, k_dot[2:4] / kappa)
         W = sol.model.potential.fourier(kappa)
-        Gam = W * (k_dot[4] + k_dot[2] * np.conj(h[1]) - k_dot[3] * h[0])
-        G_b[idx] = w_theta * np.einsum("srt,r->s", Gam * phase[None, :, :], wr * r)
+        k_dot = sb * v_par + v_perp
+        u = k_dot / kappa
+        h1, h2 = sol.h_hat_values(kappa, u, f12, c12 * u, W=W)
+        Gam = (np.conj(h2) + f2) * (W * (c1 * k_dot[0])) - (h1 + f1) * (W * (c2 * k_dot[1]))
+        G_b[idx] = Gam.reshape(len(idx), -1) @ weight
     G_b[lo:half] = -np.conj(G_b[2 * half - lo : half : -1])
 
     # s -> xi DFT on the conjugate grid: Γ(ξ_m) = (2π)^{-3/2} ds Σ_j G(s_j) e^{i s_j ξ_m}.

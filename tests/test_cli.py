@@ -75,6 +75,19 @@ class TestConfig:
         assert scn.get("pair") is True
         assert scn.get("test-sigmas") == [1.5, 1.0, 1.0]
 
+    @pytest.mark.parametrize("kind, key", [
+        ("penrose", "drift"), ("cloud", "v0"), ("equilibrium", "ray-x"),
+        ("equilibrium", "ray-v1"), ("equilibrium", "ray-v2"), ("kernel", "w"), ("kernel", "v"),
+    ])
+    def test_three_vector_keys_take_three_numbers(self, tmp_path, kind, key):
+        cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n{key} = 0.1 0.2 0.3\n")
+        assert load_scenario(cfg).get(key) == [0.1, 0.2, 0.3]
+        for value in ("0.1 0.2", "0.1 0.2 0.3 0.4"):
+            cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n\n{key} = {value}\n")
+            with pytest.raises(ConfigError) as err:
+                load_scenario(cfg)
+            assert (err.value.line, err.value.column) == (3, 1)
+
     @pytest.mark.parametrize("kind, key, value", [
         ("dielectric", "k-range", "0.5 50"),
         ("dielectric", "u-max-scan", "3.0"),
@@ -296,6 +309,23 @@ class TestCommands:
         res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 64
         assert "v.cfg:4:1: key 'test-sigmas': expected three positive numbers" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("equilibrium", "ray-x", "1 0.8"),
+        ("cloud", "v0", "0.5"),
+        ("equilibrium", "ray-v2", "-0.6 0 0 0"),
+        ("kernel", "w", "0.8 -0.3"),
+        ("penrose", "drift", "0.5"),
+    ])
+    def test_three_vector_length_exit64_no_outputs(self, runner, tmp_path, kind, key, value):
+        """A 3-vector key with another count of numbers is a config error,
+        not a traceback from the geometry or a silently broadcast vector."""
+        cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n{key} = {value}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert f"v.cfg:2:1: key {key!r}: expected three numbers" in res.output
         assert not out.exists()
 
     def test_evolve_zero_amplitude_passes(self, runner, tmp_path):

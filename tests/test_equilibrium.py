@@ -1,13 +1,17 @@
 """Oberman-Williams-Lenard chain and real-space correlation diagnostics."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.spatial.transform import Rotation
 
 from plasmakin.dielectric import DielectricModel, alpha_tail
 from plasmakin.equilibrium import (
+    _IN_PLANE,
     _Z_HAT,
     HSolution,
     _subtract_poles,
@@ -434,6 +438,88 @@ class TestCorrelationLineMirror:
         line = correlation_line(hsol_ms, b, V1, V2, n_theta=n_theta, **line_kw)
         got = _plane_spectrum(line, line_kw["s_max"], line_kw["n_s"])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@contextmanager
+def _h_hat_points(sol):
+    """Count the points `sol.h_hat_values` is asked for while the block runs."""
+    count = [0]
+    inner = sol.h_hat_values
+
+    def counting(kappa, u, *args, **kwargs):
+        count[0] += np.broadcast(kappa, u).size
+        return inner(kappa, u, *args, **kwargs)
+
+    sol.h_hat_values = counting
+    try:
+        yield count
+    finally:
+        del sol.h_hat_values
+
+
+def _line_points(line_kw, n_col):
+    """ĥ points of one line: evaluated s rows (s ≥ 0 and s = -s_max) × radial
+    nodes × θ columns × two velocities; n_col is n_θ/2 + 1 on the half circle."""
+    return (line_kw["n_s"] // 2 + 1) * sum(line_kw["r_nodes"]) * n_col * 2
+
+
+class TestCorrelationLineHalfCircle:
+    """The θ mirror of `correlation_line` for x, v₁, v₂ in one plane."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(pts=st.tuples(*[st.floats(-1.5, 1.5)] * 6), x=st.tuples(*[st.floats(-3.0, 3.0)] * 2),
+           rotvec=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_rotation_invariance(self, hsol_ms, line_kw, pts, x, rotvec):
+        """For isotropic f, g_B(Rx, Rv₁, Rv₂) = g_B(x, v₁, v₂).  The rotated
+        inputs have e₂·v of about 1e-17 instead of 0 and still take the
+        half circle."""
+        v1 = np.array([pts[0], pts[1], 0.0])
+        v2 = np.array([pts[2], pts[3], 0.0])
+        x = np.array([x[0], x[1], 0.0])
+        assume(np.linalg.norm(v1 - v2) > 0.2)
+        b, _, _ = impact_geometry(x, v1, v2)
+        assume(np.linalg.norm(b) > 0.1)  # b̂ fixes e₁; at b = 0 it is any e ⊥ v_r
+        R = Rotation.from_rotvec(rotvec).as_matrix()
+        with _h_hat_points(hsol_ms) as count:
+            line = correlation_line(hsol_ms, b, v1, v2, n_theta=32, **line_kw)
+            rot = correlation_line(hsol_ms, impact_geometry(R @ x, R @ v1, R @ v2)[0],
+                                   R @ v1, R @ v2, n_theta=32, **line_kw)
+        assert count[0] == 2 * _line_points(line_kw, 32 // 2 + 1)
+        assert np.max(np.abs(rot.g - line.g)) <= 1e-12 * np.max(np.abs(line.g))
+
+    def test_off_plane_line_keeps_full_circle(self, hsol_ms, line_kw):
+        b = np.array([0.0, 0.8, 0.3])
+        v1, v2 = np.array([0.6, 0.2, 0.1]), np.array([-0.6, 0.2, 0.1])
+        ref = _line_reference(hsol_ms, b, v1, v2, **line_kw)
+        with _h_hat_points(hsol_ms) as count:
+            line = correlation_line(hsol_ms, b, v1, v2, **line_kw)
+        assert count[0] == _line_points(line_kw, 32)
+        got = _plane_spectrum(line, line_kw["s_max"], line_kw["n_s"])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("past, n_col", [(0.5, 17), (2.0, 32)])
+    def test_in_plane_tolerance_boundary(self, hsol_ms, line_kw, past, n_col):
+        """v₁, v₂ at e₂·v = `past`·`_IN_PLANE`·|v|, |v₁| = |v₂|: inside the
+        tolerance the line takes the half circle, just past it the full one;
+        both agree with the full-grid reference."""
+        b = np.array([0.0, 0.8, 0.0])  # e = x̂, e₁ = ŷ, e₂ = ẑ
+        tilt = past * _IN_PLANE * np.hypot(0.6, 0.2)
+        v1, v2 = np.array([0.6, 0.2, tilt]), np.array([-0.6, 0.2, tilt])
+        ref = _line_reference(hsol_ms, b, v1, v2, **line_kw)
+        with _h_hat_points(hsol_ms) as count:
+            line = correlation_line(hsol_ms, b, v1, v2, **line_kw)
+        assert count[0] == _line_points(line_kw, n_col)
+        got = _plane_spectrum(line, line_kw["s_max"], line_kw["n_s"])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rotvec", [(0.0, 0.0, 0.0), (0.4, -1.1, 0.7)])
+    def test_coplanar_line_point_count(self, hsol_ms, line_kw, rotvec):
+        """A coplanar line asks `h_hat_values` for rows × n_r × (n_θ/2 + 1) × 2
+        points, rotated off the coordinate planes or not."""
+        R = Rotation.from_rotvec(rotvec).as_matrix()
+        with _h_hat_points(hsol_ms) as count:
+            correlation_line(hsol_ms, R @ np.array([0.0, 0.8, 0.0]), R @ V1, R @ V2, **line_kw)
+        assert count[0] == _line_points(line_kw, 32 // 2 + 1)
 
 
 class TestAMinusExact:
