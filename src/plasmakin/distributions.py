@@ -192,8 +192,9 @@ class AnisotropicGaussian(_GaussianMixtureBase):
         self.drift = np.asarray(drift, dtype=float)
         self._cov_inv = np.linalg.inv(cov)
         self._norm = 1.0 / np.sqrt((2 * np.pi) ** 3 * np.linalg.det(cov))
+        # exact: every isotropic fast path reads one ẑ profile for all directions
         self.is_isotropic = bool(
-            np.allclose(cov, cov[0, 0] * np.eye(3)) and np.all(self.drift == 0.0)
+            np.array_equal(cov, cov[0, 0] * np.eye(3)) and np.all(self.drift == 0.0)
         )
 
     def density(self, v):

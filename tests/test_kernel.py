@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plasmakin.dielectric import DielectricModel
-from plasmakin.distributions import Maxwellian
+from plasmakin.distributions import AnisotropicGaussian, Maxwellian
+from plasmakin.equilibrium import HSolution
+from plasmakin import kernel
 from plasmakin.errors import InputError, ResolutionError, SingularConfigurationError
 from plasmakin.kernel import (
     LOG_FLOOR,
     TensorTable,
     VelocityGridField,
+    _pair_flux,
     _plane_components,
     bl_rhs,
     bl_tensor,
@@ -63,6 +66,28 @@ class TestTensor:
         a = bl_tensor(model_mc, W, V, K_max=100.0).matrix
         b = bl_tensor(model_mc, R @ W, R @ V, K_max=100.0).matrix
         assert np.max(np.abs(b - R @ a @ R.T)) <= 1e-6 * np.max(np.abs(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        coulomb=st.booleans(),
+        K=st.sampled_from([20.0, 100.0, 1000.0]),
+        w=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        v=st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+    )
+    def test_psd_and_annihilates_w_property(self, model_ms, model_mc, coulomb, K, w, v):
+        """a(w, v) is PSD with a·w = 0 at random (w, v), to 1e-12 of its size.
+
+        The error of e₁ = v̂_⊥ along ŵ is about ε|v|/|v_⊥|, so v is kept at
+        least 1e-2 of its length away from w's direction; closer to it that
+        error outgrows the bound (see ROADMAP item 6).
+        """
+        w, v = np.array(w), np.array(v)
+        assume(np.linalg.norm(w) > 1e-2)
+        assume(np.linalg.norm(np.cross(w, v)) >= 1e-2 * np.linalg.norm(w) * np.linalg.norm(v))
+        t = bl_tensor(model_mc if coulomb else model_ms, w, v, K_max=K if coulomb else None)
+        scale = np.linalg.norm(t.matrix)
+        assert np.linalg.norm(t.matrix @ w) <= 1e-12 * scale * np.linalg.norm(w)
+        assert np.min(t.eigenvalues()) >= -1e-12 * np.trace(t.matrix)
 
     def test_continuity_in_w(self, model_ms):
         h = 1e-3
@@ -120,6 +145,23 @@ class TestMaxwellianField:
             maxwellian_field(-1.0, 1.0)
 
 
+class TestVelocityGridField:
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_half_width_rejected(self, half_width):
+        with pytest.raises(InputError):
+            VelocityGridField(half_width, 5, np.ones((5, 5, 5)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_points_rejected(self, n):
+        """np.gradient's second-order edges need three points per axis."""
+        with pytest.raises(InputError):
+            VelocityGridField(1.0, n, np.ones((n, n, n)))
+
+    def test_three_points_accepted(self, model_ms):
+        field = VelocityGridField(1.0, 3, np.full((3, 3, 3), 0.1))
+        assert np.all(np.isfinite(bl_rhs(model_ms, field)))
+
+
 class TestCollisionRHS:
     @pytest.fixture(scope="class")
     def soft_model(self, model_ms):
@@ -172,6 +214,56 @@ def _perturbed(field, amplitude=0.08):
     r2 = X**2 + Y**2 + Z**2
     values = field.values * (1.0 + amplitude * np.exp(-0.5 * r2) * (r2 - 1.5))
     return VelocityGridField(field.half_width, field.n, np.maximum(values, 0.0))
+
+
+def _row_pair_flux_reference(v, f, glog, table):
+    """One row per iteration against all later points: the oracle of `_pair_flux`.
+
+    Row i visits j > i only, adding each pair's term to row i and
+    subtracting it from row j.  With u = v_⊥ and the bracket B,
+    a·B = [A22 (B - w(w·B)/|w|²) + (A11 - A22) u(u·B)/|u|²]/|w|; the u term
+    gets weight 0 at |u| < 1e-12, where A11 - A22 → 0.
+    """
+    X, Y, Z = v
+    GX, GY, GZ = glog
+    flux = np.zeros((3, len(f)))
+    for i in range(len(f) - 1):
+        j = slice(i + 1, None)
+        px, py, pz = X[i], Y[i], Z[i]
+        wx, wy, wz = px - X[j], py - Y[j], pz - Z[j]
+        nw2 = wx * wx + wy * wy + wz * wz
+        q = (wx * px + wy * py + wz * pz) / nw2
+        ux, uy, uz = px - q * wx, py - q * wy, pz - q * wz
+        vp2 = ux * ux + uy * uy + uz * uz
+        A11, A22 = table.components(np.sqrt(vp2))
+        ff = f[i] * f[j]
+        bx, by, bz = ff * (GX[i] - GX[j]), ff * (GY[i] - GY[j]), ff * (GZ[i] - GZ[j])
+        nw = np.sqrt(nw2)
+        c_b = A22 / nw
+        c_w = c_b * (wx * bx + wy * by + wz * bz) / nw2
+        c_u = np.where(vp2 > 1e-24, (A11 - A22) / (np.maximum(vp2, 1e-24) * nw), 0.0)
+        c_u *= ux * bx + uy * by + uz * bz
+        for k, (b, w, u) in enumerate(((bx, wx, ux), (by, wy, uy), (bz, wz, uz))):
+            term = c_b * b - c_w * w + c_u * u
+            flux[k, i] += term.sum()
+            flux[k, j] -= term
+    return flux
+
+
+def _pair_sum_inputs(field):
+    """The flat velocities, f and ∇ln f that `bl_rhs` hands to `_pair_flux`."""
+    ax = field.axis
+    v = [A.ravel() for A in np.meshgrid(ax, ax, ax, indexing="ij")]
+    f = np.maximum(field.values, LOG_FLOOR)
+    glog = [g.ravel() for g in np.gradient(np.log(f), field.spacing, edge_order=2)]
+    return v, f.ravel(), glog
+
+
+def _assert_matches_row_reference(field, table, bound=1e-13):
+    args = _pair_sum_inputs(field)
+    reference = _row_pair_flux_reference(*args, table)
+    flux = _pair_flux(*args, table)
+    assert np.max(np.abs(flux - reference)) <= bound * np.max(np.abs(reference))
 
 
 def _direct_sum_rhs(field, table):
@@ -256,6 +348,73 @@ class TestPairSum:
         values = field9.values.copy()
         values[1:-1, 1:-1, 1:-1] *= 1.0 + amplitude * noise
         _assert_matches_direct_sum(VelocityGridField(field9.half_width, 9, values), soft_table)
+
+    @pytest.fixture(scope="class")
+    def wide_tables(self, model_ms, model_mc):
+        """Tables reaching the largest |v_⊥| of every lattice drawn below."""
+        reach = np.sqrt(3) * 8.0
+        return TensorTable(model_ms, reach), TensorTable(model_mc, reach, K_max=1000.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(3, 9), st.floats(0.5, 8.0), st.integers(0, 2**32 - 1), st.booleans())
+    @example(9, 6.0, 1, False)
+    @example(4, 0.5, 2, True)
+    def test_blocked_flux_matches_row_reference(self, wide_tables, n, half_width, seed, coulomb):
+        """The blocked sum against `_row_pair_flux_reference` on random positive f.
+
+        n runs over 3…9, so n³ - 1 columns split into blocks of changing
+        row counts, ragged last blocks included.  Every lattice holds v and
+        -v, and odd ones hold 0: pairs on lines through the origin, where
+        |v_⊥| = 0 and the u term must drop out.
+        """
+        values = np.random.default_rng(seed).uniform(0.05, 1.0, (n, n, n))
+        field = VelocityGridField(half_width, n, values)
+        _assert_matches_row_reference(field, wide_tables[coulomb])
+
+    @pytest.mark.parametrize("budget", [64, 700])
+    def test_blocks_wider_than_the_budget(self, monkeypatch, wide_tables, budget):
+        """Past n = 25 the first blocks are single rows wider than `_BLOCK_PAIRS`."""
+        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", budget)
+        values = np.random.default_rng(budget).uniform(0.05, 1.0, (7, 7, 7))
+        _assert_matches_row_reference(VelocityGridField(3.0, 7, values), wide_tables[0])
+
+    def test_blocked_flux_matches_row_reference_n17(self, model_ms):
+        """At n = 17 the first blocks hold 3 rows of 4912 columns, the last 32."""
+        field = _perturbed(maxwellian_field(1.0, 1.0, n=17))
+        table = TensorTable(model_ms, np.sqrt(3) * field.half_width)
+        _assert_matches_row_reference(field, table)
+
+    def test_table_of_another_model_rejected(self, model_ms, field9, coulomb_table):
+        with pytest.raises(InputError):
+            bl_rhs(model_ms, field9, table=coulomb_table)
+
+    def test_table_of_another_cutoff_rejected(self, model_mc, field9, coulomb_table):
+        with pytest.raises(InputError):
+            bl_rhs(model_mc, field9, K_max=10.0, table=coulomb_table)
+        same = bl_rhs(model_mc, field9, K_max=1000.0, table=coulomb_table)
+        assert np.array_equal(same, bl_rhs(model_mc, field9, table=coulomb_table))
+
+    def test_short_table_rejected(self, model_ms, field9):
+        """`components` clamps past its grid; the lattice reaches √3·half_width."""
+        reach = np.sqrt(3) * field9.half_width
+        for vperp_max in (1.0, reach * (1.0 - 1e-12)):
+            with pytest.raises(InputError):
+                bl_rhs(model_ms, field9, table=TensorTable(model_ms, vperp_max))
+        rounded = TensorTable(model_ms, np.nextafter(reach, 0.0))
+        assert np.all(np.isfinite(bl_rhs(model_ms, field9, table=rounded)))
+
+    def test_nearly_isotropic_covariance_rejected(self, coulomb):
+        """Isotropy is exact: a covariance 5e-6 off c·I takes no isotropic path."""
+        assert AnisotropicGaussian(1.3 * np.eye(3)).is_isotropic
+        dist = AnisotropicGaussian(np.diag([1.0, 1.0, 1.0 + 5e-6]))
+        assert not dist.is_isotropic
+        model = DielectricModel(dist, coulomb)
+        with pytest.raises(InputError):
+            bl_tensor(model, W, V, K_max=100.0)
+        with pytest.raises(InputError):
+            TensorTable(model, 6.0, K_max=100.0)
+        with pytest.raises(InputError):
+            HSolution(model)
 
     def test_coulomb_maxwellian_mass_rate(self, model_mc, field9, coulomb_table):
         d = collision_diagnostics(field9, bl_rhs(model_mc, field9, table=coulomb_table))
