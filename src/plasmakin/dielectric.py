@@ -13,16 +13,19 @@ conj(ε(k,u)) on the imaginary axis z = -i|k|u.
 isotropic kinds): ẑ at construction, any other χ on first use.  A cache
 holds α once, as its spline's cubic per u-cell, and `DirectionCache.alpha_at`
 serves α and α′ to every reader, with the 1/u² tail beyond ±u_max.
+
+The module needs numpy alone: the not-a-knot spline (`not_a_knot_cubic`),
+Brent's root finder (`_brent_root`) and Brent's bounded minimiser
+(`_bounded_minimum`) are built here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     DegenerateDielectricError,
@@ -35,6 +38,16 @@ from .transforms import LineProfile, UGrid, pv_transform
 EPSILON_FLOOR = 1e-8
 MAX_CACHED_DIRECTIONS = 64  # one direction holds five 1024-node arrays, ~100 KB
 _Z_HAT = np.array([0.0, 0.0, 1.0])
+# the cubic B-spline prefilter pole z = √3 - 2 and the inverse of the (1, 4, 1)
+# stencil on the infinite line, z^|m|/(2√3), cut where z^|m| < 2e-19
+_POLE = math.sqrt(3.0) - 2.0
+_POLE_TAPS = 32
+_POLE_POWERS = _POLE ** np.arange(_POLE_TAPS + 1)
+_STENCIL_INVERSE = np.concatenate([_POLE_POWERS[:0:-1], _POLE_POWERS]) / (2.0 * math.sqrt(3.0))
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # scipy's `brentq` default and floor
+_BRENT_MAXITER = 100
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_FMINBOUND_MAXFUN = 500  # scipy's `minimize_scalar(method="bounded")` default
 
 
 def _as_vector(k):
@@ -97,12 +110,170 @@ def alpha_tail(moments, u):
     return m0 / u**2 + 2 * m1 / u**3 + 3 * m2 / u**4
 
 
+def not_a_knot_cubic(y):
+    """The not-a-knot cubic spline of samples y on a uniform grid, one row per cell.
+
+    Row j is the spline on [u_j, u_j+1] as a cubic in t = (u - u_j)/h,
+    highest power first (`CubicSpline(u, y).c` times h powers).  In t the
+    node slopes σ_j = h·s′(u_j) do not depend on h: with Δ_j = y_j+1 - y_j
+    they solve σ_j-1 + 4σ_j + σ_j+1 = 3(Δ_j-1 + Δ_j) inside and the
+    not-a-knot rows σ_0 + 2σ_1 = (5Δ_0 + Δ_1)/2, 2σ_n-2 + σ_n-1 =
+    (Δ_n-3 + 5Δ_n-2)/2 at the ends.  The interior rows are solved by the
+    B-spline prefilter with pole z = √3 - 2 (Unser, Aldroubi & Eden, IEEE
+    Trans. Signal Process. 41 (1993) 821) as a 65-tap convolution; the two
+    end rows by adding a·z^j + b·z^(n-1-j), the stencil's decaying
+    solutions, with (a, b) from a 2 × 2 solve.  O(n), no matrix.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    d = np.diff(y)
+    sigma = np.convolve(3.0 * (d[:-1] + d[1:]), _STENCIL_INVERSE)[_POLE_TAPS - 1:_POLE_TAPS - 1 + n]
+    r0 = 0.5 * (5.0 * d[0] + d[1]) - (sigma[0] + 2.0 * sigma[1])
+    r1 = 0.5 * (d[-2] + 5.0 * d[-1]) - (2.0 * sigma[-2] + sigma[-1])
+    diag, off = 1.0 + 2.0 * _POLE, _POLE ** (n - 2) * (2.0 + _POLE)
+    det = diag * diag - off * off
+    m = min(n, _POLE_TAPS + 1)  # z^33 < 2e-19: the end terms vanish beyond
+    sigma[:m] += (diag * r0 - off * r1) / det * _POLE_POWERS[:m]
+    sigma[n - m:] += (diag * r1 - off * r0) / det * _POLE_POWERS[m - 1::-1]
+    s0, s1 = sigma[:-1], sigma[1:]
+    return np.stack([s0 + s1 - 2.0 * d, 3.0 * d - 2.0 * s0 - s1, s0, y[:-1]], axis=1)
+
+
+def _brent_root(f, a, b, xtol):
+    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's `brentq` at rtol = 4ε and 100
+    iterations, so it returns the same bits.  f(a) and f(b) must differ in
+    sign; that failing, a NaN value or no convergence raises
+    `RootNotFoundError`.
+    """
+    def fx(x):
+        value = float(f(x))
+        if math.isnan(value):
+            raise RootNotFoundError(f"NaN at u = {x} in Brent's root search")
+        return value
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RootNotFoundError(f"no sign change on [{a}, {b}]: f = {fpre:.3g}, {fcur:.3g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RootNotFoundError(f"Brent's root search on [{a}, {b}] did not converge")
+
+
+def _bounded_minimum(f, a, b, xatol):
+    """(x, f(x)) at a minimum of f on [a, b] by Brent's fminbound (Brent 1973, ch. 5).
+
+    A port of scipy's `minimize_scalar(method="bounded")` (its
+    `_minimize_scalar_bounded`), which it matches bit for bit.
+    """
+    def sign(x):
+        return -1.0 if x < 0 else 1.0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMINBOUND_MAXFUN:
+            break
+    return xf, fx
+
+
 @dataclass
 class DirectionCache:
     """F, ∂_uF and α = P[∂_uF] of one direction χ on the model's u-grid.
 
     Row j of `alpha_cubic` is α's not-a-knot spline on [u_j, u_j+1] as a
-    cubic in t = (u - u_j)/h, highest power first.  `alpha_at` reads it
+    cubic in t = (u - u_j)/h, highest power first, built in-package by
+    `not_a_knot_cubic`.  `alpha_at` reads it
     inside ±u_max and the 1/u² tail from the raw moments of F beyond: on
     the default grid the spline is within 5e-9 of α up to u_max, the tail
     5e-6 off there.
@@ -180,14 +351,13 @@ class DielectricModel:
         F = LineProfile(self.grid, F_vals, real_valued=True)
         dF = LineProfile(self.grid, dF_vals, real_valued=True)
         alpha = np.real(pv_transform(dF).values)
-        powers = self.grid.spacing ** np.arange(3, -1, -1)
         return DirectionCache(
             chi=np.array(chi, dtype=float),
             grid=self.grid,
             F=F,
             dF=dF,
             alpha=alpha,
-            alpha_cubic=np.ascontiguousarray((CubicSpline(u, alpha).c * powers[:, None]).T),
+            alpha_cubic=not_a_knot_cubic(alpha),
             moments=self.distribution.raw_moments(chi),
         )
 
@@ -272,7 +442,9 @@ class DielectricModel:
         """Rightmost (leftmost) crossing of α = |k|², scanned inward from 4/|k|.
 
         The bracket [1/(2√|k|), 4/|k|] can contain the near (rising-side)
-        root as well; marching from the far end selects the Langmuir root.
+        root as well; marching from the far end selects the Langmuir root:
+        the first of 400 geometric scan points that is an exact zero, or
+        the first sign change, polished by `_brent_root`.
         """
         lo = 1.0 / (2.0 * np.sqrt(nk))
         hi = 4.0 / nk
@@ -282,11 +454,12 @@ class DielectricModel:
 
         us = np.geomspace(lo, hi, 400)[::-1]
         vals = g(us)
-        for i in range(1, len(us)):
-            if vals[i] * vals[i - 1] < 0:
-                return side * brentq(g, us[i], us[i - 1], xtol=1e-14)
+        stops = np.flatnonzero((vals == 0.0) | np.r_[False, vals[1:] * vals[:-1] < 0])
+        if stops.size:
+            i = stops[0]
             if vals[i] == 0.0:
                 return side * us[i]
+            return side * _brent_root(g, us[i], us[i - 1], xtol=1e-14)
         raise RootNotFoundError(
             f"no sign change of α - |k|² in [{lo:.3g}, {hi:.3g}] "
             f"(α range [{min(vals):.3g}, {max(vals):.3g}], |k|² = {target:.3g})"
@@ -299,8 +472,8 @@ class DielectricModel:
         which does not depend on |k|.  Over real W ∈ [W_lo, W_hi], |1 − W·P|
         is smallest at W* = clamp(Re P/|P|², W_lo, W_hi) (|ε| = 1 where
         P = 0), so the infimum is a minimum over u alone: the minimum on an
-        n_u-point grid, polished by a bounded scalar search between the grid
-        minimum's two neighbours.  [W_lo, W_hi] is the range of φ̂ on 400
+        n_u-point grid, polished by Brent's bounded minimiser
+        (`_bounded_minimum`) between the grid minimum's two neighbours.  [W_lo, W_hi] is the range of φ̂ on 400
         geometric points of k_range, exact at the endpoints for the monotone
         built-ins (Coulomb, Gaussian, zero).
 
@@ -322,11 +495,10 @@ class DielectricModel:
         vals = abs_eps(us)
         j = int(np.argmin(vals))
         best, u_best = float(vals[j]), float(us[j])
-        res = minimize_scalar(lambda x: float(abs_eps(np.array([x]))[0]), method="bounded",
-                              bounds=(us[max(j - 1, 0)], us[min(j + 1, n_u - 1)]),
-                              options={"xatol": 1e-12})
-        if res.fun < best:
-            best, u_best = float(res.fun), float(res.x)
+        x, fx = _bounded_minimum(lambda x: float(abs_eps(np.array([x]))[0]),
+                                 us[max(j - 1, 0)], us[min(j + 1, n_u - 1)], xatol=1e-12)
+        if fx < best:
+            best, u_best = float(fx), float(x)
         if best < EPSILON_FLOOR:
             raise DegenerateDielectricError(f"|ε| infimum {best:.3e} below floor at u = {u_best}")
         self.lower_bound_estimate = best
@@ -406,7 +578,7 @@ class StabilityReport:
 
 
 def _critical_points(distribution, chi, u_max, n):
-    """Zeros of ∂_uF on [-u_max, u_max]: exact grid zeros and `brentq` roots of sign changes.
+    """Zeros of ∂_uF on [-u_max, u_max]: exact grid zeros and `_brent_root` roots of sign changes.
 
     Near-duplicates (within 1e-6) are merged and points where F is below
     1e-10·max|∂_uF| (flat-tail artifacts) dropped.
@@ -420,7 +592,7 @@ def _critical_points(distribution, chi, u_max, n):
     def fn(x):
         return float(distribution.radon_profile_derivative(chi, np.array([x]))[0])
 
-    roots = [brentq(fn, u[i], u[i + 1], xtol=1e-12) for i in np.flatnonzero(a * b < 0)]
+    roots = [_brent_root(fn, u[i], u[i + 1], xtol=1e-12) for i in np.flatnonzero(a * b < 0)]
     crits = sorted(float(c) for c in (*exact, *roots))
     merged = []
     for c in crits:

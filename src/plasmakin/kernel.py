@@ -121,7 +121,14 @@ def bl_tensor(model, w, v, K_max=None, n_r=64, n_theta=32, epsilon_sign=-1.0) ->
     K = _auto_cutoff(model, K_max)
     v_perp = v - (v @ what) * what
     vp = np.linalg.norm(v_perp)
-    e1 = v_perp / vp if vp > 1e-14 else perpendicular_unit(what)
+    if vp > 1e-14:
+        # v_⊥ keeps a rounding part of about ε|v| along ŵ, large against a
+        # small |v_⊥|: a second projection leaves e₁ ⊥ ŵ to rounding
+        e1 = v_perp / vp
+        e1 = e1 - (e1 @ what) * what
+        e1 /= np.linalg.norm(e1)
+    else:
+        e1 = perpendicular_unit(what)
     e2 = np.cross(what, e1)
     A11, A22, A12 = _plane_components(model, vp, K, n_r, n_theta, epsilon_sign)
     mat = (

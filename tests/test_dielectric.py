@@ -1,22 +1,27 @@
 """Dielectric function, stability checks and unit scaling."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import brentq, minimize
+from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.spatial.transform import Rotation
 from scipy.special import wofz
 
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
     DielectricModel,
+    _bounded_minimum,
+    _brent_root,
     _critical_points,
     debye_rescale,
     penrose_check,
+    not_a_knot_cubic,
     penrose_functional,
     sphere_lattice_directions,
 )
@@ -206,6 +211,22 @@ class TestTabulatedGradient:
                         for g in np.gradient(f, ax, ax, ax)], axis=-1)
         assert np.array_equal(Tabulated((ax, ax, ax), f).gradient(v), ref)
 
+    def test_density_matches_interpolator(self, rng):
+        """The trilinear kernel gives the bits of `RegularGridInterpolator` on an
+        uneven lattice: inside, on nodes and faces, and 0 outside."""
+        axes = (np.linspace(-3.0, 3.0, 13), np.geomspace(0.5, 4.0, 9) - 2.0,
+                np.linspace(-1.0, 2.0, 7))
+        f = rng.uniform(0.0, 1.0, tuple(len(a) for a in axes))
+        lo = np.array([a[0] for a in axes])
+        hi = np.array([a[-1] for a in axes])
+        v = rng.uniform(lo - 0.5, hi + 0.5, (3000, 3))
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        v = np.concatenate([v, nodes, np.array([lo, hi, [hi[0], 0.0, lo[2]]])])
+        ref = RegularGridInterpolator(axes, f, bounds_error=False, fill_value=0.0)(v)
+        got = Tabulated(axes, f).density(v.reshape(-1, 1, 3))
+        assert got.shape == (len(v), 1)
+        assert np.array_equal(got[:, 0], ref)
+
 
 class TestPenrose:
     def test_maxwellian_stable(self, maxwellian, coulomb):
@@ -384,6 +405,33 @@ class TestPenroseOracle:
                      + quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0])
         assert abs(penrose_functional(dist, KZ, 0.0) - ref) <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.sampled_from([1, 2]), modulation=st.floats(0.0, 1.0, exclude_max=True))
+    def test_mass_rule_matches_quad(self, gamma, modulation):
+        """The Gauss rule of the normalization against adaptive quadrature in r.
+
+        At quad's default tolerances (1.5e-8) the reference itself is off by
+        2.3e-11 at γ = 2, modulation = 0.5; at epsrel 1e-14 it is within
+        4e-16 of mpmath, and quad warns only that it cannot do better.
+        """
+        dist = ExponentialFamily(gamma=gamma, modulation=modulation)
+
+        def integrand(r):
+            return 4 * np.pi * r**2 * (1 + modulation / (2 + r**2)) * np.exp(-(1 + r**2) ** (gamma / 2))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            ref = quad(integrand, 0.0, np.inf, epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+        assert abs(dist._unnormalized_mass() - ref) <= 1e-14 * ref
+
+    def test_mass_rule_closed_forms(self):
+        """Unmodulated, the mass is 4πK₂(1) at γ = 1 (r = sinh t and
+        sinh²t cosh t = (cosh 3t - cosh t)/4) and π^{3/2}/e at γ = 2."""
+        exact = {1: 4 * mpmath.pi * mpmath.besselk(2, 1), 2: mpmath.pi**1.5 / mpmath.e}
+        for gamma, ref in exact.items():
+            got = ExponentialFamily(gamma=gamma)._unnormalized_mass()
+            assert abs(got - float(ref)) <= 1e-15 * float(ref)
+
     def test_critical_point_outside_window_rejected(self):
         with pytest.raises(InputError):
             penrose_functional(Maxwellian(), KZ, 40.0)
@@ -517,6 +565,14 @@ class TestDispersionRoots:
         y = np.array([-1.0, 0.0, 2.0])
         assert np.allclose(r.psi_plus(y), r.u0_plus + y * r.L_plus)
 
+    @pytest.mark.parametrize("nk", [0.5, 1.0])
+    def test_exact_zero_at_the_first_scan_point(self, model_mc, nk):
+        """α(±4/|k|) = |k|² exactly at the scan's far end: that point is the root."""
+        cache = model_mc.direction_cache(KZ)
+        for side in (1, -1):
+            target = cache.alpha_at(side * 4.0 / nk)
+            assert model_mc._far_root(cache, target, nk, side) == side * 4.0 / nk
+
     @pytest.mark.parametrize("k", [0.02, 0.05])
     def test_root_past_the_grid_reads_the_tail(self, model_mc, k):
         """Past ±u_max the root, its residual and the α′ in L± all come from the
@@ -599,6 +655,95 @@ class TestAlphaEvaluator:
         assert np.all(err <= 5.0 * m4 / far**6 + 2.0 * 7.0 * m6 / far**8)
         err = np.abs(cache.alpha_at(far, derivative=True) - _alpha_reference(components, far, 1))
         assert np.all(err <= 30.0 * m4 / np.abs(far) ** 7 + 2.0 * 56.0 * m6 / np.abs(far) ** 9)
+
+
+def _not_a_knot_matrix(n):
+    """The not-a-knot system of `not_a_knot_cubic` in t units, dense."""
+    M = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    M[i, i - 1], M[i, i], M[i, i + 1] = 1.0, 4.0, 1.0
+    M[0, :2] = 1.0, 2.0
+    M[-1, -2:] = 2.0, 1.0
+    return M
+
+
+def _smooth_samples(rng, n):
+    t = np.linspace(-1.0, 1.0, n)
+    return (np.sin(rng.uniform(1.0, 8.0) * t + rng.uniform(0.0, 6.0))
+            * np.exp(-rng.uniform(0.0, 5.0) * t**2) + rng.uniform(-1.0, 1.0) * t**3)
+
+
+class TestInPackageSolvers:
+    """The in-package Brent root finder, bounded minimiser and not-a-knot
+    spline against the scipy routines they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(0.5, 20.0), phase=st.floats(0.0, 6.3), cubic=st.floats(-2.0, 2.0),
+           shift=st.floats(-1.0, 1.0), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           log_xtol=st.floats(-15.0, -2.0))
+    def test_brent_root_matches_brentq(self, omega, phase, cubic, shift, a, b, log_xtol):
+        def f(x):
+            return np.sin(omega * x + phase) + cubic * x**3 + shift
+
+        assume(f(a) * f(b) < 0)
+        xtol = 10.0**log_xtol
+        assert _brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_brent_root_refuses_a_bracket_without_sign_change(self):
+        with pytest.raises(RootNotFoundError):
+            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        with pytest.raises(RootNotFoundError):
+            _brent_root(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.floats(0.5, 10.0), phase=st.floats(0.0, 6.3), quadratic=st.floats(-2.0, 2.0),
+           a=st.floats(-3.0, 3.0), width=st.floats(1e-6, 4.0), log_xatol=st.floats(-12.0, -3.0))
+    def test_bounded_minimum_matches_minimize_scalar(self, omega, phase, quadratic, a, width,
+                                                     log_xatol):
+        def f(x):
+            return float(np.cos(omega * x + phase) + quadratic * x**2)
+
+        xatol = 10.0**log_xatol
+        res = minimize_scalar(f, bounds=(a, a + width), method="bounded",
+                              options={"xatol": xatol})
+        assert _bounded_minimum(f, a, a + width, xatol) == (res.x, res.fun)
+
+    @pytest.mark.parametrize("n", [16, 17, 1024, 2048])
+    def test_not_a_knot_matches_cubic_spline(self, rng, n):
+        """Against `CubicSpline` on the unit-spaced abscissa, where t = u - u_j.
+
+        Both solve the same system backward-stably, so each set of node
+        slopes σ is within about κ∞(M)·ε·‖σ‖ of the exact one, and a
+        coefficient adds at most three of them (c₀ = σ_j + σ_j+1 - 2Δ_j):
+        the bound is 2·3·κ∞(M)·ε·max|c| (κ∞ ≈ 22.4 here)."""
+        kappa = np.linalg.cond(_not_a_knot_matrix(n), np.inf)
+        samples = [_smooth_samples(rng, n) for _ in range(3)]
+        if n == 1024:
+            samples.append(DielectricModel(Maxwellian(), CoulombPotential()).direction_cache(KZ).alpha)
+        if n == 2048:
+            model = DielectricModel(ExponentialFamily(gamma=1), CoulombPotential())
+            assert model.grid.n == 2048
+            samples.append(model.direction_cache(KZ).alpha)
+        for y in samples:
+            ref = CubicSpline(np.arange(n, dtype=float), y).c.T
+            got = not_a_knot_cubic(y)
+            assert got.shape == (n - 1, 4)
+            assert np.max(np.abs(got - ref)) <= 6.0 * kappa * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_not_a_knot_conditions(self, rng):
+        """The spline interpolates, is C² at every knot and C³ at the second
+        and the last but one (not-a-knot), independently of any oracle."""
+        y = _smooth_samples(rng, 64)
+        c = not_a_knot_cubic(y)
+        ends = c.sum(axis=1)  # the cubic at t = 1
+        slopes = 3 * c[:, 0] + 2 * c[:, 1] + c[:, 2]
+        curvatures = 6 * c[:, 0] + 2 * c[:, 1]
+        tol = 1e-13 * np.max(np.abs(c))
+        assert np.array_equal(c[:, 3], y[:-1])
+        assert np.max(np.abs(ends - y[1:])) <= tol
+        assert np.max(np.abs(slopes[:-1] - c[1:, 2])) <= tol
+        assert np.max(np.abs(curvatures[:-1] - 2 * c[1:, 1])) <= tol
+        assert abs(c[0, 0] - c[1, 0]) <= tol and abs(c[-1, 0] - c[-2, 0]) <= tol
 
 
 class TestAlphaAsymptotics:

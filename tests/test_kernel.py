@@ -74,17 +74,25 @@ class TestTensor:
         w=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
         v=st.tuples(*[st.floats(-4.0, 4.0)] * 3),
     )
+    @example(coulomb=False, K=20.0, w=(1.0, 2.0, -1.0), v=(-2.0, -4.0 + 1e-13, 2.0))
+    @example(coulomb=True, K=1000.0, w=(0.0, 0.0, 1.0), v=(0.0, 0.0, 2.5))
     def test_psd_and_annihilates_w_property(self, model_ms, model_mc, coulomb, K, w, v):
-        """a(w, v) is PSD with a·w = 0 at random (w, v), to 1e-12 of its size.
-
-        The error of e₁ = v̂_⊥ along ŵ is about ε|v|/|v_⊥|, so v is kept at
-        least 1e-2 of its length away from w's direction; closer to it that
-        error outgrows the bound (see ROADMAP item 6).
-        """
+        """a(w, v) is PSD with a·w = 0 at random (w, v), to 1e-12 of its size,
+        at every angle between v and w, parallel and nearly parallel included
+        (e₁ is projected off ŵ twice)."""
         w, v = np.array(w), np.array(v)
         assume(np.linalg.norm(w) > 1e-2)
-        assume(np.linalg.norm(np.cross(w, v)) >= 1e-2 * np.linalg.norm(w) * np.linalg.norm(v))
         t = bl_tensor(model_mc if coulomb else model_ms, w, v, K_max=K if coulomb else None)
+        scale = np.linalg.norm(t.matrix)
+        assert np.linalg.norm(t.matrix @ w) <= 1e-12 * scale * np.linalg.norm(w)
+        assert np.min(t.eigenvalues()) >= -1e-12 * np.trace(t.matrix)
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-10, 1e-12])
+    def test_nearly_parallel_v(self, model_mc, delta):
+        """v within δ of 3w: e₁ = v̂_⊥ must not keep v_⊥'s rounding along ŵ."""
+        w = np.array([0.3, -0.7, 0.5])
+        v = 3.0 * w + delta * np.array([0.7, 0.3, 0.0])
+        t = bl_tensor(model_mc, w, v, K_max=100.0)
         scale = np.linalg.norm(t.matrix)
         assert np.linalg.norm(t.matrix @ w) <= 1e-12 * scale * np.linalg.norm(w)
         assert np.min(t.eigenvalues()) >= -1e-12 * np.trace(t.matrix)
