@@ -33,7 +33,7 @@ from .errors import (
     InputError,
     RootNotFoundError,
 )
-from .transforms import LineProfile, UGrid, pv_transform
+from .transforms import LineProfile, UGrid, grid_cauchy, pv_transform
 
 EPSILON_FLOOR = 1e-8
 MAX_CACHED_DIRECTIONS = 64  # one direction holds five 1024-node arrays, ~100 KB
@@ -393,29 +393,21 @@ class DielectricModel:
         kvec, nk = _as_vector(k)
         return 1.0 - self.potential.fourier(np.asarray(nk)) * self.plemelj_minus_dF(kvec, u)
 
-    def epsilon_laplace(self, k, z, conjugate_mode=False):
-        """ε(±k, -iz) = 1 - φ̂ C[∂_uF](±iz/|k|) on Bromwich contours.
+    def epsilon_laplace(self, k, z):
+        """ε(k, -iz) = 1 - φ̂(|k|) C[∂_uF](iz/|k|) on Bromwich contours.
 
-        Uses the distribution's entire continuation when available (also
-        valid for Re z ≤ 0); otherwise direct quadrature, valid off the
-        real w-axis, i.e. for Re z ≠ 0.
+        Uses the entire continuation `cauchy_dF` where the kind has one (valid
+        for every z); otherwise `grid_cauchy` on the model's grid, valid off
+        the real w-axis (Re z ≠ 0).  ∂_uF is real, so ε(-k, -iz) = conj ε(k, -iz̄).
         """
         kvec, nk = _as_vector(k)
-        z = np.asarray(z, dtype=complex)
-        w = 1j * z / nk
-        if conjugate_mode:
-            w = -w
+        w = 1j * np.asarray(z, dtype=complex) / nk
         cache = self.direction_cache(kvec)
         if self.distribution.has_continuation:
-            branch = "integral" if conjugate_mode else "upper"
-            C = self.distribution.cauchy_dF(cache.chi, w, branch=branch)
+            C = self.distribution.cauchy_dF(cache.chi, w)
         else:
-            u = self.grid.points
-            dF = cache.dF.values
-            C = np.trapezoid(dF / (u[None, :] - np.ravel(w)[:, None]), u, axis=-1)
-            C = C.reshape(w.shape) if w.ndim else complex(C[0])
-        W = self.potential.fourier(np.asarray(nk))
-        return 1.0 - W * C
+            C = grid_cauchy(self.grid, cache.dF.values, w)
+        return 1.0 - self.potential.fourier(np.asarray(nk)) * C
 
     # -- spectral diagnostics -------------------------------------------------
     def dispersion_roots(self, k):

@@ -28,9 +28,42 @@ _MASS_T, _MASS_W = 2.5 * (_GL_X + 1.0), 2.5 * _GL_W
 _TAIL_BLOCK = 128  # rows per `_exp_tail_integral` block: 128 × 80 doubles stay under 128 KiB
 
 
-def _plasma_z(zeta):
-    """Z(ζ) = i√π w(ζ); entire, equals ∫e^{-t²}/(t-ζ)dt/√π for Im ζ > 0."""
-    return 1j * np.sqrt(np.pi) * wofz(zeta)
+def gaussian_cauchy(w, comps):
+    """The entire continuation from Im w > 0 of C_g(w) = ∫ g(u)/(u - w) du,
+    g = Σ amp·(u - mean)^deg·N(u; mean, s) over comps [(amp, mean, s, deg)].
+
+    With ζ = (w - mean)/(√2 s) and Z(ζ) = i√π w(ζ), a degree-0 component is
+    Z(ζ)/(√2 s) and a degree-1 one 1 + ζZ(ζ), which cancels to O(ζ⁻²): where
+    |ζ| ≥ 30 and Im ζ ≥ 0 it is the series -Σ_{n=1}^{8} (2n-1)!!/(2ζ²)ⁿ, whose
+    first omitted term is below 1e-18 of the sum.  Below the real axis the
+    integral of a real g is conj C_g(w̄) (Schwarz reflection), not this.
+    """
+    flat = np.asarray(w, dtype=complex).ravel()
+    out = np.zeros_like(flat)
+    for amp, mean, s, deg in comps:
+        zeta = (flat - mean) / (np.sqrt(2.0) * s)
+        if deg:
+            comp = _one_plus_zeta_z(zeta)
+        else:
+            comp = 1j * np.sqrt(np.pi) * wofz(zeta) / (np.sqrt(2.0) * s)
+        out = out + amp * comp
+    return out.reshape(np.shape(w))
+
+
+def _one_plus_zeta_z(zeta):
+    """1 + ζZ(ζ) of `gaussian_cauchy`: the series where |ζ| ≥ 30, Im ζ ≥ 0, `wofz` elsewhere."""
+    far = (np.abs(zeta) >= 30.0) & (zeta.imag >= 0)
+    if not far.any():
+        return 1.0 + zeta * (1j * np.sqrt(np.pi) * wofz(zeta))
+    out = np.empty_like(zeta)
+    out[~far] = _one_plus_zeta_z(zeta[~far])
+    q = 0.5 / zeta[far] / zeta[far]
+    series = 15.0 * q + 1.0
+    for m in range(13, 1, -2):  # Horner: q(1 + 3q(1 + 5q(… (1 + 15q))))
+        series *= m * q
+        series += 1.0
+    out[far] = -q * series
+    return out
 
 
 def _gauss_pdf(u, mu, s):
@@ -133,24 +166,12 @@ class _GaussianMixtureBase(VelocityDistribution):
     def has_continuation(self) -> bool:
         return True
 
-    def cauchy_dF(self, chi, w, branch="integral"):
-        """∫ ∂_uF/(u-w) du; `branch="upper"` returns the entire continuation
-        from Im w > 0 (what contour deformations need), the default returns
-        the true integral on both half-planes (jump-corrected below)."""
-        w_arr = np.asarray(w, dtype=complex)
+    def cauchy_dF(self, chi, w):
+        """The entire continuation of ∫ ∂_uF(χ,u)/(u - w) du from Im w > 0,
+        what contour deformations need: the integral above the real axis,
+        its continuation (not the integral) below; see `gaussian_cauchy`."""
         wt, mu, s = self._components(np.asarray(chi, float))
-        out = np.zeros_like(w_arr)
-        lower = w_arr.imag < 0
-        for wi, mi, si in zip(wt, mu, s):
-            zeta = (w_arr - mi) / (np.sqrt(2.0) * si)
-            comp = wi * (-(1.0 + zeta * _plasma_z(zeta)) / si**2)
-            if branch == "integral" and np.any(lower):
-                dfw = wi * (-(w_arr - mi) / si**2) * np.exp(
-                    -0.5 * ((w_arr - mi) / si) ** 2
-                ) / (si * _SQRT2PI)
-                comp = np.where(lower, comp - 2j * np.pi * dfw, comp)
-            out += comp
-        return out
+        return gaussian_cauchy(w, [(-wi / si**2, mi, si, 1) for wi, mi, si in zip(wt, mu, s)])
 
 
 class Maxwellian(_GaussianMixtureBase):

@@ -41,10 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dielectric import DielectricModel
-from .distributions import _GaussianMixtureBase, _plasma_z
+from .distributions import _GaussianMixtureBase, gaussian_cauchy
 from .equilibrium import HSolution
 from .errors import (
     InputError,
+    RootNotFoundError,
     StepSizeError,
     TruncationError,
 )
@@ -54,6 +55,7 @@ from .transforms import (
     UGrid,
     _interp_complex,
     axial_inverse_transform,
+    grid_cauchy,
     pv_transform,
     radial_inverse_transform,
 )
@@ -301,26 +303,14 @@ class UProfile:
         return out
 
     def cauchy(self, w):
-        """∫ g(u)/(u - w) du (the true Cauchy integral, both half-planes).
-
-        The Z-function formula is the continuation from Im w > 0; on the
-        lower half-plane the integral differs from it by the jump
-        -2πi·g(w) (g entire for Gaussian components).
-        """
+        """∫ g(u)/(u - w) du, the integral on both half-planes: the Z-function
+        sum `gaussian_cauchy` above the real axis and, g being real, its
+        Schwarz reflection conj C_g(w̄) below."""
         w = np.asarray(w, dtype=complex)
-        out = np.zeros_like(w)
         lower = w.imag < 0
-        for amp, s, deg in self.comps:
-            zeta = w / (np.sqrt(2.0) * s)
-            CN = _plasma_z(zeta) / (np.sqrt(2.0) * s)
-            comp = amp * ((1.0 + w * CN) if deg else CN)
-            if np.any(lower):
-                gw = amp * np.exp(-0.5 * (w / s) ** 2) / (s * np.sqrt(2 * np.pi))
-                if deg:
-                    gw = gw * w
-                comp = np.where(lower, comp - 2j * np.pi * gw, comp)
-            out = out + comp
-        return out
+        C = gaussian_cauchy(np.where(lower, w.conj(), w),
+                            [(amp, 0.0, s, deg) for amp, s, deg in self.comps])
+        return np.where(lower, C.conj(), C)
 
     def _moment_vals(self, z, a_signed):
         return (-1j / a_signed) * self.cauchy(1j * z / a_signed)
@@ -448,10 +438,13 @@ def evolve_density(model, k, H0, t_max, dt=0.01, store_every=1):
 
 
 def _epsilon_contour_fn(model, k, contour, conjugate_mode=False) -> ContourFn:
+    """ε(k, -iz) on the contour; with `conjugate_mode` ε(-k, -iz), taken as
+    conj ε(k, -iz̄) (see module docstring)."""
     k = np.asarray(k, dtype=float)
     a = float(np.linalg.norm(k)) if k.ndim else abs(float(k))
     W = float(model.potential.fourier(np.asarray(a)))
-    vals = model.epsilon_laplace(k, contour.nodes, conjugate_mode=conjugate_mode)
+    conj = np.conj if conjugate_mode else np.asarray
+    vals = conj(model.epsilon_laplace(k, conj(contour.nodes)))
     kvec = k if k.ndim else np.array([0.0, 0.0, a])
     m0, m1, _ = model.direction_cache(kvec).moments
     sgn = -1.0 if conjugate_mode else 1.0
@@ -461,19 +454,10 @@ def _epsilon_contour_fn(model, k, contour, conjugate_mode=False) -> ContourFn:
 
 
 def _grid_cauchy_moment(grid, g_vals, contour, a_signed) -> ContourFn:
-    """m_g(z) by grid quadrature for a sampled profile (chunked)."""
+    """m_g(z) = (-i/a)·C_g(iz/a) for a sampled profile, C_g by `grid_cauchy`."""
     u = grid.points
-    z = contour.nodes
-    vals = np.empty(contour.n_nodes, dtype=complex)
-    m0 = np.trapezoid(g_vals, u)
-    m1 = np.trapezoid(u * g_vals, u)
-    m2 = np.trapezoid(u**2 * g_vals, u)
-    chunk = 2048
-    for i in range(0, len(z), chunk):
-        zz = z[i : i + chunk][:, None]
-        vals[i : i + chunk] = np.trapezoid(
-            g_vals[None, :] / (zz + 1j * a_signed * u[None, :]), u, axis=1
-        )
+    vals = (-1j / a_signed) * grid_cauchy(grid, g_vals, 1j * contour.nodes / a_signed)
+    m0, m1, m2 = (np.trapezoid(u**m * g_vals, u) for m in range(3))
     return ContourFn(contour, vals, (0.0, m0, -1j * a_signed * m1, -(a_signed**2) * m2))
 
 
@@ -554,18 +538,24 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
     return out + (drift,) if richardson_check else out
 
 
+def _far_root_u(model, k, a):
+    """u₀₊ of `dispersion_roots`, or 1/|k| when α = |k|² has no far root."""
+    try:
+        return model.dispersion_roots(k).u0_plus
+    except RootNotFoundError:
+        return 1.0 / a
+
+
 def landau_root(model, k, guess=None):
-    """Least-damped zero of the continued ε(k,-iz) (Landau/Langmuir root)."""
+    """Least-damped zero of the continued ε(k,-iz) (Landau/Langmuir root) by Newton's
+    method from `guess` (default -i|k|u₀₊ - 0.05|k|); RootNotFoundError when z turns
+    non-finite or 80 steps leave the last step above 1e-13·max(|z|, 1)."""
     if not model.distribution.has_continuation:
         raise InputError("root search needs an analytic continuation kind")
     k = np.asarray(k, dtype=float)
     a = float(np.linalg.norm(k))
     if guess is None:
-        try:
-            roots = model.dispersion_roots(k)
-            guess = -1j * a * roots.u0_plus - 0.05 * a
-        except Exception:
-            guess = -1j * a * (1.0 / a) - 0.05 * a
+        guess = -1j * a * _far_root_u(model, k, a) - 0.05 * a
     z = complex(guess)
     for _ in range(80):
         f = complex(model.epsilon_laplace(k, np.array([z]))[0])
@@ -576,9 +566,12 @@ def landau_root(model, k, guess=None):
         ) / (2 * h)
         step = f / fp
         z = z - step
-        if abs(step) < 1e-13 * max(abs(z), 1.0):
+        if not np.isfinite(z):
             break
-    return z
+        if abs(step) < 1e-13 * max(abs(z), 1.0):
+            return z
+    raise RootNotFoundError(f"Newton's search for a zero of ε from z = {complex(guess):.6g} "
+                            f"ended at {z:.6g} without converging")
 
 
 def vlasov_laplace_residue_split(model, k, H0, t, H0_analytic, shift_c=0.25,
@@ -600,19 +593,15 @@ def vlasov_laplace_residue_split(model, k, H0, t, H0_analytic, shift_c=0.25,
     H0 = np.asarray(H0, dtype=complex)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     roots = []
+    guess_u = _far_root_u(model, k, a)
     for sgn in (+1.0, -1.0):
-        try:
-            guess_u = model.dispersion_roots(k).u0_plus
-        except Exception:
-            guess_u = 1.0 / a
         z0 = landau_root(model, k, guess=-1j * a * sgn * guess_u - 0.05 * a)
         if -shift_c * a < z0.real <= 1e-12 and not any(abs(z0 - r) < 1e-8 for r in roots):
             roots.append(z0)
 
     def m_H0_at(z):
-        u = grid.points
         zf = np.ravel(np.asarray(z, dtype=complex))
-        vals = np.trapezoid(H0[None, :] / (zf[:, None] + 1j * a * u[None, :]), u, axis=1)
+        vals = (-1j / a) * grid_cauchy(grid, H0, 1j * zf / a)
         left = zf.real < 0
         if np.any(left):
             vals = np.where(left, vals + (2 * np.pi / a) * H0_analytic(1j * zf / a), vals)
@@ -804,7 +793,7 @@ class _WeakFormEvaluator:
             W = float(self.model.potential.fourier(np.asarray(a)))
             kv = np.array([0.0, 0.0, a])
             eps = _epsilon_contour_fn(self.model, kv, self.contour)
-            first = self.model.epsilon_laplace(kv, self.contour.nodes[:1], conjugate_mode=True)[0]
+            first = np.conj(self.model.epsilon_laplace(kv, np.conj(self.contour.nodes[:1]))[0])
             yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal()
 
     def _invert(self, fn: ContourFn):

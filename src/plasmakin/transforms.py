@@ -24,6 +24,7 @@ DEFAULT_U_MAX = 12.0
 DEFAULT_N = 1024
 DEFAULT_ENDPOINT_TOL = 1e-5
 TAPER_FRACTION = 0.9
+CAUCHY_BLOCK = 2**20  # (w, u) pairs per `grid_cauchy` block: 16 MB per complex temporary
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,22 @@ def plemelj_plus(profile: LineProfile, method: str = "fft") -> LineProfile:
     """P⁺[p] = P[p] + iπ p; equals conj(P⁻[p]) for real p."""
     pv = pv_transform(profile, method=method)
     return profile.copy_with(pv.values + 1j * np.pi * profile.values)
+
+
+def grid_cauchy(grid: UGrid, g, w):
+    """C_g(w) = ∫ g(u)/(u - w) du by the trapezoid rule on `grid`, for w off
+    the real axis (the integral on both half-planes, not a continuation).
+
+    The w are taken in blocks of CAUCHY_BLOCK // n, so the temporaries stay
+    a few (block × n) arrays however many w there are.
+    """
+    u = grid.points
+    flat = np.asarray(w, dtype=complex).ravel()
+    out = np.empty_like(flat)
+    rows = max(CAUCHY_BLOCK // grid.n, 1)
+    for i in range(0, flat.size, rows):
+        out[i : i + rows] = np.trapezoid(g / (u - flat[i : i + rows, None]), u, axis=-1)
+    return out.reshape(np.shape(w))
 
 
 def radon(distribution, chi, grid: UGrid) -> LineProfile:

@@ -328,6 +328,15 @@ class TestCommands:
         assert f"v.cfg:2:1: key {key!r}: expected three numbers" in res.output
         assert not out.exists()
 
+    def test_evolve_exponential_passes(self, runner, tmp_path):
+        """A kind without continuation: ε on the contours by grid quadrature."""
+        cfg = write_cfg(tmp_path / "e.cfg", "scenario = evolve\ndistribution = exponential\n"
+                                            "potential = gaussian\nt-max = 4\n")
+        res = runner.invoke(main, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        m = read_manifest(tmp_path / "o" / "manifest.json")
+        assert [(c["name"], c["passed"]) for c in m.checks] == [("cross_method_density", True)]
+
     def test_evolve_zero_amplitude_passes(self, runner, tmp_path):
         """ρ̂ ≡ 0: both methods give exactly zero and the check reads 0."""
         cfg = write_cfg(tmp_path / "e.cfg",

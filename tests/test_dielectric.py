@@ -770,6 +770,83 @@ class TestStrongStability:
         assert model.strong_stability_check()["status"] == "not checkable"
 
 
+def _dF_exponential(dist, u, lib=np):
+    """∂_uF of an `ExponentialFamily` profile at complex u; lib is numpy or mpmath."""
+    norm = 2 * lib.pi * dist._norm
+    if dist.gamma == 1:
+        m = lib.sqrt(1 + u * u)
+        return -norm * u * lib.exp(-m) * (1 + dist.modulation / (1 + m * m))
+    return -norm * u * lib.exp(-(1 + u * u)) * (1 + dist.modulation / (2 + u * u))
+
+
+class TestLaplaceSide:
+    """ε(k, -iz) off the real axis: the Z-function sum and the grid quadrature."""
+
+    @pytest.mark.parametrize("w", [4100 + 5.7j, 400 + 0.5j])
+    def test_cauchy_dF_far_from_the_axis(self, maxwellian, w):
+        """Where 1 + ζZ(ζ) cancels to O(ζ⁻²), against mpmath quadrature."""
+        def integrand(u):
+            return -u * mpmath.exp(-0.5 * u * u) / (mpmath.sqrt(2 * mpmath.pi) * (u - w))
+
+        with mpmath.workdps(30):
+            ref = complex(mpmath.quad(integrand, [-mpmath.inf, -2, 0, 2, mpmath.inf]))
+        got = complex(maxwellian.cauchy_dF(KZ, w))
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("gamma, modulation", [(2, 0.0), (1, 0.3)])
+    def test_grid_fallback_matches_quadrature(self, gamma, modulation, soft):
+        """A kind without continuation against mpmath quadrature of ∂_uF/(u - w).
+
+        The trapezoid sum of f = ∂_uF/(u - w) on the grid (spacing h, n
+        nodes, window ±u_max) errs by at most: its rounding, n·ε·h·Σ|f|; the
+        tails it leaves out, twice ∫ |f| beyond ±(u_max - h); and the error of
+        the infinite sum of an f analytic in the strip |Im u| < d,
+        2M/(e^{2πd/h} - 1) with M = ∫ |f| along Im u = ±d (Trefethen &
+        Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1).  d is half the distance
+        to the nearer of the pole w and ∂_uF's singularities (±i for γ = 1).
+        """
+        dist = ExponentialFamily(gamma=gamma, modulation=modulation)
+        model = DielectricModel(dist, soft)
+        a = 0.5
+        W = float(soft.fourier(np.asarray(a)))
+        u, h, n = model.grid.points, model.grid.spacing, model.grid.n
+        z = 0.25 + 1j * np.array([0.0, 3.0, -20.0])
+        got = model.epsilon_laplace(a * KZ, z)
+        for zj, ej in zip(z, got):
+            w = 1j * zj / a
+            d = 0.5 * min(w.imag, 1.0 if gamma == 1 else np.sqrt(2.0))
+            x = np.linspace(-80.0, 80.0, 160001)
+            M = max(np.trapezoid(np.abs(_dF_exponential(dist, x + 1j * b) / (x + 1j * b - w)), x)
+                    for b in (-d, d))
+
+            def f(t, lib=mpmath):
+                return _dF_exponential(dist, t, lib) / (t - w)
+
+            with mpmath.workdps(30):
+                ref = 1.0 - W * complex(mpmath.quad(f, [-mpmath.inf, -2, 0, 2, mpmath.inf]))
+                tail = 2.0 * float(sum(mpmath.quad(lambda t: abs(f(t)), ends) for ends in
+                                       ([-mpmath.inf, -model.grid.u_max + h],
+                                        [model.grid.u_max - h, mpmath.inf])))
+            rounding = n * np.finfo(float).eps * h * np.sum(np.abs(f(u, np)))
+            strip = 2.0 * M / np.expm1(2.0 * np.pi * d / h)
+            bound = W * (rounding + tail + strip) + 4.0 * np.finfo(float).eps * abs(ref)
+            assert abs(ej - ref) <= bound
+
+    def test_grid_fallback_memory(self, soft):
+        """One (nodes × u) complex array of an 8192-node contour would be 128 MiB."""
+        import tracemalloc
+
+        model = DielectricModel(ExponentialFamily(gamma=2), soft)
+        z = 0.5 + 1j * np.linspace(-200.0, 200.0, 8192)
+        tracemalloc.start()
+        try:
+            model.epsilon_laplace(0.5 * KZ, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+
 class TestScaling:
     def test_identity(self):
         s = debye_rescale(1.0, 1.0, 1.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plasmakin.dielectric import DielectricModel
 from plasmakin.distributions import BumpMixture, Maxwellian
 from plasmakin.equilibrium import HSolution
-from plasmakin.errors import InputError, StepSizeError, TruncationError
+from plasmakin.errors import InputError, RootNotFoundError, StepSizeError, TruncationError
 from plasmakin.kernel import TensorTable
 from plasmakin.potentials import gaussian_soft
 from plasmakin.transforms import _interp_complex
@@ -214,6 +214,13 @@ class TestLaplaceEval:
         val = model_ms.epsilon_laplace(KZ, np.array([z0]))[0]
         assert abs(val) < 1e-10
         assert z0.real < 0  # damped
+
+    @pytest.mark.parametrize("model, k", [("model_ms", 2.0), ("model_mc", 1.0), ("model_mc", 2.0)])
+    def test_landau_root_refuses_to_end_unconverged(self, model, k, request):
+        """No far root of α = |k|² here, and Newton's search from the fallback
+        guess does not converge: an error, not the last iterate (NaN)."""
+        with pytest.raises(RootNotFoundError):
+            landau_root(request.getfixturevalue(model), np.array([0.0, 0.0, k]))
 
 
 class TestDebyeCloud:
@@ -463,6 +470,7 @@ class TestSchwarzReflection:
         _, g = gaussian_weighted_profiles(two_temperature, 1.0)
         a, c = 0.02, self.CONTOUR
         _, reflected = g.cauchy_moments(c, a)
+        direct = g.cauchy_moment(c, -a)
         for j in (c.n_nodes // 2, c.n_nodes // 2 + 7):
             z = complex(c.nodes[j])
 
@@ -474,6 +482,32 @@ class TestSchwarzReflection:
             with mp.workdps(30):
                 ref = complex(mp.quad(integrand, [-mp.inf, -2, 0, 2, mp.inf]))
             assert abs(reflected.vals[j] - ref) <= 1e-11 * abs(ref)
+            if j == c.n_nodes // 2:
+                assert abs(direct.vals[j] - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("tau", [-82.0, -160.0])
+    def test_cauchy_moment_far_from_the_axis(self, tau, two_temperature):
+        """At a = 0.02 a node at τ is at |w| = |τ|/a: 1 + ζZ(ζ) of the degree-1
+        ψ-weighted profile cancels to O(ζ⁻²) there, so it is summed as its
+        asymptotic series."""
+        _, g = gaussian_weighted_profiles(two_temperature, 1.0)
+        a, c = 0.02, self.CONTOUR
+        j = int(np.argmin(np.abs(c.tau - tau)))
+        ref = _weighted_moment_reference(g, complex(c.nodes[j]), a)
+        assert abs(g.cauchy_moment(c, a).vals[j] - ref) <= 1e-13 * abs(ref)
+
+
+def _weighted_moment_reference(g, z, a):
+    """m_g(z) = ∫ g(u)/(z + i·a·u) du of a degree-1 `UProfile` by mpmath quadrature."""
+    import mpmath as mp
+
+    def integrand(u):
+        dens = sum(amp * u * mp.exp(-0.5 * (u / s) ** 2) / (s * mp.sqrt(2 * mp.pi))
+                   for amp, s, _ in g.comps)
+        return dens / (z + 1j * a * u)
+
+    with mp.workdps(30):
+        return complex(mp.quad(integrand, [-mp.inf, -2, 0, 2, mp.inf]))
 
 
 def _duhamel_pole_reference(phi, dt, au):
