@@ -60,6 +60,7 @@ _NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV f
 _LINE_POINTS = 20480  # stacked (v₁, v₂) points per ĥ pass of correlation_line (15 rows at n_θ 32)
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
 _IN_PLANE = 1e-14  # largest |e₂·v|/max(|v₁|, |v₂|) a g_B line counts as in-plane
+_XI_PAD = 4  # zero-padding factor of a line's s → ξ transform
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +125,15 @@ class HSlice:
 
 
 class HSolution:
-    """A⁻, Ĥ_B caches over a log κ-grid for one stable model."""
+    """A⁻, Ĥ_B caches over a log κ-grid for one stable model.
+
+    Construction binds the ẑ profiles, α and the far-root bound.  The per-κ
+    slices and the A⁻ table are solved on first read (`slices`, and the
+    table lookup of `h_hat_values`); the exact paths (`A_minus_exact`,
+    `h_hat_axial_exact`) never read them.
+    """
 
     def __init__(self, model: DielectricModel, k_min=3e-3, k_max=45.0, n_k=240):
-        self._bind(model)
-        self.k_grid = np.geomspace(k_min, k_max, n_k)
-        self.slices = [self._solve_slice(kk) for kk in self.k_grid]
-        # the A⁻ table on the (log κ, u) grid as flat real and imaginary planes
-        table = np.stack([s.A_minus for s in self.slices]).ravel()
-        self._A_planes = (table.real.copy(), table.imag.copy())
-        self._logk0 = float(np.log(self.k_grid[0]))
-        self._dlogk = float(np.log(self.k_grid[1]) - np.log(self.k_grid[0]))
-
-    # -- construction --------------------------------------------------------
-    def _bind(self, model):
-        """Per-model prologue: the ẑ profiles, α and the far-root bound; no κ table."""
         if not model.distribution.is_isotropic:
             raise InputError("the equilibrium chain uses the isotropic fast path")
         self.model = model
@@ -150,10 +145,29 @@ class HSolution:
         self._alpha = self._cache.alpha
         # κ above which α(u) = κ² has no far root (no Langmuir resonance)
         self._k_root_max = np.sqrt(max(float(np.max(self._alpha)), 0.0)) * 1.02 + 1e-9
+        self.k_grid = np.geomspace(k_min, k_max, n_k)
+        self._logk0 = float(np.log(self.k_grid[0]))
+        self._dlogk = float(np.log(self.k_grid[1]) - np.log(self.k_grid[0]))
 
+    @functools.cached_property
+    def slices(self) -> list[HSlice]:
+        """One solved slice per κ of `k_grid`."""
+        return [self._solve_slice(kk) for kk in self.k_grid]
+
+    @functools.cached_property
+    def _A_planes(self):
+        """The A⁻ table on the (log κ, u) grid as flat real and imaginary planes."""
+        table = np.stack([s.A_minus for s in self.slices]).ravel()
+        return table.real.copy(), table.imag.copy()
+
+    # -- construction --------------------------------------------------------
     def _eps_on_grid(self, kappa):
+        """ε = 1 - φ̂(κ) P⁻[∂_uF] on the grid, and φ̂(κ); |ε| below the floor is refused."""
         W = float(self.model.potential.fourier(np.asarray(kappa)))
-        return 1.0 - W * (self._alpha - 1j * np.pi * self._dF), W
+        eps = 1.0 - W * (self._alpha - 1j * np.pi * self._dF)
+        if np.min(np.abs(eps)) < EPSILON_FLOOR:
+            raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
+        return eps, W
 
     def _resonance_poles(self, kappa):
         """Lorentzian parameters (mass, u0, gamma, height A) per spike."""
@@ -179,8 +193,6 @@ class HSolution:
     def _solve_slice(self, kappa) -> HSlice:
         eps_u, W = self._eps_on_grid(kappa)
         abs2 = np.abs(eps_u) ** 2
-        if np.min(abs2) < EPSILON_FLOOR**2:
-            raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
         poles = self._resonance_poles(kappa)
         g_smooth, pole_cauchy = _subtract_poles(poles, self._u, self._F / abs2)
         prof = LineProfile(self.grid, g_smooth, endpoint_tol=1e-4)
@@ -361,8 +373,7 @@ def solve_H(model: DielectricModel, k, validate=True, tol=1e-5) -> HSlice:
     kappa = float(np.linalg.norm(k)) if k.ndim else float(abs(k))
     if kappa == 0.0:
         raise InputError("k = 0")
-    sol = HSolution.__new__(HSolution)
-    sol._bind(model)
+    sol = HSolution(model)
     sl = sol._solve_slice(kappa)
     sl.residual_l2 = h_equation_residual(sol, sl)
     if validate and sl.residual_l2 > tol:
@@ -473,7 +484,6 @@ def correlation_line(
     n_s=512,
     n_theta=None,
     r_nodes=(16, 16, 32),
-    pad_factor=4,
 ) -> CorrelationLine:
     """Compute Γ on a line along v̂_r and its half-line cumulative integral.
 
@@ -567,10 +577,10 @@ def correlation_line(
     G_b[lo:half] = -np.conj(G_b[2 * half - lo : half : -1])
 
     # s -> xi DFT on the conjugate grid: Γ(ξ_m) = (2π)^{-3/2} ds Σ_j G(s_j) e^{i s_j ξ_m}.
-    # Zero-padding refines the ξ sampling (sinc-exact since G_b is compactly
-    # supported) without extra plane-quadrature work.
+    # Zero-padding by `_XI_PAD` refines the ξ sampling (sinc-exact since G_b
+    # is compactly supported) without extra plane-quadrature work.
     ds = 2.0 * s_max / n_s
-    n_pad = pad_factor * n_s
+    n_pad = _XI_PAD * n_s
     G_pad = np.zeros(n_pad, dtype=complex)
     G_pad[(n_pad - n_s) // 2 : (n_pad + n_s) // 2] = G_b
     xi = (np.arange(n_pad) - n_pad // 2) * (2 * np.pi / (n_pad * ds))

@@ -77,15 +77,14 @@ def _auto_cutoff(model, requested):
     return float(k[idx[-1]] * 2.0) if idx.size else 10.0
 
 
-def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32, epsilon_sign=-1.0):
+def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32):
     """(A11, A22, A12) of ∫ k̂_i k̂_j r³ |φ̂|²/|ε|² dr dθ on the k ⊥ w plane.
 
-    e1 is aligned with v_⊥; u(θ) = |v_⊥| cosθ is the phase velocity of the
-    dielectric on the plane.  epsilon_sign=-1 matches ε(k, k·v) literally
-    through the def:eps frequency mapping; for isotropic models |ε| is even
-    in u and the sign is immaterial.  ε is taken at k ∥ ẑ, which stands for
-    every k on the plane only when the model is isotropic; anisotropic
-    models are refused.
+    e1 is aligned with v_⊥; u(θ) = -|v_⊥| cosθ is the phase velocity of the
+    dielectric on the plane, the sign matching ε(k, k·v) literally through
+    the def:eps frequency mapping (for isotropic models |ε| is even in u).
+    ε is taken at k ∥ ẑ, which stands for every k on the plane only when
+    the model is isotropic; anisotropic models are refused.
     """
     if not model.distribution.is_isotropic:
         raise InputError("the Balescu-Lenard tensor needs an isotropic distribution")
@@ -98,7 +97,7 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32, epsilon_sign
     wt = 2 * np.pi / n_theta
     W = model.potential.fourier(r)
     W2 = np.abs(W) ** 2
-    u = epsilon_sign * v_perp_mag * np.cos(theta)
+    u = -v_perp_mag * np.cos(theta)
     # ε = 1 - φ̂(r) P⁻[∂_uF](u): P⁻ does not depend on r
     P = model.plemelj_minus_dF(np.array([0.0, 0.0, 1.0]), u)
     eps2 = np.abs(1.0 - W[:, None] * P[None, :]) ** 2
@@ -110,7 +109,7 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32, epsilon_sign
     return A11, A22, A12
 
 
-def bl_tensor(model, w, v, K_max=None, n_r=64, n_theta=32, epsilon_sign=-1.0) -> DiffusionTensor:
+def bl_tensor(model, w, v, K_max=None, n_r=64, n_theta=32) -> DiffusionTensor:
     """Shielded diffusion tensor a(w, v) by direct plane quadrature."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -130,7 +129,7 @@ def bl_tensor(model, w, v, K_max=None, n_r=64, n_theta=32, epsilon_sign=-1.0) ->
     else:
         e1 = perpendicular_unit(what)
     e2 = np.cross(what, e1)
-    A11, A22, A12 = _plane_components(model, vp, K, n_r, n_theta, epsilon_sign)
+    A11, A22, A12 = _plane_components(model, vp, K, n_r, n_theta)
     mat = (
         A11 * np.outer(e1, e1)
         + A22 * np.outer(e2, e2)
@@ -389,7 +388,7 @@ def _pair_flux(v, f, glog, table):
     return row_flux - f * (col_sums[1:4] - G * col_sums[0] + col_sums[4:7] + X * col_sums[7])
 
 
-def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign=-1.0):
+def bl_rhs(model, field: VelocityGridField, K_max=None, table=None):
     """∂_t f = ∇·( Σ_{v'} a(v-v', v) f f' (∇ln f - ∇'ln f') Δv³ ).
 
     The v' = v cell is skipped (measure-zero after the δ collapse).
@@ -416,8 +415,7 @@ def bl_rhs(model, field: VelocityGridField, K_max=None, table=None, epsilon_sign
     h = field.spacing
     glog = [g.ravel() for g in np.gradient(np.log(f), h, edge_order=2)]
     if table is None:
-        table = TensorTable(model, reach,
-                            K_max=K_max, epsilon_sign=epsilon_sign)
+        table = TensorTable(model, reach, K_max=K_max)
     flux = field.cell_volume * _pair_flux(v, f.ravel(), glog, table)
     # central divergence with zero-flux ghost cells: the lattice sum
     # telescopes to the flux on the faces, so mass changes by that alone

@@ -548,8 +548,14 @@ def _far_root_u(model, k, a):
 
 def landau_root(model, k, guess=None):
     """Least-damped zero of the continued ε(k,-iz) (Landau/Langmuir root) by Newton's
-    method from `guess` (default -i|k|u₀₊ - 0.05|k|); RootNotFoundError when z turns
-    non-finite or 80 steps leave the last step above 1e-13·max(|z|, 1)."""
+    method from `guess` (default -i|k|u₀₊ - 0.05|k|).
+
+    The search stays in the disc |w| ≤ 2·max(|w₀|, u_max) of the phase velocity
+    w = iz/|k|, with w₀ the guess's and u_max the half-width of the model's grid;
+    for |w₀| ≤ u_max = 12 that disc keeps e^{-w²} finite.  RootNotFoundError when
+    z leaves the disc or 80 steps leave the last step above 1e-13·max(|z|, 1).
+    numpy's floating-point warnings stay inside the search.
+    """
     if not model.distribution.has_continuation:
         raise InputError("root search needs an analytic continuation kind")
     k = np.asarray(k, dtype=float)
@@ -557,21 +563,23 @@ def landau_root(model, k, guess=None):
     if guess is None:
         guess = -1j * a * _far_root_u(model, k, a) - 0.05 * a
     z = complex(guess)
-    for _ in range(80):
-        f = complex(model.epsilon_laplace(k, np.array([z]))[0])
-        h = 1e-7 * max(abs(z), 1.0)
-        fp = (
-            complex(model.epsilon_laplace(k, np.array([z + h]))[0])
-            - complex(model.epsilon_laplace(k, np.array([z - h]))[0])
-        ) / (2 * h)
-        step = f / fp
-        z = z - step
-        if not np.isfinite(z):
-            break
-        if abs(step) < 1e-13 * max(abs(z), 1.0):
-            return z
+    radius = 2.0 * max(abs(z), a * model.grid.u_max)  # the disc, in z
+    with np.errstate(all="ignore"):
+        for _ in range(80):
+            f = complex(model.epsilon_laplace(k, np.array([z]))[0])
+            h = 1e-7 * max(abs(z), 1.0)
+            fp = (
+                complex(model.epsilon_laplace(k, np.array([z + h]))[0])
+                - complex(model.epsilon_laplace(k, np.array([z - h]))[0])
+            ) / (2 * h)
+            step = f / fp
+            z = z - step
+            if not abs(z) <= radius:  # also a non-finite z
+                break
+            if abs(step) < 1e-13 * max(abs(z), 1.0):
+                return z
     raise RootNotFoundError(f"Newton's search for a zero of ε from z = {complex(guess):.6g} "
-                            f"ended at {z:.6g} without converging")
+                            f"ended at {z:.6g} without converging in the disc |z| ≤ {radius:.3g}")
 
 
 def vlasov_laplace_residue_split(model, k, H0, t, H0_analytic, shift_c=0.25,
@@ -665,20 +673,17 @@ def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
 
     result = {"sigma": float(sigma), "V0": [float(x) for x in V0], "r": r_values}
     if speed == 0.0:
-        prof = radial_inverse_transform(
+        # the profile and the induced-charge grid share one transform
+        rq = np.geomspace(0.02, 30.0, 800)
+        rho = radial_inverse_transform(
             lambda kk: np.real(rho_hat(kk, np.zeros_like(kk))),
-            r_values,
+            np.concatenate([np.ravel(r_values), rq]),
             k_min=1e-4,
             k_max=300.0,
             k_roll=200.0,
         )
-        result["rho"] = prof
+        result["rho"], pq = rho[: r_values.size], rho[r_values.size :]
         # induced charge by quadrature plus fitted exponential tail
-        rq = np.geomspace(0.02, 30.0, 800)
-        pq = radial_inverse_transform(
-            lambda kk: np.real(rho_hat(kk, np.zeros_like(kk))),
-            rq, k_min=1e-4, k_max=300.0, k_roll=200.0,
-        )
         q = np.trapezoid(4 * np.pi * rq**2 * pq, rq)
         tail_ratio = pq[-1] / pq[-40] if pq[-40] != 0 else 0.0
         lam = -np.log(abs(tail_ratio)) / (rq[-1] - rq[-40]) if tail_ratio else 1.0
@@ -692,16 +697,13 @@ def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
         result["rho"] = prof.real
         result["hermiticity_defect"] = float(np.max(np.abs(prof.imag)))
     if epsilon_floor_scan:
+        # |ε| = |1 - φ̂(κ) P⁻[∂_uF](u)| on the (κ, u) scan; the last column is u = 0
         ks = np.geomspace(0.02, 2.0, 120)
-        mus = np.linspace(-1.0, 1.0, 41)
-        floor = np.inf
-        for kk in ks:
-            vals = np.abs(model.epsilon(kk * kvec, mus * speed))
-            floor = min(floor, float(np.min(vals)))
-        ref = min(
-            float(np.min(np.abs(model.epsilon(kk * kvec, np.zeros(1)))))
-            for kk in ks
-        )
+        u = np.append(np.linspace(-1.0, 1.0, 41) * speed, 0.0)
+        W = model.potential.fourier(ks)
+        abs_eps = np.abs(1.0 - W[:, None] * model.plemelj_minus_dF(kvec, u))
+        floor = float(np.min(abs_eps[:, :-1]))
+        ref = float(np.min(abs_eps[:, -1]))
         result["epsilon_floor"] = floor
         result["epsilon_floor_at_rest"] = ref
         if floor < 1e-3:

@@ -188,57 +188,25 @@ def pv_quadrature(profile: LineProfile, at_indices=None) -> np.ndarray:
     return out
 
 
-def pv_quadrature_midpoint(profile: LineProfile, at_indices=None) -> np.ndarray:
-    """Midpoint PV rule with symmetric excision around the singularity.
-
-    Off-window samples are midpoints of width-h cells, so the uncovered gap
-    is (u_j - h/2, u_j + h/2) and the PV of the local linear part
-    contributes h·p'(u_j).  O(h²); kept as the cheap textbook scheme, the
-    subtracted-trapezoid oracle above is the default reference.
-    """
-    grid = profile.grid
-    u = grid.points
-    h = grid.spacing
-    p = profile.values.astype(complex)
-    dp = _deriv_5pt(p, h)
-    idx = np.arange(1, grid.n - 1) if at_indices is None else np.asarray(at_indices)
-    out = np.empty(idx.shape, dtype=complex)
-    for m, j in enumerate(idx):
-        diff = u - u[j]
-        keep = np.abs(diff) >= h - 1e-12 * h
-        out[m] = h * np.sum(p[keep] / diff[keep]) + h * dp[j]
-    return out
-
-
-def pv_transform(profile: LineProfile, method: str = "fft") -> LineProfile:
+def pv_transform(profile: LineProfile) -> LineProfile:
     """Principal-value Cauchy transform P[p](u) = PV ∫ p(u')/(u'-u) du'."""
     if not profile.decay_flag:
         raise PreconditionError(
             "profile endpoints above tolerance (aliasing risk); "
             "widen the grid or raise endpoint_tol deliberately"
         )
-    if method == "fft":
-        vals = _pv_fft(profile)
-    elif method == "quadrature":
-        vals = np.empty(profile.grid.n, dtype=complex)
-        inner = pv_quadrature(profile)
-        vals[1:-1] = inner
-        vals[0] = inner[0]
-        vals[-1] = inner[-1]
-    else:
-        raise InputError(f"unknown pv method {method!r}")
-    return profile.copy_with(vals)
+    return profile.copy_with(_pv_fft(profile))
 
 
-def plemelj_minus(profile: LineProfile, method: str = "fft") -> LineProfile:
+def plemelj_minus(profile: LineProfile) -> LineProfile:
     """P⁻[p] = P[p] - iπ p (boundary value from below)."""
-    pv = pv_transform(profile, method=method)
+    pv = pv_transform(profile)
     return profile.copy_with(pv.values - 1j * np.pi * profile.values)
 
 
-def plemelj_plus(profile: LineProfile, method: str = "fft") -> LineProfile:
+def plemelj_plus(profile: LineProfile) -> LineProfile:
     """P⁺[p] = P[p] + iπ p; equals conj(P⁻[p]) for real p."""
-    pv = pv_transform(profile, method=method)
+    pv = pv_transform(profile)
     return profile.copy_with(pv.values + 1j * np.pi * profile.values)
 
 
@@ -292,30 +260,17 @@ def radon_derivative(distribution, chi, grid: UGrid) -> LineProfile:
 _PANEL_RULE = np.polynomial.legendre.leggauss(8)  # Gauss-Legendre nodes and weights per panel
 
 
-def _panel_count(k_min, k_max, r_scale):
-    """Panels of width at most min(0.4, 2.5/|r|) on [k_min, k_max]."""
-    width = min(0.4, 2.5 / max(abs(r_scale), 1.0))
-    return max(4, int(np.ceil((k_max - k_min) / width)))
-
-
 def _panel_nodes(k_min, k_max, r_scale):
-    """Gauss-Legendre panels fine enough to resolve e^{i k r} oscillation."""
-    edges = np.linspace(k_min, k_max, _panel_count(k_min, k_max, r_scale) + 1)
+    """Gauss-Legendre panels of width at most min(0.4, 2.5/|r|) on [k_min, k_max],
+    fine enough to resolve e^{i k r} oscillation for every |r| ≤ r_scale."""
+    width = min(0.4, 2.5 / max(abs(r_scale), 1.0))
+    edges = np.linspace(k_min, k_max, max(4, int(np.ceil((k_max - k_min) / width))) + 1)
     x, w = _PANEL_RULE
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def _panel_sets(k_min, k_max, r_values):
-    """The panel nodes and weights of each distinct panel set, with the indices
-    of the r values that share it; one set at a time."""
-    counts = np.array([_panel_count(k_min, k_max, r) for r in r_values])
-    for n in dict.fromkeys(counts.tolist()):
-        idx = np.flatnonzero(counts == n)
-        yield (*_panel_nodes(k_min, k_max, r_values[idx[0]]), idx)
 
 
 def _smooth_cutoff(k, k_roll, k_max):
@@ -330,18 +285,16 @@ def _smooth_cutoff(k, k_roll, k_max):
 def radial_inverse_transform(fn, r_values, k_min=1e-4, k_max=60.0, k_roll=40.0):
     """ρ(r) = (2π)^{-3/2} (4π/r) ∫ fn(κ) κ sin(κr) dκ for radial fn(|k|).
 
-    `fn` is evaluated once per distinct panel set (every r ≤ 6.25 shares one).
+    One panel rule, the one that resolves max r, serves every r; `fn` is
+    evaluated once on it.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if np.any(r_values <= 0):
         raise InputError("radial transform defined for r > 0")
-    out = np.empty(r_values.shape)
-    for k, w, idx in _panel_sets(k_min, k_max, r_values):
-        wfk = w * (np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)) * k
-        for i in idx:
-            r = r_values[i]
-            out[i] = np.sum(wfk * np.sin(k * r)) * 4 * np.pi / ((2 * np.pi) ** 1.5 * r)
-    return out
+    k, w = _panel_nodes(k_min, k_max, np.max(r_values, initial=0.0))
+    wfk = w * (np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)) * k
+    out = np.array([np.sum(wfk * np.sin(k * r)) for r in r_values])
+    return out * 4 * np.pi / ((2 * np.pi) ** 1.5 * r_values)
 
 
 def axial_inverse_transform(
@@ -352,9 +305,10 @@ def axial_inverse_transform(
     G depends on |k| and μ = cosθ relative to the symmetry axis; the μ
     integral is done exactly per Legendre mode (∫P_n(μ)e^{izμ}dμ = 2iⁿj_n(z))
     and the κ integral by oscillation-resolving panels with a smooth
-    roll-off.  `fn(kappa, mu)` must broadcast; it is evaluated once per
-    distinct panel set.  Negative r is handled by parity.  Returns complex
-    values (imaginary part is a Hermiticity diagnostic).
+    roll-off.  One panel rule, the one that resolves max |r|, serves every
+    r; `fn(kappa, mu)` must broadcast and is evaluated once on it.  Negative
+    r is handled by parity, (-1)ⁿ on mode n.  Returns complex values
+    (imaginary part is a Hermiticity diagnostic).
     """
     from numpy.polynomial import legendre as npleg
     from scipy.special import spherical_jn
@@ -365,17 +319,13 @@ def axial_inverse_transform(
     orders = np.arange(n_leg)
     P = np.stack([npleg.legval(mu, [0.0] * n + [1.0]) for n in range(n_leg)])
     proj = (2 * orders + 1)[:, None] / 2.0 * (P * wmu[None, :])
-    i_pow = 1j ** orders
+    mode_weight = 2.0 * 1j ** orders  # 2iⁿ, times (-1)ⁿ for r < 0
+    parity = (-1.0) ** orders
+    k, w = _panel_nodes(k_min, k_max, np.max(np.abs(r_values), initial=0.0))
+    G = np.asarray(fn(k[:, None], mu[None, :]), dtype=complex)
+    wcn = w * _smooth_cutoff(k, k_roll, k_max) * k**2 * (proj @ G.T)  # (n_leg, n_k)
     out = np.empty(r_values.shape, dtype=complex)
-    for k, w, idx in _panel_sets(k_min, k_max, r_values):
-        G = np.asarray(fn(k[:, None], mu[None, :]), dtype=complex)
-        wcn = w * _smooth_cutoff(k, k_roll, k_max) * k**2 * (proj @ G.T)  # (n_leg, n_k)
-        for i in idx:
-            r = r_values[i]
-            modes = np.sum(wcn * spherical_jn(orders[:, None], k * abs(r)), axis=1)
-            acc = 0.0 + 0.0j
-            for n in range(n_leg):
-                parity = (-1.0) ** n if r < 0 else 1.0
-                acc += parity * i_pow[n] * 2.0 * modes[n]
-            out[i] = acc / np.sqrt(2.0 * np.pi)
-    return out
+    for i, r in enumerate(r_values):
+        modes = np.sum(wcn * spherical_jn(orders[:, None], k * abs(r)), axis=1)
+        out[i] = modes @ (mode_weight * parity if r < 0 else mode_weight)
+    return out / np.sqrt(2.0 * np.pi)

@@ -31,6 +31,7 @@ from plasmakin.equilibrium import (
 )
 from plasmakin.errors import InputError, SingularConfigurationError
 from plasmakin.potentials import zero_potential
+from plasmakin.propagator import GaussianTestFunction, PairPropagator, flux_limit
 from plasmakin.transforms import _panel_nodes, perpendicular_unit
 
 V1 = np.array([0.6, 0.0, 0.0])
@@ -619,3 +620,53 @@ class TestHHatKernel:
         got = sol.h_hat_values(kappa, u, 0.3, 0.7)
         ref = _h_hat_values_reference(sol, kappa, u, 0.3, 0.7)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# the A⁻ table is solved on first read
+# ---------------------------------------------------------------------------
+
+def _count_slice_solves(sol):
+    """Count `sol._solve_slice` calls from here on."""
+    calls = [0]
+    inner = sol._solve_slice
+
+    def counting(kappa):
+        calls[0] += 1
+        return inner(kappa)
+
+    sol._solve_slice = counting
+    return calls
+
+
+class TestLazyTable:
+    @pytest.mark.parametrize("reader", ["A_minus_exact", "h_hat_axial_exact", "g_B_pairing",
+                                        "flux_limit"])
+    def test_exact_paths_solve_no_slice(self, model_ms, reader):
+        """The exact paths never read the table; reading `slices` afterwards
+        solves it, bit for bit as a slice-by-slice build over `k_grid`."""
+        sol = HSolution(model_ms, k_max=10.0, n_k=40)
+        calls = _count_slice_solves(sol)
+        kappas, u = np.array([0.1, 1.0, 4.0]), np.linspace(-2.0, 2.0, 9)
+        if reader == "A_minus_exact":
+            sol.A_minus_exact(kappas, u)
+        elif reader == "h_hat_axial_exact":
+            sol.h_hat_axial_exact(kappas, u, 0.3, -0.2)
+        elif reader == "g_B_pairing":
+            PairPropagator(model_ms, t_max=35.0).g_B_pairing(GaussianTestFunction(1.5, 1.0, 1.0), sol)
+        else:
+            flux_limit(model_ms, 1.2, sol)
+        assert calls[0] == 0
+
+        slices = sol.slices
+        assert calls[0] == len(sol.k_grid)
+        eager = HSolution(model_ms, k_max=10.0, n_k=40)
+        eager = [eager._solve_slice(kk) for kk in eager.k_grid]
+        for got, ref in zip(slices, eager, strict=True):
+            assert got.kappa == ref.kappa and got.split == ref.split
+            assert np.array_equal(got.A_minus, ref.A_minus)
+            assert np.array_equal(got.H_B, ref.H_B)
+        table = np.stack([s.A_minus for s in eager]).ravel()
+        assert np.array_equal(sol._A_planes[0], table.real)
+        assert np.array_equal(sol._A_planes[1], table.imag)
+        assert calls[0] == len(sol.k_grid)

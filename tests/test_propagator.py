@@ -218,9 +218,12 @@ class TestLaplaceEval:
     @pytest.mark.parametrize("model, k", [("model_ms", 2.0), ("model_mc", 1.0), ("model_mc", 2.0)])
     def test_landau_root_refuses_to_end_unconverged(self, model, k, request):
         """No far root of α = |k|² here, and Newton's search from the fallback
-        guess does not converge: an error, not the last iterate (NaN)."""
-        with pytest.raises(RootNotFoundError):
-            landau_root(request.getfixturevalue(model), np.array([0.0, 0.0, k]))
+        guess runs away: an error once it leaves its disc, not the last iterate
+        (NaN), and no numpy warning from the overflowing iterates."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootNotFoundError):
+                landau_root(request.getfixturevalue(model), np.array([0.0, 0.0, k]))
 
 
 class TestDebyeCloud:

@@ -9,7 +9,6 @@ from plasmakin.errors import DomainError, InputError, PreconditionError
 from plasmakin.transforms import (
     LineProfile,
     UGrid,
-    _panel_count,
     _panel_nodes,
     _smooth_cutoff,
     axial_inverse_transform,
@@ -17,7 +16,6 @@ from plasmakin.transforms import (
     plemelj_minus,
     plemelj_plus,
     pv_quadrature,
-    pv_quadrature_midpoint,
     pv_transform,
     radial_inverse_transform,
     radon,
@@ -163,21 +161,6 @@ class TestPrincipalValue:
         rhs = a * pv_transform(p).values + pv_transform(q).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_midpoint_variant_at_least_second_order(self):
-        errs = []
-        for n in (512, 1024):
-            grid = UGrid(12.0, n)
-            u = grid.points
-            # off-center profile so symmetry cannot hide the leading error
-            p = LineProfile(grid, np.exp(-0.5 * (u - 1.7) ** 2))
-            exact_ref = pv_quadrature(p)  # spectral-accuracy reference
-            idx = np.arange(5, n - 5, 5)
-            errs.append(
-                np.max(np.abs(pv_quadrature_midpoint(p, idx) - exact_ref[idx - 1]))
-            )
-        order = np.log2(errs[0] / errs[1])
-        assert order > 1.8
-
     def test_decay_flag_precondition(self):
         p = LineProfile(GRID, 1.0 / (1.0 + U**2))  # fat tails on a narrow grid
         assert not p.decay_flag
@@ -231,39 +214,37 @@ class TestGridValidation:
 
 
 # ---------------------------------------------------------------------------
-# inverse transforms against their former per-r loops
+# inverse transforms against per-r loops on the one max|r| rule
 # ---------------------------------------------------------------------------
 
 def _radial_reference(fn, r_values, k_min=1e-4, k_max=60.0, k_roll=40.0):
-    """One panel set, one `fn` call and one sum per r."""
+    """The panel rule of max r, and one sum per r."""
+    k, w = _panel_nodes(k_min, k_max, max(r_values))
+    vals = np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)
     out = np.empty(len(r_values))
     for i, r in enumerate(r_values):
-        k, w = _panel_nodes(k_min, k_max, r)
-        vals = np.asarray(fn(k), dtype=float) * _smooth_cutoff(k, k_roll, k_max)
         out[i] = np.sum(w * vals * k * np.sin(k * r)) * 4 * np.pi / ((2 * np.pi) ** 1.5 * r)
     return out
 
 
 def _axial_reference(fn, r_values, k_min=3e-3, k_max=40.0, k_roll=28.0, n_mu=48, n_leg=32):
-    """One panel set, one `fn` call and one `spherical_jn` call per order per r."""
+    """The panel rule of max |r|, and one `spherical_jn` call per order per r."""
     from numpy.polynomial import legendre as npleg
     from scipy.special import spherical_jn
 
     mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     P = np.stack([npleg.legval(mu, [0.0] * n + [1.0]) for n in range(n_leg)])
     proj = (2 * np.arange(n_leg) + 1)[:, None] / 2.0 * (P * wmu[None, :])
-    i_pow = 1j ** np.arange(n_leg)
+    k, w = _panel_nodes(k_min, k_max, max(abs(r) for r in r_values))
+    cn = proj @ np.asarray(fn(k[:, None], mu[None, :]), dtype=complex).T
+    cut = _smooth_cutoff(k, k_roll, k_max)
     out = np.empty(len(r_values), dtype=complex)
     for i, r in enumerate(r_values):
-        k, w = _panel_nodes(k_min, k_max, r)
-        cn = proj @ np.asarray(fn(k[:, None], mu[None, :]), dtype=complex).T
-        cut = _smooth_cutoff(k, k_roll, k_max)
-        acc = 0.0 + 0.0j
-        for n in range(n_leg):
-            jn = spherical_jn(n, k * abs(r))
-            parity = (-1.0) ** n if r < 0 else 1.0
-            acc += parity * i_pow[n] * 2.0 * np.sum(w * cut * k**2 * cn[n] * jn)
-        out[i] = acc / np.sqrt(2.0 * np.pi)
+        modes = np.array([np.sum(w * cut * k**2 * cn[n] * spherical_jn(n, k * abs(r)))
+                          for n in range(n_leg)])
+        # mode n carries 2iⁿ, and (-1)ⁿ for r < 0
+        weight = np.array([2.0 * 1j**n * ((-1.0) ** n if r < 0 else 1.0) for n in range(n_leg)])
+        out[i] = modes @ weight / np.sqrt(2.0 * np.pi)
     return out
 
 
@@ -279,8 +260,7 @@ class _Counted:
         return self.fn(*args)
 
 
-# every r ≤ 6.25 shares one panel set; beyond, each r has its own, and the
-# values repeat and come out of order
+# the largest |r| sets the one panel rule; the values repeat and come out of order
 R_MIXED = np.array([0.3, 9.0, 2.0, 6.25, 7.0, 0.3, 12.5, 1.0, 7.0, 4.0, 30.0])
 
 
@@ -289,7 +269,7 @@ class TestInverseTransformsBitForBit:
         fn = _Counted(lambda k: (2 * np.pi) ** -1.5 / (1.0 + k**2) * np.cos(0.3 * k))
         got = radial_inverse_transform(fn, R_MIXED, k_max=300.0, k_roll=200.0)
         assert np.array_equal(got, _radial_reference(fn.fn, R_MIXED, k_max=300.0, k_roll=200.0))
-        assert fn.calls == len({_panel_count(1e-4, 300.0, r) for r in R_MIXED}) == 5
+        assert fn.calls == 1
 
     def test_radial_rejects_nonpositive_r(self):
         with pytest.raises(InputError):
@@ -303,4 +283,4 @@ class TestInverseTransformsBitForBit:
         r = np.concatenate([R_MIXED, -R_MIXED[:6], [0.0]])
         got = axial_inverse_transform(fn, r)
         assert np.array_equal(got, _axial_reference(G, r))
-        assert fn.calls == len({_panel_count(3e-3, 40.0, x) for x in r}) == 5
+        assert fn.calls == 1
