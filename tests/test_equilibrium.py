@@ -527,7 +527,7 @@ class TestAMinusExact:
     @pytest.mark.parametrize("name", CRITERION_5)
     def test_h_realspace_inputs(self, criterion_5_chains, name):
         sol, k_max = criterion_5_chains[name]
-        kappas, _ = _panel_nodes(float(sol.k_grid[0]), k_max, 21.5)
+        kappas, *_ = _panel_nodes(float(sol.k_grid[0]), k_max, 21.5)
         u_eval = 1.2 * np.polynomial.legendre.leggauss(48)[0]
         ref = _A_minus_exact_reference(sol, kappas, u_eval)
         assert _rel_to_row_max(sol.A_minus_exact(kappas, u_eval), ref) <= 1e-9
