@@ -306,15 +306,22 @@ def evolve(config_path, out):
             vlasov_laplace_eval,
         )
 
-        model = _model(scn)
         k = float(scn.get("k", 0.5))
         t_max = float(scn.get("t-max", 10.0))
         amp = float(scn.get("amplitude", 0.1))
         dt = float(scn.get("dt", 0.01))
         pair = scn.get("pair", False)
+        store_every = 20  # RK4 steps per row of evolve.csv
+        n_steps = round(t_max / dt)
+        if n_steps < store_every:
+            # dt > t-max takes no step; fewer than store_every steps store
+            # no row past t = 0, and the cross-method check would read one point
+            raise ConfigError(f"key 'dt': t-max/dt rounds to {n_steps} RK4 steps, fewer than "
+                              f"the {store_every} between rows of evolve.csv")
+        model = _model(scn)
         # size every Bromwich contour before the RK4 run, so that a t-max no
         # contour reaches fails at once
-        t_end = round(t_max / dt) * dt  # the RK4's last time
+        t_end = n_steps * dt  # the RK4's last time
         try:
             contour_nodes(causal_gamma(t_end), BromwichContour.height, t_end)
             pp = PairPropagator(model, t_max=max(t_max, 30.0) + 5.0) if pair else None
@@ -323,7 +330,7 @@ def evolve(config_path, out):
         u = model.grid.points
         H0 = amp * np.exp(-0.5 * u**2 / 1.5)
         kvec = np.array([0.0, 0.0, k])
-        ts, rhos, _ = evolve_density(model, kvec, H0, t_max, dt=dt, store_every=20)
+        ts, rhos, _ = evolve_density(model, kvec, H0, t_max, dt=dt, store_every=store_every)
         H0_profile = UProfile([(amp * np.sqrt(3.0 * np.pi), np.sqrt(1.5), 0)])
         _, rho_l, drift = vlasov_laplace_eval(model, kvec, H0_profile, ts,
                                               richardson_check=True)

@@ -4,11 +4,13 @@ Scenario files are flat `key = value` documents with `#` comments and an
 `extends = <relative path>` mechanism for sweep variants.  Unknown keys and
 values of the wrong type (non-finite, non-integer, non-positive, a
 `grid-n` that is not a power of two, a `lattice-n` below 3, a 3-vector
-key such as `drift` or `ray-x` without exactly three numbers, or a
-`test-sigmas` that is not three positive numbers) are rejected with
-line/column diagnostics.  CSV bodies are byte-stable: 17
-significant digits, scientific notation, LF endings, fixed column order,
-and `#`-prefixed metadata lines that never include wall-clock data.
+key such as `drift` or `ray-x` without exactly three numbers, a
+`test-sigmas` that is not three positive numbers, a `slope-window` that
+is not two increasing positive numbers, or a `k-max-list` entry that is
+not positive) are rejected with line/column diagnostics.  CSV bodies are
+byte-stable: 17 significant digits, scientific notation, LF endings,
+fixed column order, and `#`-prefixed metadata lines that never include
+wall-clock data.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ def _parse_value(key, raw, line_no, path):
         reject("three positive numbers")
     if key in _THREE_VECTOR_KEYS and len(nums) != 3:
         reject("three numbers (a 3-vector)")
+    if key == "slope-window" and (len(nums) != 2 or not 0 < nums[0] < nums[1]):
+        reject("two increasing positive numbers")
+    if key == "k-max-list" and min(nums) <= 0:
+        reject("positive numbers")
     if key in _VECTOR_KEYS:
         return nums
     if len(nums) != 1:

@@ -508,31 +508,29 @@ class DielectricModel:
         return out
 
     def strong_stability_check(self, k_values=(0.25, 0.5, 1.0, 2.0), c_max=0.4, floor=1e-3):
-        """Sample |ε(k, -i|k|z)| on Re z ≥ -c (Ass. onepart2 surrogate).
+        """Sample |ε(k, -i|k|ζ)| on Re ζ ≥ -c (Ass. onepart2 surrogate).
 
-        Only kinds with an entire continuation of F are checkable.
+        Only kinds with an entire continuation of F are checkable.  k lies
+        along ẑ, so every |k| shares χ = ẑ, and on the line Re ζ = -c the
+        point z = (-c + iy)|k| maps to w = iz/|k| = -y - ic whatever |k| is.
+        So C[∂_uF](w) is evaluated once per c, and ε = 1 - φ̂(|k|)·C for
+        each |k| reuses it.
         """
         if not self.distribution.has_continuation:
             return {"status": "not checkable", "reason": self.distribution.kind}
         cs = np.linspace(0.0, c_max, 9)
         ys = np.linspace(-30.0, 30.0, 601)
+        chi = self.direction_cache(_Z_HAT).chi
+        W = [self.potential.fourier(np.asarray(float(kk))) for kk in k_values]
         best_c = 0.0
         c0 = None
         for c in cs:
-            ok = True
-            m = np.inf
-            for kk in k_values:
-                z = (-c + 1j * ys) * kk  # z = -i|k| zeta with Re zeta = -c
-                vals = np.abs(self.epsilon_laplace(np.array([0, 0, kk]), z))
-                m = min(m, float(np.min(vals)))
-                if m < floor:
-                    ok = False
-                    break
-            if ok:
-                best_c = float(c)
-                c0 = m
-            else:
+            C = self.distribution.cauchy_dF(chi, 1j * (-c + 1j * ys))
+            m = min(float(np.min(np.abs(1.0 - Wk * C))) for Wk in W)
+            if m < floor:
                 break
+            best_c = float(c)
+            c0 = m
         return {"status": "checked", "c": best_c, "c0": c0}
 
 

@@ -57,7 +57,7 @@ from .transforms import (
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
 _KAPPA_BLOCK = 128  # κ rows per matrix product in A_minus_exact (bounds its memory)
 _NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV form
-_LINE_POINTS = 20480  # stacked (v₁, v₂) points per ĥ pass of correlation_line (15 rows at n_θ 32)
+_LINE_POINTS = 20480  # ĥ points per pass of a g_B fan, v₁ and one v₂ plane (15 rows at n_θ 32)
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
 _IN_PLANE = 1e-14  # largest |e₂·v|/max(|v₁|, |v₂|) a g_B line counts as in-plane
 _XI_PAD = 4  # zero-padding factor of a line's s → ξ transform
@@ -513,6 +513,8 @@ def correlation_line(
     filled from their partners.  Both mirrors need a θ grid closed under
     θ → θ + π, so n_theta (given or from the default rule) is rounded up
     to even.
+
+    The line is the one-member, one-|b| fan of `_correlation_fan`.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -526,13 +528,36 @@ def correlation_line(
         raise InputError("b must be orthogonal to v_r")
     bnorm = np.linalg.norm(b_vec)
     e1 = b_vec / bnorm if bnorm > 0 else perpendicular_unit(e)
-    e2 = np.cross(e, e1)
+    xi, gamma_line, g = _correlation_fan(sol, e, e1, v1, [v2], [bnorm], s_max=s_max, n_s=n_s,
+                                         n_theta=n_theta, r_nodes=r_nodes)
+    return CorrelationLine(xi=xi, g=g[0, 0], gamma_line=gamma_line[0, 0], b=b_vec, e=e,
+                           v_r=nr)
 
+
+def _correlation_fan(sol, e, e1, v1, v2s, bnorms, s_max=12.0, n_s=512, n_theta=None,
+                     r_nodes=(16, 16, 32)):
+    """`correlation_line` for every line of a fan: (ξ, Γ, g) with Γ and g of
+    shape (members, |b| values, ξ nodes).  The keywords are
+    `correlation_line`'s.
+
+    A fan is the set of lines that share v₁ and the frame (e, e₁, e₂): each
+    member v₂ has v₁ - v₂ along +e, and each line runs through b = |b| e₁.
+    κ, φ̂(κ), k·v₁ and the ĥ_B(κ, k·v₁/κ) plane depend on the frame alone, so
+    each chunk of (s, r, θ) rows evaluates them once; a member adds its own
+    ĥ_B(k·v₂/κ), Γ and plane sums.  |b| enters only through the phase
+    e^{iK₁|b|}, so each |b| is one column of quadrature weights over the Γ
+    shared by all |b|.  n_θ, when not given, is the default rule's at the
+    largest |b|; a smaller |b| then sums on a finer θ grid than its own
+    line would.  The fan takes the half circle when every member's line
+    would.
+    """
+    e2 = np.cross(e, e1)
+    n1 = np.linalg.norm(v1)
     if n_theta is None:
-        n_theta = max(32, int(1.4 * s_max * bnorm) + 16)
+        n_theta = max(32, int(1.4 * s_max * max(bnorms)) + 16)
     n_theta += n_theta % 2
-    v_max = max(np.linalg.norm(v1), np.linalg.norm(v2))
-    in_plane = all(abs(e2 @ v) <= _IN_PLANE * v_max for v in (v1, v2))
+    in_plane = all(max(abs(e2 @ v1), abs(e2 @ v2)) <= _IN_PLANE * max(n1, np.linalg.norm(v2))
+                   for v2 in v2s)
     n_col = n_theta // 2 + 1 if in_plane else n_theta
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)[:n_col]
     # the n_θ - n_col columns left out mirror columns 1 … n_θ - n_col
@@ -545,53 +570,63 @@ def correlation_line(
     lo = 2 * half - n_s + 1  # rows j < lo have no mirror row 2·half - j
     rows = np.r_[0:lo, half:n_s]
 
-    dist = sol.model.distribution
-    f1, f2 = (float(dist.density(v)) for v in (v1, v2))
-    # c in ∇f(v) = c v; any c serves where |v|² underflows, as k·v ≈ 0 there
-    c1, c2 = (float(dist.gradient(v) @ v / (v @ v)) if v @ v > 0.0 else 0.0
-              for v in (v1, v2))
-
     K1 = r[:, None] * np.cos(theta)[None, :]
     K2 = r[:, None] * np.sin(theta)[None, :]
-    # quadrature weights with the phase, per (r, θ) column
-    weight = ((wr * r)[:, None] * w_col[None, :] * np.exp(1j * K1 * bnorm)).ravel()
-    # k·v = s (e·v) + k_⊥·v for v = v₁, v₂, stacked on a leading axis
-    v_par = np.array([e @ v1, e @ v2])[:, None, None, None]
-    v_perp = np.stack([K1 * (e1 @ v) + K2 * (e2 @ v) for v in (v1, v2)])[:, None]
-    f12 = np.array([f1, f2])[:, None, None, None]
-    c12 = np.array([c1, c2])[:, None, None, None]
+    # quadrature weights with the phase, per (r, θ) column, one vector per |b|
+    weights = [((wr * r)[:, None] * w_col[None, :] * np.exp(1j * K1 * b)).ravel()
+               for b in bnorms]
 
-    G_b = np.empty(n_s, dtype=complex)
-    chunk = max(1, _LINE_POINTS // (2 * weight.size))
+    dist = sol.model.distribution
+
+    def velocity_terms(v):
+        """f(v), c in ∇f(v) = c v, and k·v = s (e·v) + k_⊥·v as (e·v, k_⊥·v)."""
+        # any c serves where |v|² underflows, as k·v ≈ 0 there
+        c = float(dist.gradient(v) @ v / (v @ v)) if v @ v > 0.0 else 0.0
+        return float(dist.density(v)), c, e @ v, K1 * (e1 @ v) + K2 * (e2 @ v)
+
+    f1, c1, par1, perp1 = velocity_terms(v1)
+    members = [velocity_terms(v2) for v2 in v2s]
+
+    G_b = np.empty((len(v2s), len(bnorms), n_s), dtype=complex)
+    # a pass holds the shared v₁ plane and one member's plane
+    chunk = max(1, _LINE_POINTS // (2 * K1.size))
     for i0 in range(0, len(rows), chunk):
         idx = rows[i0 : i0 + chunk]
         sb = s[idx][:, None, None]
         kappa = np.sqrt(sb**2 + r[None, :, None] ** 2)
         kappa = np.maximum(kappa, 1e-9)
         W = sol.model.potential.fourier(kappa)
-        k_dot = sb * v_par + v_perp
-        u = k_dot / kappa
-        h1, h2 = sol.h_hat_values(kappa, u, f12, c12 * u, W=W)
-        Gam = (np.conj(h2) + f2) * (W * (c1 * k_dot[0])) - (h1 + f1) * (W * (c2 * k_dot[1]))
-        G_b[idx] = Gam.reshape(len(idx), -1) @ weight
-    G_b[lo:half] = -np.conj(G_b[2 * half - lo : half : -1])
+        k_dot1 = sb * par1 + perp1
+        u1 = k_dot1 / kappa
+        fh1 = sol.h_hat_values(kappa, u1, f1, c1 * u1, W=W) + f1
+        wk1 = W * (c1 * k_dot1)
+        for m, (f2, c2, par2, perp2) in enumerate(members):
+            k_dot2 = sb * par2 + perp2
+            u2 = k_dot2 / kappa
+            h2 = sol.h_hat_values(kappa, u2, f2, c2 * u2, W=W)
+            Gam = ((np.conj(h2) + f2) * wk1 - fh1 * (W * (c2 * k_dot2))).reshape(len(idx), -1)
+            for j, weight in enumerate(weights):
+                G_b[m, j, idx] = Gam @ weight
+    G_b[..., lo:half] = -np.conj(G_b[..., 2 * half - lo : half : -1])
 
     # s -> xi DFT on the conjugate grid: Γ(ξ_m) = (2π)^{-3/2} ds Σ_j G(s_j) e^{i s_j ξ_m}.
     # Zero-padding by `_XI_PAD` refines the ξ sampling (sinc-exact since G_b
     # is compactly supported) without extra plane-quadrature work.
     ds = 2.0 * s_max / n_s
     n_pad = _XI_PAD * n_s
-    G_pad = np.zeros(n_pad, dtype=complex)
-    G_pad[(n_pad - n_s) // 2 : (n_pad + n_s) // 2] = G_b
+    G_pad = np.zeros(G_b.shape[:-1] + (n_pad,), dtype=complex)
+    G_pad[..., (n_pad - n_s) // 2 : (n_pad + n_s) // 2] = G_b
     xi = (np.arange(n_pad) - n_pad // 2) * (2 * np.pi / (n_pad * ds))
     gamma_line = (2 * np.pi) ** -1.5 * ds * n_pad * np.fft.fftshift(
-        np.fft.ifft(np.fft.ifftshift(G_pad))
+        np.fft.ifft(np.fft.ifftshift(G_pad, axes=-1)), axes=-1
     )
     cum = np.concatenate(
-        [[0.0], np.cumsum((gamma_line[1:] + gamma_line[:-1]) / 2.0)]
+        [np.zeros(G_b.shape[:-1] + (1,)),
+         np.cumsum((gamma_line[..., 1:] + gamma_line[..., :-1]) / 2.0, axis=-1)], axis=-1
     ) * (xi[1] - xi[0])
-    g_line = 1j / nr * cum
-    return CorrelationLine(xi=xi, g=g_line, gamma_line=gamma_line, b=b_vec, e=e, v_r=nr)
+    nr = np.linalg.norm(v1 - np.asarray(v2s, dtype=float), axis=1)
+    g = 1j / nr[:, None, None] * cum
+    return xi, gamma_line, g
 
 
 def g_B_eval(sol: HSolution, x, v1, v2, **line_kw) -> CorrelationSample:
@@ -699,7 +734,8 @@ def marginal_check(
 
     The v₂ integral is axisymmetric about the x ∥ v₁ axis and is done in
     polar coordinates centered at v₂ = v₁ (the 1/|v_r| singularity is
-    integrable; the Jacobian q²sinφ removes it).
+    integrable; the Jacobian q²sinφ removes it).  The samples of one φ node
+    form one fan (`_marginal_fan`).
     """
     v1 = np.array([0.0, 0.0, v1_magnitude])
     xq, wq = np.polynomial.legendre.leggauss(n_q)
@@ -711,15 +747,13 @@ def marginal_check(
 
     r_vals = np.asarray(x_magnitudes, dtype=float)
     h_ref = h_realspace(sol, v1, r_vals)
+    fans = [_marginal_fan(sol, v1, pj, q, r_vals, **line_kw) for pj in phi]
     rows = []
-    for r, h0 in zip(r_vals, h_ref):
-        x = np.array([0.0, 0.0, r])
+    for i, (r, h0) in enumerate(zip(r_vals, h_ref)):
         total = 0.0
-        for qi, wqi in zip(q, wq):
-            for pj, wpj in zip(phi, wp):
-                v2 = v1 + np.array([qi * np.sin(pj), 0.0, qi * np.cos(pj)])
-                s = g_B_eval(sol, x, v1, v2, **line_kw)
-                total += wqi * wpj * 2 * np.pi * qi**2 * np.sin(pj) * s.real
+        for iq, (qi, wqi) in enumerate(zip(q, wq)):
+            for pj, wpj, fan in zip(phi, wp, fans):
+                total += wqi * wpj * 2 * np.pi * qi**2 * np.sin(pj) * fan[i, iq]
         rows.append({"r": float(r), "marginal": total, "h_B": float(h0),
                      "rel_dev": abs(total - h0) / max(abs(h0), 1e-300)})
     return {
@@ -727,3 +761,19 @@ def marginal_check(
         "max_rel_dev": max(row["rel_dev"] for row in rows),
         "v1": [0.0, 0.0, float(v1_magnitude)],
     }
+
+
+def _marginal_fan(sol, v1, phi, q, r_vals, **line_kw):
+    """Re g_B(r ẑ, v₁, v₁ + q n̂) with n̂ = (sin φ, 0, cos φ), for every r and q,
+    as an array (r, q); line_kw are `correlation_line`'s keywords.
+
+    v̂_r = -n̂ for every q, and x = r ẑ has b = r sin φ (-cos φ, 0, sin φ) and
+    d = x·v̂_r = -r cos φ, so b̂ is common to every r: all the lines are one
+    fan of `_correlation_fan`.
+    """
+    n_hat = np.array([np.sin(phi), 0.0, np.cos(phi)])
+    v2s = [v1 + qi * n_hat for qi in q]
+    e1 = np.array([-np.cos(phi), 0.0, np.sin(phi)])
+    xi, _, g = _correlation_fan(sol, -n_hat, e1, v1, v2s, r_vals * np.sin(phi), **line_kw)
+    return np.array([[np.interp(-r * np.cos(phi), xi, g_m.real) for g_m in g[:, j]]
+                     for j, r in enumerate(r_vals)])

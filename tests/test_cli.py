@@ -328,6 +328,32 @@ class TestCommands:
         assert f"v.cfg:2:1: key {key!r}: expected three numbers" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("equilibrium", "slopes = true\nslope-window = 5\n",
+         "v.cfg:3:1: key 'slope-window': expected two increasing positive numbers"),
+        ("equilibrium", "slopes = true\nslope-window = 20 5\n",
+         "v.cfg:3:1: key 'slope-window': expected two increasing positive numbers"),
+        ("equilibrium", "slopes = true\nslope-window = -5 20\n",
+         "v.cfg:3:1: key 'slope-window': expected two increasing positive numbers"),
+        ("kernel", "k-max-list = -10 100\n", "v.cfg:2:1: key 'k-max-list': expected positive"),
+        ("kernel", "k-max-list = 100 0\n", "v.cfg:2:1: key 'k-max-list': expected positive"),
+        ("evolve", "potential = gaussian\ndt = 50\nt-max = 4\n", "key 'dt': t-max/dt rounds to 0"),
+        ("evolve", "potential = gaussian\ndt = 0.5\nt-max = 4\n", "key 'dt': t-max/dt rounds to 8"),
+    ], ids=["slope-window-one-number", "slope-window-reversed", "slope-window-negative",
+            "k-max-list-negative", "k-max-list-zero", "dt-past-t-max", "dt-under-one-row"])
+    def test_value_outside_key_domain_exit64_no_outputs(self, runner, tmp_path, kind, text,
+                                                        message):
+        """Values that used to end in a traceback (`slope-window` with one
+        number, `k-max-list` with a negative entry) or in an `evolve.csv` of
+        the single row t = 0 are configuration errors."""
+        cfg = write_cfg(tmp_path / "v.cfg", f"scenario = {kind}\n{text}")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64
+        assert message in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     def test_evolve_exponential_passes(self, runner, tmp_path):
         """A kind without continuation: ε on the contours by grid quadrature."""
         cfg = write_cfg(tmp_path / "e.cfg", "scenario = evolve\ndistribution = exponential\n"

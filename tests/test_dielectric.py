@@ -770,6 +770,54 @@ class TestStrongStability:
         assert model.strong_stability_check()["status"] == "not checkable"
 
 
+def _strong_stability_per_k(model, k_values=(0.25, 0.5, 1.0, 2.0), c_max=0.4, floor=1e-3):
+    """`strong_stability_check` as one `epsilon_laplace` line per (c, |k|),
+    and the number of c lines it reached."""
+    best_c, c0 = 0.0, None
+    ys = np.linspace(-30.0, 30.0, 601)
+    for n_c, c in enumerate(np.linspace(0.0, c_max, 9), start=1):
+        m = np.inf
+        for kk in k_values:
+            z = (-c + 1j * ys) * kk
+            m = min(m, float(np.min(np.abs(model.epsilon_laplace(np.array([0, 0, kk]), z)))))
+            if m < floor:
+                return {"status": "checked", "c": best_c, "c0": c0}, n_c
+        best_c, c0 = float(c), m
+    return {"status": "checked", "c": best_c, "c0": c0}, n_c
+
+
+class TestStrongStabilityStrip:
+    """One Cauchy line per c, shared by the four |k|."""
+
+    @pytest.mark.parametrize("dist, potential, floor, n_c", [
+        (Maxwellian(), CoulombPotential(), 1e-3, 9),
+        (BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]), CoulombPotential(),
+         1e-3, 9),
+        (Maxwellian(drift=(0.3, 0.0, 0.5), temperature=0.5), CoulombPotential(), 1e-3, 9),
+        # min |ε| falls through 0.3 at c = 0.25: the scan stops on its sixth line
+        (Maxwellian(drift=(0.3, 0.0, 0.5), temperature=0.5), gaussian_soft(), 0.3, 6),
+    ], ids=["maxwellian", "two-temperature", "drifted", "drifted-soft-early-exit"])
+    def test_matches_per_k_loop(self, dist, potential, floor, n_c):
+        model = DielectricModel(dist, potential)
+        calls = []
+        inner = dist.cauchy_dF
+
+        def counting(chi, w):
+            calls.append(np.shape(w))
+            return inner(chi, w)
+
+        dist.cauchy_dF = counting
+        try:
+            rep = model.strong_stability_check(floor=floor)
+        finally:
+            del dist.cauchy_dF
+        ref, ref_n_c = _strong_stability_per_k(model, floor=floor)
+        assert rep == ref
+        # one 601-point line per c reached, not one per (c, |k|)
+        assert ref_n_c == n_c
+        assert calls == [(601,)] * n_c
+
+
 def _dF_exponential(dist, u, lib=np):
     """∂_uF of an `ExponentialFamily` profile at complex u; lib is numpy or mpmath."""
     norm = 2 * lib.pi * dist._norm

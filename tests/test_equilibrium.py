@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.spatial.transform import Rotation
@@ -12,8 +12,10 @@ from scipy.spatial.transform import Rotation
 from plasmakin.dielectric import DielectricModel, alpha_tail
 from plasmakin.equilibrium import (
     _IN_PLANE,
+    _LINE_POINTS,
     _Z_HAT,
     HSolution,
+    _marginal_fan,
     _subtract_poles,
     correlation_line,
     fit_decay_slope,
@@ -443,12 +445,14 @@ class TestCorrelationLineMirror:
 
 @contextmanager
 def _h_hat_points(sol):
-    """Count the points `sol.h_hat_values` is asked for while the block runs."""
-    count = [0]
+    """Count the points `sol.h_hat_values` is asked for while the block runs
+    (count[0]) and the calls that ask for them (count[1])."""
+    count = [0, 0]
     inner = sol.h_hat_values
 
     def counting(kappa, u, *args, **kwargs):
         count[0] += np.broadcast(kappa, u).size
+        count[1] += 1
         return inner(kappa, u, *args, **kwargs)
 
     sol.h_hat_values = counting
@@ -521,6 +525,79 @@ class TestCorrelationLineHalfCircle:
         with _h_hat_points(hsol_ms) as count:
             correlation_line(hsol_ms, R @ np.array([0.0, 0.8, 0.0]), R @ V1, R @ V2, **line_kw)
         assert count[0] == _line_points(line_kw, 32 // 2 + 1)
+
+
+def _default_n_theta(s_max, bnorm):
+    """`correlation_line`'s θ rule at |b|, rounded up to even."""
+    n_theta = max(32, int(1.4 * s_max * bnorm) + 16)
+    return n_theta + n_theta % 2
+
+
+class TestMarginalFan:
+    """The lines of one φ node of `marginal_check` as one fan, against
+    per-line `g_B_eval`."""
+
+    @settings(max_examples=6, deadline=None)
+    @example(phi=1.2, qs=[0.5, 2.0, 5.0], rs=[1.0, 3.0, 5.0])  # criterion 4's |x|
+    @example(phi=3.0, qs=[1.0], rs=[4.0])  # samples far below their lines' |g|
+    @example(phi=2.75, qs=[1.0], rs=[4.5, 5.0])
+    @given(phi=st.floats(0.05, np.pi - 0.05),
+           qs=st.lists(st.floats(0.2, 6.0), min_size=1, max_size=3, unique=True),
+           rs=st.lists(st.floats(0.3, 5.0), min_size=1, max_size=3, unique=True))
+    def test_fan_matches_per_line(self, hsol_ms, line_kw, phi, qs, rs):
+        """Lines whose own θ rule gives the fan's n_θ agree to rounding; a
+        line the fan sums on a finer θ grid agrees to rounding with its own
+        line on that grid, and within the criterion-4 tolerance, 5 %, with
+        its own line on its default grid.
+
+        Each per-line value is `g_B_eval`'s, the line of
+        `impact_geometry`'s b read at d.  That b̂ and the fan's shared one
+        differ in the last bits, so rounding is measured, as in
+        `test_rotation_invariance`, against the largest |g| of the lines:
+        near φ = 0 or π a sample can sit a thousand times below it."""
+        v1 = np.array([0.0, 0.0, 0.5])
+        n_hat = np.array([np.sin(phi), 0.0, np.cos(phi)])
+        fan = _marginal_fan(hsol_ms, v1, phi, np.array(qs), np.array(rs), **line_kw)
+        n_fan = _default_n_theta(line_kw["s_max"], max(rs) * np.sin(phi))
+
+        def per_line(r, **kw):
+            """g_B_eval's value of each q's line at x = r ẑ, and the largest |g|
+            of those lines."""
+            x, values, g_max = np.array([0.0, 0.0, r]), [], 0.0
+            for q in qs:
+                v2 = v1 + q * n_hat
+                b, d, _ = impact_geometry(x, v1, v2)
+                line = correlation_line(hsol_ms, b, v1, v2, **kw, **line_kw)
+                values.append(line.at(d).real)
+                g_max = max(g_max, np.max(np.abs(line.g)))
+            return np.array(values), g_max
+
+        for r, got in zip(rs, fan):
+            own, g_max = per_line(r)
+            if _default_n_theta(line_kw["s_max"], r * np.sin(phi)) == n_fan:
+                assert np.max(np.abs(got - own)) <= 1e-12 * g_max
+            else:
+                fine, g_max = per_line(r, n_theta=n_fan)
+                assert np.max(np.abs(got - fine)) <= 1e-12 * g_max
+                assert np.max(np.abs(got - own)) <= 0.05 * np.max(np.abs(own))
+
+    @pytest.mark.parametrize("n_q", [1, 4])
+    def test_fan_point_count(self, hsol_ms, line_kw, n_q):
+        """A fan of m members asks `h_hat_values` for (m + 1) × rows × n_r ×
+        n_col points: per chunk of rows one call for the shared v₁ plane and
+        one per member.  The |x| values add no points."""
+        v1, phi, q = np.array([0.0, 0.0, 0.5]), 0.9, np.linspace(0.5, 3.0, n_q)
+        counts = []
+        for rs in ((1.0, 3.0, 5.0), (5.0,)):
+            with _h_hat_points(hsol_ms) as count:
+                _marginal_fan(hsol_ms, v1, phi, q, np.array(rs), **line_kw)
+            counts.append(count)
+        n_col = _default_n_theta(line_kw["s_max"], 5.0 * np.sin(phi)) // 2 + 1
+        rows = line_kw["n_s"] // 2 + 1
+        chunk = _LINE_POINTS // (2 * sum(line_kw["r_nodes"]) * n_col)
+        assert counts[0] == counts[1]
+        assert counts[0][0] == (n_q + 1) * _line_points(line_kw, n_col) // 2
+        assert counts[0][1] == (n_q + 1) * -(-rows // chunk)
 
 
 class TestAMinusExact:
