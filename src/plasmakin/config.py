@@ -6,11 +6,13 @@ values of the wrong type (non-finite, non-integer, non-positive, a
 `grid-n` that is not a power of two, a `lattice-n` below 3, a 3-vector
 key such as `drift` or `ray-x` without exactly three numbers, a
 `test-sigmas` that is not three positive numbers, a `slope-window` that
-is not two increasing positive numbers, or a `k-max-list` entry that is
-not positive) are rejected with line/column diagnostics.  CSV bodies are
-byte-stable: 17 significant digits, scientific notation, LF endings,
-fixed column order, and `#`-prefixed metadata lines that never include
-wall-clock data.
+is not two increasing positive numbers, a `k-max-list` entry that is
+not positive, a zero wavenumber `k`, `k-check` or `k-values` entry, or a
+zero `w`) are rejected with line/column diagnostics, and a distribution
+parameter its constructor refuses raises ConfigError naming its key.
+CSV bodies are byte-stable: 17 significant digits, scientific notation,
+LF endings, fixed column order, and `#`-prefixed metadata lines that
+never include wall-clock data.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import CompareError, ConfigError
+from .errors import CompareError, ConfigError, InputError
 
 _COMMON_KEYS = {
     "scenario",
@@ -64,6 +67,7 @@ _THREE_VECTOR_KEYS = {"drift", "v0", "ray-x", "ray-v1", "ray-v2", "w", "v"}
 _STRING_KEYS = {"scenario", "extends", "distribution", "potential"}
 _BOOL_KEYS = {"slopes", "pair"}
 _INT_KEYS = {"grid-n", "lattice-n", "r-count", "gamma"}
+_WAVENUMBER_KEYS = {"k", "k-check", "k-values"}  # ε is undefined at k = 0
 _POSITIVE_KEYS = {
     "temperature", "grid-u-max", "grid-n", "lattice-n", "r-count", "dt", "t-max",
     "half-width", "sigma", "potential-amplitude", "potential-width", "r-min", "r-max",
@@ -106,6 +110,10 @@ def _parse_value(key, raw, line_no, path):
         reject("two increasing positive numbers")
     if key == "k-max-list" and min(nums) <= 0:
         reject("positive numbers")
+    if key in _WAVENUMBER_KEYS and 0.0 in nums:
+        reject("nonzero number(s)")
+    if key == "w" and not any(nums):
+        reject("a nonzero 3-vector")
     if key in _VECTOR_KEYS:
         return nums
     if len(nums) != 1:
@@ -166,31 +174,39 @@ def load_scenario(path) -> Scenario:
 
 
 def build_distribution(scn: Scenario):
+    """The scenario's distribution; a parameter its constructor refuses
+    raises ConfigError naming the key, found by the word the constructor's
+    InputError uses for that parameter."""
     from .distributions import BumpMixture, ExponentialFamily, Maxwellian
 
     kind = scn.get("distribution", "maxwellian")
     if kind == "maxwellian":
-        return Maxwellian(
-            drift=scn.get("drift", [0.0, 0.0, 0.0]),
-            temperature=scn.get("temperature", 1.0),
-        )
-    if kind == "two-bump":
+        keys = {"temperature": "temperature"}
+        make = partial(Maxwellian, drift=scn.get("drift", [0.0, 0.0, 0.0]),
+                       temperature=scn.get("temperature", 1.0))
+    elif kind == "two-bump":
         sep = scn.get("bump-separation", 4.0)
         sig = scn.get("bump-sigma", 1.0)
-        return BumpMixture(
-            [(0.5, (0.0, 0.0, sep), sig), (0.5, (0.0, 0.0, -sep), sig)]
-        )
-    if kind == "two-temperature":
+        keys = {"sigma": "bump-sigma"}
+        make = partial(BumpMixture, [(0.5, (0.0, 0.0, sep), sig), (0.5, (0.0, 0.0, -sep), sig)])
+    elif kind == "two-temperature":
         w = scn.get("mixture-weights", [0.85, 0.15])
         s = scn.get("mixture-sigmas", [1.0, 1.3])
         if len(w) != len(s):
             raise ConfigError("mixture-weights and mixture-sigmas lengths differ")
-        return BumpMixture([(wi, (0.0, 0.0, 0.0), si) for wi, si in zip(w, s)])
-    if kind == "exponential":
-        return ExponentialFamily(
-            gamma=int(scn.get("gamma", 1)), modulation=scn.get("modulation", 0.0)
-        )
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+        keys = {"weight": "mixture-weights", "sigma": "mixture-sigmas"}
+        make = partial(BumpMixture, [(wi, (0.0, 0.0, 0.0), si) for wi, si in zip(w, s)])
+    elif kind == "exponential":
+        keys = {"gamma": "gamma", "modulation": "modulation"}
+        make = partial(ExponentialFamily, gamma=int(scn.get("gamma", 1)),
+                       modulation=scn.get("modulation", 0.0))
+    else:
+        raise ConfigError(f"unknown distribution kind {kind!r}")
+    try:
+        return make()
+    except InputError as exc:
+        named = [key for word, key in keys.items() if word in str(exc)] or list(keys.values())
+        raise ConfigError(f"key {' / '.join(map(repr, named))}: {exc}") from exc
 
 
 def build_potential(scn: Scenario):

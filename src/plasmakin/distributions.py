@@ -28,7 +28,7 @@ _MASS_T, _MASS_W = 2.5 * (_GL_X + 1.0), 2.5 * _GL_W
 _TAIL_BLOCK = 128  # rows per `_exp_tail_integral` block: 128 × 80 doubles stay under 128 KiB
 
 
-def gaussian_cauchy(w, comps):
+def gaussian_cauchy(w, comps, *more):
     """The entire continuation from Im w > 0 of C_g(w) = ∫ g(u)/(u - w) du,
     g = Σ amp·(u - mean)^deg·N(u; mean, s) over comps [(amp, mean, s, deg)].
 
@@ -37,26 +37,33 @@ def gaussian_cauchy(w, comps):
     |ζ| ≥ 30 and Im ζ ≥ 0 it is the series -Σ_{n=1}^{8} (2n-1)!!/(2ζ²)ⁿ, whose
     first omitted term is below 1e-18 of the sum.  Below the real axis the
     integral of a real g is conj C_g(w̄) (Schwarz reflection), not this.
+
+    Each further comps list in `more` gives one more sum at the same w, and
+    the result is then the list of sums: every distinct (mean, s) of all
+    the lists takes one `wofz` pass, so C_g and C_{g'} cost one.
     """
     flat = np.asarray(w, dtype=complex).ravel()
-    out = np.zeros_like(flat)
-    for amp, mean, s, deg in comps:
-        zeta = (flat - mean) / (np.sqrt(2.0) * s)
-        if deg:
-            comp = _one_plus_zeta_z(zeta)
-        else:
-            comp = 1j * np.sqrt(np.pi) * wofz(zeta) / (np.sqrt(2.0) * s)
-        out = out + amp * comp
-    return out.reshape(np.shape(w))
+    plasma_z = {}  # (mean, s) -> (ζ, Z(ζ))
+    sums = []
+    for comp_list in (comps, *more):
+        out = np.zeros_like(flat)
+        for amp, mean, s, deg in comp_list:
+            if (mean, s) not in plasma_z:
+                zeta = (flat - mean) / (np.sqrt(2.0) * s)
+                plasma_z[mean, s] = zeta, 1j * np.sqrt(np.pi) * wofz(zeta)
+            zeta, Z = plasma_z[mean, s]
+            comp = _one_plus_zeta_z(zeta, Z) if deg else Z / (np.sqrt(2.0) * s)
+            out = out + amp * comp
+        sums.append(out.reshape(np.shape(w)))
+    return sums if more else sums[0]
 
 
-def _one_plus_zeta_z(zeta):
-    """1 + ζZ(ζ) of `gaussian_cauchy`: the series where |ζ| ≥ 30, Im ζ ≥ 0, `wofz` elsewhere."""
+def _one_plus_zeta_z(zeta, Z):
+    """1 + ζZ(ζ) of `gaussian_cauchy`: the series where |ζ| ≥ 30, Im ζ ≥ 0."""
+    out = 1.0 + zeta * Z
     far = (np.abs(zeta) >= 30.0) & (zeta.imag >= 0)
     if not far.any():
-        return 1.0 + zeta * (1j * np.sqrt(np.pi) * wofz(zeta))
-    out = np.empty_like(zeta)
-    out[~far] = _one_plus_zeta_z(zeta[~far])
+        return out
     q = 0.5 / zeta[far] / zeta[far]
     series = 15.0 * q + 1.0
     for m in range(13, 1, -2):  # Horner: q(1 + 3q(1 + 5q(… (1 + 15q))))
@@ -243,8 +250,10 @@ class BumpMixture(_GaussianMixtureBase):
         comps = []
         total = 0.0
         for weight, center, sigma in components:
-            if weight <= 0 or sigma <= 0:
-                raise InputError("component weights and sigmas must be positive")
+            if weight <= 0:
+                raise InputError("component weights must be positive")
+            if sigma <= 0:
+                raise InputError("component sigmas must be positive")
             comps.append((float(weight), np.asarray(center, dtype=float), float(sigma)))
             total += weight
         if abs(total - 1.0) > 1e-12:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .transforms import (
     LineProfile,
     UGrid,
     _interp_complex,
+    _next_pow2,
     axial_inverse_transform,
     grid_cauchy,
     pv_transform,
@@ -63,6 +65,11 @@ from .transforms import (
 # ---------------------------------------------------------------------------
 # contour machinery
 # ---------------------------------------------------------------------------
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,8 @@ class BromwichContour:
     about |a₃|·`alias_bound`(t_max) ≈ |a₃|(t_max + T)²/2 · e^{−γT}.  That
     polynomial factor is why measured errors run 100–400× the bare
     e^{−γ(T − t_max)}.  `contour_nodes` sizes n from it; times may be read
-    up to `reach`, 90 % of the grid.
+    up to `reach`, 90 % of the grid.  The node and time arrays are computed
+    on first read and kept, read-only.
     """
 
     gamma: float = 0.5
@@ -98,21 +106,32 @@ class BromwichContour:
     def dtau(self) -> float:
         return 2.0 * self.height / self.n_nodes
 
-    @property
+    @cached_property
     def tau(self) -> np.ndarray:
-        return (np.arange(self.n_nodes) - self.n_nodes // 2) * self.dtau
+        return _read_only((np.arange(self.n_nodes) - self.n_nodes // 2) * self.dtau)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.gamma + 1j * self.tau
+        return _read_only(self.gamma + 1j * self.tau)
+
+    @cached_property
+    def node_powers(self) -> tuple:
+        """(z², z³) at the nodes, the denominators `ContourFn.invert` subtracts."""
+        z = self.nodes
+        return _read_only(z**2), _read_only(z**3)
 
     @property
     def dt(self) -> float:
         return 2.0 * np.pi / (self.n_nodes * self.dtau)
 
-    @property
+    @cached_property
     def t_grid(self) -> np.ndarray:
-        return np.arange(self.n_nodes) * self.dt
+        return _read_only(np.arange(self.n_nodes) * self.dt)
+
+    @cached_property
+    def time_scale(self) -> np.ndarray:
+        """dτ/2π · e^{γt} on `t_grid`: the factor that turns the FFT sum into L⁻¹."""
+        return _read_only((self.dtau / (2 * np.pi)) * np.exp(self.gamma * self.t_grid))
 
     @property
     def reach(self) -> float:
@@ -219,12 +238,12 @@ class ContourFn:
         if self.a[0] != 0.0:
             raise InputError("a0 ≠ 0: distributional δ(t) part; subtract it first")
         c = self.contour
-        z = c.nodes
-        rem = self.vals - self.a[1] / z - self.a[2] / z**2 - self.a[3] / z**3
+        z2, z3 = c.node_powers
+        rem = self.vals - self.a[1] / c.nodes - self.a[2] / z2 - self.a[3] / z3
         # ρ(t_m) = (e^{γt}/2π) dτ Σ_j rem(γ+iτ_j) e^{iτ_j t_m}
         spec = np.fft.ifft(np.fft.ifftshift(rem)) * c.n_nodes
         t = c.t_grid
-        vals = (c.dtau / (2 * np.pi)) * np.exp(c.gamma * t) * spec
+        vals = c.time_scale * spec
         vals = vals + self.a[1] + self.a[2] * t + 0.5 * self.a[3] * t**2
         return TimeSeries(t=t, values=vals)
 
@@ -256,16 +275,6 @@ def _phase(au, t):
     """e^{i·au·t} with shape au.shape + t.shape."""
     arg = 1j * np.asarray(au, dtype=float)[..., None] * t
     return np.exp(arg, out=arg)
-
-
-def _duhamel_pole(phi, dt, phase):
-    """y(t) = ∫₀^t e^{-i·au·(t-s)} φ(s) ds on a uniform grid, phase = `_phase`(au, t).
-
-    y = e^{-i·au·t}·∫₀^t e^{i·au·s} φ(s) ds with the integral by the
-    cumulative trapezoid rule: algebraically the step recursion
-    y_{m+1} = E·y_m + dt/2·(E·φ_m + φ_{m+1}), E = e^{-i·au·dt}.
-    """
-    return np.conj(phase) * _cumtrapz(phase * phi, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +311,42 @@ class UProfile:
             out = out + amp * ((-1j * s**2 * y) * env if deg else env)
         return out
 
+    def _gaussian_comps(self):
+        return [(amp, 0.0, s, deg) for amp, s, deg in self.comps]
+
     def cauchy(self, w):
         """∫ g(u)/(u - w) du, the integral on both half-planes: the Z-function
         sum `gaussian_cauchy` above the real axis and, g being real, its
         Schwarz reflection conj C_g(w̄) below."""
         w = np.asarray(w, dtype=complex)
         lower = w.imag < 0
-        C = gaussian_cauchy(np.where(lower, w.conj(), w),
-                            [(amp, 0.0, s, deg) for amp, s, deg in self.comps])
+        C = gaussian_cauchy(np.where(lower, w.conj(), w), self._gaussian_comps())
         return np.where(lower, C.conj(), C)
+
+    def cauchy_with_derivative(self, w):
+        """(C_g(w), C_{g'}(w)) for Im w > 0 and a degree-0 profile.
+
+        g' = Σ -(amp/s²)·u·N(u;s) reads the Z function at the same ζ as g,
+        so one `gaussian_cauchy` pass gives both.
+        """
+        comps = self._gaussian_comps()
+        return gaussian_cauchy(w, comps, [(-amp / s**2, 0.0, s, 1) for amp, _, s, _ in comps])
 
     def _moment_vals(self, z, a_signed):
         return (-1j / a_signed) * self.cauchy(1j * z / a_signed)
 
-    def cauchy_moment(self, contour: BromwichContour, a_signed: float) -> ContourFn:
-        """m_g(z) = ∫ g(u)/(z + i·a·u) du = (-i/a)·C_g(iz/a) as a ContourFn."""
-        vals = self._moment_vals(contour.nodes, a_signed)
+    def cauchy_moment(self, contour: BromwichContour, a_signed: float, vals=None) -> ContourFn:
+        """m_g(z) = ∫ g(u)/(z + i·a·u) du = (-i/a)·C_g(iz/a) as a ContourFn,
+        from its node values `vals` when they are already known."""
+        if vals is None:
+            vals = self._moment_vals(contour.nodes, a_signed)
         m0, m1, m2 = self.moments()
         return ContourFn(contour, vals, (0.0, m0, -1j * a_signed * m1, -(a_signed**2) * m2))
 
-    def cauchy_moments(self, contour: BromwichContour, a: float):
-        """(m_g at +a, m_g at -a), the second reflected from the first."""
-        m = self.cauchy_moment(contour, a)
+    def cauchy_moments(self, contour: BromwichContour, a: float, vals=None):
+        """(m_g at +a, m_g at -a), the second reflected from the first;
+        `vals` as in `cauchy_moment`."""
+        m = self.cauchy_moment(contour, a, vals)
         return m, m.reflected(self._moment_vals(contour.nodes[:1], -a)[0])
 
 
@@ -424,27 +447,58 @@ def vlasov_step(model: DielectricModel, state: ModeState, dt: float) -> ModeStat
 
 
 def evolve_density(model, k, H0, t_max, dt=0.01, store_every=1):
-    """Time-domain ρ̂(t) series via repeated vlasov_step."""
+    """Time-domain ρ̂(t) series: round(t_max/dt) RK4 steps, ρ̂ stored every `store_every`.
+
+    The loop is `vlasov_step`'s with its invariants hoisted: φ̂(|k|), ∂_uF
+    and i|k|φ̂∂_uF are computed once, and each step's end phase
+    e^{i|k|u(t₀+dt)} and its conjugate serve as the next step's start
+    phase, the same floats `vlasov_step` computes from t₀.  So the times,
+    ρ̂ and the final state equal those of a loop of `vlasov_step` bit for
+    bit.  Returns (ts, ρ̂, final `ModeState`).
+    """
+    _require_soft(model)
+    k = np.asarray(k, dtype=float)
+    a = float(np.linalg.norm(k))
     grid = model.grid
-    state = ModeState(k=np.asarray(k, dtype=float), grid=grid, H=np.asarray(H0, dtype=complex))
-    ts, rhos = [0.0], [state.rho]
-    n = int(round(t_max / dt))
-    for i in range(n):
-        state = vlasov_step(model, state, dt)
+    u, du = grid.points, grid.spacing
+    if dt * a * grid.u_max > 1.0:
+        raise StepSizeError(f"dt·|k|·u_max = {dt * a * grid.u_max:.3f} > 1")
+    W = float(model.potential.fourier(np.asarray(a)))
+    coupling, iau = 1j * a * W * np.asarray(model.dF(k, u)), 1j * a * u
+    H, t = np.asarray(H0, dtype=complex), 0.0
+    e0 = np.exp(iau * t)
+    ce0 = np.conj(e0)
+    ts, rhos = [t], [complex(np.trapezoid(H, dx=du))]
+
+    def rate(g, e, ce):
+        return coupling * e * np.trapezoid(ce * g, dx=du)
+
+    for i in range(int(round(t_max / dt))):
+        e_half, e1 = np.exp(iau * (t + 0.5 * dt)), np.exp(iau * (t + dt))
+        ce_half, ce1 = np.conj(e_half), np.conj(e1)
+        g0 = e0 * H
+        k1 = rate(g0, e0, ce0)
+        k2 = rate(g0 + 0.5 * dt * k1, e_half, ce_half)
+        k3 = rate(g0 + 0.5 * dt * k2, e_half, ce_half)
+        k4 = rate(g0 + dt * k3, e1, ce1)
+        H = ce1 * (g0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        t, e0, ce0 = t + dt, e1, ce1
         if (i + 1) % store_every == 0:
-            ts.append(state.time)
-            rhos.append(state.rho)
-    return np.array(ts), np.array(rhos), state
+            ts.append(t)
+            rhos.append(complex(np.trapezoid(H, dx=du)))
+    return np.array(ts), np.array(rhos), ModeState(k=k, grid=grid, H=H, time=t)
 
 
-def _epsilon_contour_fn(model, k, contour, conjugate_mode=False) -> ContourFn:
+def _epsilon_contour_fn(model, k, contour, conjugate_mode=False, vals=None) -> ContourFn:
     """ε(k, -iz) on the contour; with `conjugate_mode` ε(-k, -iz), taken as
-    conj ε(k, -iz̄) (see module docstring)."""
+    conj ε(k, -iz̄) (see module docstring).  `vals` are the node values of
+    ε(k, -iz) when they are already known."""
     k = np.asarray(k, dtype=float)
     a = float(np.linalg.norm(k)) if k.ndim else abs(float(k))
     W = float(model.potential.fourier(np.asarray(a)))
-    conj = np.conj if conjugate_mode else np.asarray
-    vals = conj(model.epsilon_laplace(k, conj(contour.nodes)))
+    if vals is None:
+        conj = np.conj if conjugate_mode else np.asarray
+        vals = conj(model.epsilon_laplace(k, conj(contour.nodes)))
     kvec = k if k.ndim else np.array([0.0, 0.0, a])
     m0, m1, _ = model.direction_cache(kvec).moments
     sgn = -1.0 if conjugate_mode else 1.0
@@ -785,18 +839,24 @@ class _WeakFormEvaluator:
         self._t = self.contour.t_grid[: self._n_t]
 
     def _kappa_nodes(self):
-        """Yield (a, weight, W = φ̂(a), 1/ε, 1/ε̃) for each κ node in turn.
+        """Yield (a, weight, W = φ̂(a), 1/ε, 1/ε̃, m_F, m̃_F) for each κ node in turn.
 
-        ε̃ = ε(-k, ·) is ε reflected (see module docstring): only its node 0
-        is evaluated.
+        ε̃ = ε(-k, ·) and m̃_F = m_F at -a are ε and m_F reflected (see module
+        docstring): only their node 0 is evaluated.  ε = 1 - W·C[∂_uF](w) and
+        m_F = (-i/a)·C_F(w), w = iz/a, read the Z function at the same ζ, so
+        one `cauchy_with_derivative` pass gives both, bit for bit the values
+        of `epsilon_laplace` and `UProfile.cauchy_moments`.
         """
+        z = self.contour.nodes
         for kap, kw in zip(self.k_q, self.k_w):
             a = float(kap)
             W = float(self.model.potential.fourier(np.asarray(a)))
             kv = np.array([0.0, 0.0, a])
-            eps = _epsilon_contour_fn(self.model, kv, self.contour)
-            first = np.conj(self.model.epsilon_laplace(kv, np.conj(self.contour.nodes[:1]))[0])
-            yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal()
+            C_F, C_dF = self._F.cauchy_with_derivative(1j * z / a)
+            eps = _epsilon_contour_fn(self.model, kv, self.contour, vals=1.0 - W * C_dF)
+            first = np.conj(self.model.epsilon_laplace(kv, np.conj(z[:1]))[0])
+            m_F, mt_F = self._F.cauchy_moments(self.contour, a, (-1j / a) * C_F)
+            yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal(), m_F, mt_F
 
     def _invert(self, fn: ContourFn):
         return fn.invert().values[: self._n_t]
@@ -837,8 +897,7 @@ class PairPropagator(_WeakFormEvaluator):
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         # the κ sum of the equal-time integrands, integrated over time once
         integrand = np.zeros(self._n_t, dtype=complex)
-        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
-            m_F, mt_F = self._F.cauchy_moments(self.contour, a)
+        for a, kw, W, inv_eps, inv_eps_m, m_F, mt_F in self._kappa_nodes():
             m_G11, mt_G12 = self._test_moments(G1_1, G1_2, a)
             P1 = self._invert(m_G11 * m_F * inv_eps)
             P2 = self._invert(mt_G12 * inv_eps_m)
@@ -858,7 +917,7 @@ class PairPropagator(_WeakFormEvaluator):
         _, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
         _, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         total = np.zeros(self._n_t, dtype=complex)
-        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
+        for a, kw, W, inv_eps, inv_eps_m, _, _ in self._kappa_nodes():
             m_G11, mt_G12 = self._test_moments(G1_1, G1_2, a)
             moments = self._radon_moments(g0, a)
             per_k = np.zeros(self._n_t, dtype=complex)
@@ -932,8 +991,12 @@ class FluxEvaluator(_WeakFormEvaluator):
     """J[ψ](t, v₁) for the Ψ marginal and the Λ marginal, plus the BL limit.
 
     The angular-reduced flux scalars take an array of speeds |v₁|; all
-    speeds share each κ node's inversions.  Without `n_nodes` the contour
-    is sized by `contour_nodes` from its aliasing bound (see
+    speeds share each κ node's inversions.  The μ sum of the angular
+    reduction is taken inside the Duhamel integrals: per speed and κ node
+    it leaves two kernels of one time variable, K₁ and K₂ (`_kernels`),
+    and each Duhamel term is one causal convolution with K₂ (`_duhamel`),
+    so no (speed, μ, t) array is built.  Without `n_nodes` the contour is
+    sized by `contour_nodes` from its aliasing bound (see
     `BromwichContour`): 16384 nodes at t_max 35, where `flux_J` and
     `flux_lambda` stay within 3.9e-11 of the 65536-node values' maximum.
     """
@@ -942,6 +1005,12 @@ class FluxEvaluator(_WeakFormEvaluator):
                  n_mu=24, height=160.0, n_nodes=None):
         super().__init__(model, t_max, k_nodes, k_range, height, n_nodes)
         self.mu, self.wmu = np.polynomial.legendre.leggauss(n_mu)
+        # the nodes are antisymmetric, μ_{n-1-j} = -μ_j, so the kernels sum the μ > 0 half twice
+        half = self.mu > 0
+        self._mu_half = self.mu[half]
+        self._w1 = 2.0 * self.wmu[half] * self.mu[half]
+        self._w2 = self._w1 * self.mu[half]
+        self._n_fft = _next_pow2(2 * self._n_t - 1)  # a causal convolution without wrap-around
 
     def _speeds(self, v_mag):
         """Speeds as an array, with f and ∂_r f at each."""
@@ -950,15 +1019,33 @@ class FluxEvaluator(_WeakFormEvaluator):
         f_v, g_r = np.array([_radial_log_derivative(dist, v) for v in speeds]).T
         return speeds, f_v, g_r
 
-    def _angular_setup(self, a, W, speeds, g_r):
-        """e^{i·a·u₁·t} on (speed, μ, t) and Q(k, v₁) on (speed, μ, 1), u₁ = |v₁|μ."""
-        u1 = speeds[:, None] * self.mu
-        Q1 = a * W * (u1 / speeds[:, None]) * g_r[:, None]
-        return _phase(a * u1, self._t), Q1[..., None]
+    def _kernels(self, a, v):
+        """K₁ = Σ_μ w_μ μ e^{-ia|v|μt} and K₂ = Σ_μ w_μ μ² e^{-ia|v|μt} on the time grid.
 
-    def _angular_sum(self, per_mu):
-        """Σ_μ w_μ μ (·) over the μ axis of a (speed, μ, t) array."""
-        return np.einsum("m,smt->st", self.wmu * self.mu, per_mu)
+        By the μ ↔ -μ symmetry K₁ = -2iΣ_{μ>0} w_μ μ sin(a|v|μt) and
+        K₂ = 2Σ_{μ>0} w_μ μ² cos(a|v|μt); the μ = 0 node of an odd rule adds
+        nothing to either.
+        """
+        arg = (a * v * self._mu_half)[:, None] * self._t
+        return -1j * (self._w1 @ np.sin(arg)), self._w2 @ np.cos(arg)
+
+    def _duhamel(self, phis):
+        """Σ_μ w_μ μ² ∫₀^t e^{-ia|v|μ(t-s)} φ(s) ds for each series φ of `phis`,
+        as a function of the speed's K₂.
+
+        The trapezoid rule on the time grid, summed over μ, is the causal
+        convolution dt·[(K₂∗φ)_m − ½K₂(t_m)φ₀ − ½K₂(0)φ_m]; the series'
+        zero-padded FFTs are taken once and serve every speed.
+        """
+        phis = np.array(phis)
+        spectra = np.fft.fft(phis, self._n_fft)
+        dt = self._t[1]
+
+        def of(K2):
+            conv = np.fft.ifft(np.fft.fft(K2, self._n_fft) * spectra)[:, : self._n_t]
+            return dt * (conv - 0.5 * (phis[:, :1] * K2 + K2[0] * phis))
+
+        return of
 
     def _rows_at(self, t_values, rows, v_mag):
         out = np.array([_interp_complex(t_values, self._t, r) for r in rows])
@@ -967,30 +1054,24 @@ class FluxEvaluator(_WeakFormEvaluator):
     def _psi_marginal_flux_scalar(self, v_mag, t_values):
         """A(|v₁|, t) with J = ∇·(A v̂₁): the Ψ-part angular-reduced flux.
 
-        An array `v_mag` gives one row per speed.  Each κ node's terms are
-        (speed, μ, t) arrays; the μ and κ sums come before the time
-        integral, which is taken once per speed.
+        An array `v_mag` gives one row per speed.  The μ and κ sums come
+        before the time integral, which is taken once per speed.
         """
         t_values = np.asarray(t_values, dtype=float)
-        dt = self._t[1]
         speeds, f_v, g_r = self._speeds(v_mag)
         integrand = np.zeros((len(speeds), self._n_t), dtype=complex)
-        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
-            m_F, mt_F = self._F.cauchy_moments(self.contour, a)
+        for a, kw, W, inv_eps, inv_eps_m, m_F, mt_F in self._kappa_nodes():
             excess_m = inv_eps_m - 1.0
             gam = self._invert(excess_m)
-            dlt = self._invert(mt_F * excess_m)
-            phiF = self._invert(m_F * inv_eps)
-            q_eps = self._invert(inv_eps - 1.0)
-            F_hat_free = self._F.fourier(-a * self._t)
-            phase, Q1 = self._angular_setup(a, W, speeds, g_r)
-            free = np.conj(phase)
-            alpha_m = _duhamel_pole(phiF, dt, phase)
-            beta_m = free + _duhamel_pole(q_eps, dt, phase)
-            psi = 1j * Q1 * (alpha_m * gam + beta_m * (dlt + F_hat_free))
-            psi += f_v[:, None, None] * free * gam
-            integrand += kw * (-2j * np.pi * a**3 * W) * self._angular_sum(psi)
-        return self._rows_at(t_values, _cumtrapz(integrand, dt), v_mag)
+            dlt_free = self._invert(mt_F * excess_m) + self._F.fourier(-a * self._t)
+            duhamel = self._duhamel([self._invert(m_F * inv_eps), self._invert(inv_eps - 1.0)])
+            for i, v in enumerate(speeds):
+                K1, K2 = self._kernels(a, v)
+                alpha, beta = duhamel(K2)
+                psi = 1j * a * W * g_r[i] * (alpha * gam + (K2 + beta) * dlt_free)
+                psi += f_v[i] * K1 * gam
+                integrand[i] += kw * (-2j * np.pi * a**3 * W) * psi
+        return self._rows_at(t_values, _cumtrapz(integrand, self._t[1]), v_mag)
 
     def flux_J(self, t_values, v_mag, dv=0.08):
         """Ψ-part flux divergence J(t, v₁) = A' + 2A/|v₁| (3-point stencil)."""
@@ -1000,23 +1081,23 @@ class FluxEvaluator(_WeakFormEvaluator):
     def lambda_marginal_flux_scalar(self, g0: SeparableGaussianPair, v_mag, t_values):
         """Λ-part angular-reduced flux A_λ(|v₁|, t); one row per speed for an array `v_mag`."""
         t_values = np.asarray(t_values, dtype=float)
-        dt = self._t[1]
         speeds, _, g_r = self._speeds(v_mag)
         total = np.zeros((len(speeds), self._n_t), dtype=complex)
-        for a, kw, W, inv_eps, inv_eps_m in self._kappa_nodes():
+        for a, kw, W, inv_eps, inv_eps_m, _, _ in self._kappa_nodes():
             excess_m = inv_eps_m - 1.0
-            phase, Q1 = self._angular_setup(a, W, speeds, g_r)
-            free = np.conj(phase)
             moments = self._radon_moments(g0, a)
-            per_k = np.zeros_like(phase)
-            for sa, sb in g0.orderings():
-                delta_b = self._invert(excess_m * moments[sb][1])
-                alpha_Ra = _duhamel_pole(self._invert(moments[sa][0] * inv_eps), dt, phase)
-                Ga_v1 = np.exp(-0.5 * (speeds / sa) ** 2)[:, None, None]
-                Rb_hat = gaussian_radon(sb).fourier(a * self._t)
-                # separable in (z, z'): equal-time inverses are products
-                per_k += 0.5 * (Ga_v1 * free + 1j * Q1 * alpha_Ra) * (Rb_hat + delta_b)
-            total += kw * (-2j * np.pi * a**3 * W * g0.x_hat(a)) * self._angular_sum(per_k)
+            orderings = g0.orderings()
+            duhamel = self._duhamel([self._invert(moments[sa][0] * inv_eps) for sa, _ in orderings])
+            # separable in (z, z'): equal-time inverses are products
+            sides = [gaussian_radon(sb).fourier(a * self._t)
+                     + self._invert(excess_m * moments[sb][1]) for _, sb in orderings]
+            for i, v in enumerate(speeds):
+                K1, K2 = self._kernels(a, v)
+                per_k = np.zeros(self._n_t, dtype=complex)
+                for (sa, _), alpha, side in zip(orderings, duhamel(K2), sides):
+                    Ga_v1 = np.exp(-0.5 * (v / sa) ** 2)
+                    per_k += 0.5 * (Ga_v1 * K1 + 1j * a * W * g_r[i] * alpha) * side
+                total[i] += kw * (-2j * np.pi * a**3 * W * g0.x_hat(a)) * per_k
         return self._rows_at(t_values, total, v_mag)
 
     def flux_lambda(self, g0, t_values, v_mag, dv=0.08):

@@ -32,6 +32,21 @@ from plasmakin.potentials import CoulombPotential
 EVOLVE_RHO_SHA256 = "0f87784f2cec2ac7e0703cd2d2f2dae903e914a865961c783806308806daae5f"
 
 
+# (subcommand, config lines, the key its error must name): zero wavenumbers
+# and distribution parameters that the constructors refuse
+REFUSED_VALUES = [
+    ("evolve", "potential = gaussian\nk = 0", "k"),
+    ("dielectric", "k-values = 0 1", "k-values"),
+    ("equilibrium", "k-check = 0", "k-check"),
+    ("kernel", "w = 0 0 0", "w"),
+    ("penrose", "distribution = exponential\ngamma = 3", "gamma"),
+    ("dielectric", "distribution = exponential\nmodulation = 5", "modulation"),
+    ("cloud", "distribution = two-bump\nbump-sigma = 0", "bump-sigma"),
+    ("equilibrium", "distribution = two-temperature\nmixture-weights = -0.5 1.5",
+     "mixture-weights"),
+]
+
+
 def write_cfg(path, text):
     Path(path).write_text(text)
     return str(path)
@@ -242,6 +257,18 @@ class TestCommands:
         res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
         assert res.exit_code == 64
         assert f"v.cfg:2:1: key {key!r}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, lines, key", REFUSED_VALUES,
+                             ids=[f"{kind}-{key}" for kind, _, key in REFUSED_VALUES])
+    def test_refused_values_exit64_name_their_key(self, runner, tmp_path, kind, lines, key):
+        """Zero wavenumbers and refused distribution parameters are configuration errors."""
+        cfg = write_cfg(tmp_path / "z.cfg", f"scenario = {kind}\n{lines}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64, res.output
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+        assert f"key {key!r}" in res.output
         assert not out.exists()
 
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):

@@ -24,10 +24,8 @@ from plasmakin.propagator import (
     PairPropagator,
     SeparableGaussianPair,
     UProfile,
-    _duhamel_pole,
     _epsilon_contour_fn,
     _grid_cauchy_moment,
-    _phase,
     _radial_log_derivative,
     bl_flux_vector,
     causal_gamma,
@@ -49,6 +47,11 @@ KZ = np.array([0.0, 0.0, 0.5])
 
 def initial_profile(grid, amp=0.1, width2=1.5):
     return amp * np.exp(-0.5 * grid.points**2 / width2)
+
+
+@pytest.fixture(scope="module")
+def model_mix(two_temperature, soft):
+    return DielectricModel(two_temperature, soft)
 
 
 class TestModeEvolution:
@@ -83,6 +86,24 @@ class TestModeEvolution:
         s2 = vlasov_step(model_ms, s1, dt)
         drho = (s2.rho - s0.rho) / (2 * dt)
         assert abs(drho - (-1j * 0.5 * s1.velocity_moment())) < 1e-5
+
+    @pytest.mark.parametrize("store_every", [1, 20, 25])
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    @pytest.mark.parametrize("name", ["model_ms", "model_mix"])
+    def test_evolve_density_equals_step_loop(self, name, dt, store_every, request):
+        """The hoisted loop against `vlasov_step`, its oracle: the same floats."""
+        model = request.getfixturevalue(name)
+        H0 = initial_profile(model.grid)
+        ts, rhos, final = evolve_density(model, KZ, H0, 2.0, dt=dt, store_every=store_every)
+        state = ModeState(k=KZ, grid=model.grid, H=H0.astype(complex))
+        ref_ts, ref_rhos = [0.0], [state.rho]
+        for i in range(round(2.0 / dt)):
+            state = vlasov_step(model, state, dt)
+            if (i + 1) % store_every == 0:
+                ref_ts.append(state.time)
+                ref_rhos.append(state.rho)
+        assert np.array_equal(ts, ref_ts) and np.array_equal(rhos, ref_rhos)
+        assert np.array_equal(final.H, state.H) and final.time == state.time
 
     def test_landau_damping_envelope(self, model_ms):
         grid = model_ms.grid
@@ -364,37 +385,6 @@ class TestFluxes:
         # after burn-in the envelope sits at the noise floor, far below initial
         assert np.all(mags[1:] < 0.01 * mags[0])
 
-    def test_duhamel_pole_batches_rows(self):
-        """One call over (speeds, μ) rates equals one call per speed."""
-        t = np.arange(400) * 0.02
-        phi = np.exp(-0.3 * t) * (1.0 + 0.5j)
-        mu, _ = np.polynomial.legendre.leggauss(24)
-        speeds = np.array([1.12, 1.2, 1.28])
-        a = 0.7
-        y = _duhamel_pole(phi, 0.02, _phase(a * (speeds[:, None] * mu), t))
-        assert y.shape == (3, 24, 400)
-        for i, v in enumerate(speeds):
-            assert np.array_equal(y[i], _duhamel_pole(phi, 0.02, _phase(a * (mu * v), t)))
-
-    def test_duhamel_pole_matches_recursion(self):
-        """The cumulative sum against the step recursion it replaces.
-
-        Both sum the same n_t trapezoid terms of size ≤ dt·max|φ|, so each
-        partial sum carries ≤ n_t·ε·t·max|φ| of rounding; the phases
-        e^{±i·au·t} carry ≤ ε·(1 + |au|·t) each, directly or compounded
-        step by step in E^m.  Twice their sum bounds the difference.
-        """
-        dt, n_t = 0.0196, 1785
-        t = np.arange(n_t) * dt
-        phi = np.exp(-0.2 * t) * np.cos(1.3 * t) + 0.4j * np.exp(-0.05 * t)
-        mu, _ = np.polynomial.legendre.leggauss(24)
-        au = 6.0 * (np.array([1.12, 1.2, 1.28])[:, None] * mu)
-        got = _duhamel_pole(phi, dt, _phase(au, t))
-        ref = _duhamel_pole_reference(phi, dt, au)
-        eps = np.finfo(float).eps
-        bound = 2 * eps * (n_t + 1 + np.max(np.abs(au)) * t[-1]) * t[-1] * np.max(np.abs(phi))
-        assert np.max(np.abs(got - ref)) <= bound
-
     def test_speed_array_matches_single_speeds(self, mix_model):
         """Speeds passed together share each κ node's inversions, not the arithmetic."""
         from plasmakin.propagator import FluxEvaluator
@@ -426,6 +416,55 @@ class TestFluxes:
         tol = fe._n_t * np.finfo(float).eps
         assert _rel(fe._psi_marginal_flux_scalar(speeds, ts), psi_ref) <= tol
         assert _rel(fe.lambda_marginal_flux_scalar(g0, speeds, ts), lam_ref) <= tol
+
+    @pytest.mark.parametrize("n_mu", [5, 25])
+    def test_kernels_of_odd_rules_match_loop_reference(self, mix_model, n_mu):
+        """An odd rule's μ = 0 node, which the kernels leave out, adds nothing
+        to the reference's sums; the tolerance is the one above."""
+        fe = FluxEvaluator(mix_model, t_max=8.0, k_nodes=4, n_nodes=4096, n_mu=n_mu)
+        assert 0.0 in fe.mu and np.array_equal(fe.mu, -fe.mu[::-1])
+        g0 = SeparableGaussianPair(1.0, 1.0, 1.2, amplitude=0.5)
+        ts = np.linspace(0.5, 7.5, 8)
+        speeds = np.array([1.12, 1.2, 1.28])
+        psi_ref, lam_ref = _flux_scalars_reference(fe, g0, speeds, ts)
+        tol = fe._n_t * np.finfo(float).eps
+        assert _rel(fe._psi_marginal_flux_scalar(speeds, ts), psi_ref) <= tol
+        assert _rel(fe.lambda_marginal_flux_scalar(g0, speeds, ts), lam_ref) <= tol
+
+    def test_flux_J_peak_memory(self, mix_model):
+        """The `relaxation` benchmark's criterion-6 call holds one κ node's
+        contour arrays at a time and no (speed, μ, t) array, whose cumulative
+        sums took its peak to 22 MiB."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            FluxEvaluator(mix_model, t_max=35.0).flux_J(np.array([30.0]), 1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+class TestSharedZPass:
+    """ε and m_F of each κ node come from one `gaussian_cauchy` pass."""
+
+    @pytest.mark.parametrize("name", ["model_ms", "model_mix"])
+    def test_equals_separate_evaluations(self, name, request):
+        """Bit for bit, down to a = 0.44, where the degree-1 series serves |ζ| ≥ 30."""
+        model = request.getfixturevalue(name)
+        fe = FluxEvaluator(model, t_max=8.0, k_nodes=4)
+        c = fe.contour
+        for a, _, W, inv_eps, inv_eps_m, m_F, mt_F in fe._kappa_nodes():
+            kv = np.array([0.0, 0.0, a])
+            C_F, C_dF = fe._F.cauchy_with_derivative(1j * c.nodes / a)
+            assert np.array_equal(1.0 - W * C_dF, model.epsilon_laplace(kv, c.nodes))
+            eps = _epsilon_contour_fn(model, kv, c)
+            first = np.conj(model.epsilon_laplace(kv, np.conj(c.nodes[:1]))[0])
+            ref_F = fe._F.cauchy_moments(c, a)
+            for got, ref in zip((inv_eps, inv_eps_m, m_F, mt_F),
+                                (eps.reciprocal(), eps.reflected(first).reciprocal(), *ref_F)):
+                assert np.array_equal(got.vals, ref.vals) and got.a == ref.a
 
 
 class TestSchwarzReflection:
@@ -514,7 +553,8 @@ def _weighted_moment_reference(g, z, a):
 
 
 def _duhamel_pole_reference(phi, dt, au):
-    """The former `_duhamel_pole`: the exact step recursion, one step at a time."""
+    """y(t) = ∫₀^t e^{-i·au·(t-s)} φ(s) ds by the trapezoid rule as the step
+    recursion y_{m+1} = E·y_m + dt/2·(E·φ_m + φ_{m+1}), E = e^{-i·au·dt}."""
     au = np.asarray(au, dtype=float)
     E = np.exp(-1j * au * dt)
     y = np.zeros(au.shape + (len(phi),), dtype=complex)
@@ -543,6 +583,16 @@ class TestContourSizing:
                     dict(height=float("nan"))):
             with pytest.raises(InputError):
                 BromwichContour(**bad)
+
+    def test_arrays_are_computed_once(self):
+        """Every read returns the same read-only array, equal to a fresh evaluation."""
+        c = BromwichContour(0.2, 160.0, 64)
+        for name in ("tau", "nodes", "t_grid", "time_scale"):
+            arr = getattr(c, name)
+            assert arr is getattr(c, name) and not arr.flags.writeable
+        z = c.gamma + 1j * (np.arange(64) - 32) * c.dtau
+        assert np.array_equal(c.nodes, z)
+        assert all(np.array_equal(p, q) for p, q in zip(c.node_powers, (z**2, z**3)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.0, 2000.0), st.sampled_from(["weak", "laplace"]))
