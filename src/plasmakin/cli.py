@@ -35,7 +35,11 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     PlasmakinError,
+    ResolutionError,
+    SingularConfigurationError,
     StabilityError,
+    StepSizeError,
+    TruncationError,
 )
 
 EXIT_CONSISTENCY = 1
@@ -201,9 +205,17 @@ def equilibrium(config_path, out):
             fit_decay_slope,
             g_B_on_ray,
             h_realspace,
+            impact_geometry,
             solve_H,
         )
 
+        x = np.asarray(scn.get("ray-x", [1.0, 0.8, 0.0]))
+        v1 = np.asarray(scn.get("ray-v1", [0.6, 0.0, 0.0]))
+        v2 = np.asarray(scn.get("ray-v2", [-0.6, 0.0, 0.0]))
+        try:
+            impact_geometry(x, v1, v2)
+        except SingularConfigurationError as exc:
+            raise ConfigError(f"key 'ray-v1' / 'ray-v2': {exc}") from exc
         model = _model(scn)
         k_check = scn.get("k-check", 1.0)
         sl = solve_H(model, k_check, validate=False)
@@ -221,9 +233,6 @@ def equilibrium(config_path, out):
         hsol = HSolution(model, k_max=20.0 if not model.potential.is_coulomb else 45.0,
                          n_k=160 if not model.potential.is_coulomb else 240)
         manifest.diagnostics["split_slices"] = sum(1 for s in hsol.slices if s.split)
-        x = np.asarray(scn.get("ray-x", [1.0, 0.8, 0.0]))
-        v1 = np.asarray(scn.get("ray-v1", [0.6, 0.0, 0.0]))
-        v2 = np.asarray(scn.get("ray-v2", [-0.6, 0.0, 0.0]))
         taus = np.linspace(0.0, scn.get("ray-tau-max", 20.0), 41)
         vals = g_B_on_ray(hsol, x, v1, v2, taus, s_max=10.0, n_s=256, r_nodes=(8, 12, 20))
         write_csv(
@@ -294,7 +303,6 @@ def evolve(config_path, out):
         if build_potential(scn).is_coulomb:
             raise ConfigError("evolve needs a soft potential: set potential = gaussian or zero")
         from .equilibrium import HSolution
-        from .errors import TruncationError
         from .propagator import (
             BromwichContour,
             GaussianTestFunction,
@@ -330,7 +338,11 @@ def evolve(config_path, out):
         u = model.grid.points
         H0 = amp * np.exp(-0.5 * u**2 / 1.5)
         kvec = np.array([0.0, 0.0, k])
-        ts, rhos, _ = evolve_density(model, kvec, H0, t_max, dt=dt, store_every=store_every)
+        try:
+            ts, rhos, _ = evolve_density(model, kvec, H0, t_max, dt=dt, store_every=store_every)
+        except StepSizeError as exc:
+            raise ConfigError(f"key 'dt': {exc} at k = {k:g} on the grid's u_max = "
+                              f"{model.grid.u_max:g}") from exc
         H0_profile = UProfile([(amp * np.sqrt(3.0 * np.pi), np.sqrt(1.5), 0)])
         _, rho_l, drift = vlasov_laplace_eval(model, kvec, H0_profile, ts,
                                               richardson_check=True)
@@ -363,6 +375,7 @@ def kernel(config_path, out):
             raise ConfigError("kernel needs an isotropic distribution: drift must be zero "
                               "and distribution one of maxwellian, two-temperature, exponential")
         from .kernel import (
+            MAX_LATTICE_N,
             _landau_summary,
             bl_rhs,
             bl_tensor,
@@ -370,6 +383,15 @@ def kernel(config_path, out):
             maxwellian_field,
         )
 
+        # the collision lattice is checked before the tensor sweep writes its CSV
+        n_lat = int(scn.get("lattice-n", 17))
+        if n_lat > MAX_LATTICE_N:
+            raise ConfigError(f"key 'lattice-n': {n_lat} is above {MAX_LATTICE_N}, the largest "
+                              f"lattice of the O(n⁶) collision sum")
+        try:
+            field = maxwellian_field(1.0, 1.0, half_width=scn.get("half-width", 6.0), n=n_lat)
+        except ResolutionError as exc:
+            raise ConfigError(f"key 'half-width' / 'lattice-n': {exc}") from exc
         model = _model(scn)
         w = np.asarray(scn.get("w", [0.8, -0.3, 0.5]))
         v = np.asarray(scn.get("v", [0.4, 0.2, 0.1]))
@@ -394,8 +416,6 @@ def kernel(config_path, out):
             manifest.add_check("transverse_ratio",
                                abs(rep["transverse_ratio"] - 1) <= 0.01,
                                value=rep["transverse_ratio"])
-        n_lat = int(scn.get("lattice-n", 17))
-        field = maxwellian_field(1.0, 1.0, half_width=scn.get("half-width", 6.0), n=n_lat)
         dtf = bl_rhs(model, field, K_max=max(k_list) if model.potential.is_coulomb else None)
         diag = collision_diagnostics(field, dtf)
         manifest.diagnostics["collision"] = diag

@@ -235,7 +235,7 @@ class HSolution:
         w_tr = np.ones(self.grid.n)
         w_tr[0] = w_tr[-1] = 0.5
         F_eval = np.asarray(self.model.distribution.radon_profile(_Z_HAT, u_eval), dtype=float)
-        P_eval = self._p_minus_dF(u_eval)
+        P_eval = self.model.plemelj_minus_dF(_Z_HAT, u_eval)
         log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
         diff = u[None, :] - u_eval[:, None]
         hit_e, hit_j = np.nonzero(diff == 0.0)
@@ -270,16 +270,11 @@ class HSolution:
         return out
 
     # -- interpolated ingredient evaluations ---------------------------------
-    def _p_minus_dF(self, u):
-        """P⁻[∂_uF](u) = α(u) - iπF'(u) at arbitrary u; ε = 1 - φ̂(κ)·P⁻[∂_uF]."""
-        u = np.asarray(u, dtype=float)
-        dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
-        return self._cache.alpha_at(u) - 1j * np.pi * np.asarray(dF)
-
     def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
         """ĥ_B from A⁻ at (κ, u), with ε = 1 - φ̂ P⁻[∂_uF](u)."""
         W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
-        return _h_hat_formula(1.0 - W * self._p_minus_dF(u), W, A, f_v, omega_grad_f)
+        eps = 1.0 - W * self.model.plemelj_minus_dF(_Z_HAT, u)
+        return _h_hat_formula(eps, W, A, f_v, omega_grad_f)
 
     def h_hat_values(self, kappa, u, f_v, omega_grad_f, W=None):
         """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point.

@@ -36,6 +36,7 @@ from .errors import InputError, ResolutionError, SingularConfigurationError
 from .transforms import perpendicular_unit
 
 LOG_FLOOR = 1e-300
+MAX_LATTICE_N = 33  # largest lattice side `bl_rhs` sums over
 # `_pair_flux` blocks: at most this many stacked pairs per block, so its ten
 # (rows × columns) work planes take about 1.3 MB and stay in cache, and at
 # most this many rows, since the masked j ≤ i half of a near-square block
@@ -398,8 +399,8 @@ def bl_rhs(model, field: VelocityGridField, K_max=None, table=None):
     `TensorTable.components` clamps beyond its grid.
     """
     n = field.n
-    if n**3 > 33**3:
-        raise InputError("grid larger than 33³; the double sum is O(n⁶)")
+    if n > MAX_LATTICE_N:
+        raise InputError(f"grid larger than {MAX_LATTICE_N}³; the double sum is O(n⁶)")
     reach = np.sqrt(3) * field.half_width
     if table is not None:
         if table.model is not model:

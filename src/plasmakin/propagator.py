@@ -44,12 +44,7 @@ import numpy as np
 from .dielectric import DielectricModel
 from .distributions import _GaussianMixtureBase, gaussian_cauchy
 from .equilibrium import HSolution
-from .errors import (
-    InputError,
-    RootNotFoundError,
-    StepSizeError,
-    TruncationError,
-)
+from .errors import InputError, StepSizeError, TruncationError
 from .kernel import TensorTable
 from .transforms import (
     LineProfile,
@@ -592,109 +587,6 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
     return out + (drift,) if richardson_check else out
 
 
-def _far_root_u(model, k, a):
-    """u₀₊ of `dispersion_roots`, or 1/|k| when α = |k|² has no far root."""
-    try:
-        return model.dispersion_roots(k).u0_plus
-    except RootNotFoundError:
-        return 1.0 / a
-
-
-def landau_root(model, k, guess=None):
-    """Least-damped zero of the continued ε(k,-iz) (Landau/Langmuir root) by Newton's
-    method from `guess` (default -i|k|u₀₊ - 0.05|k|).
-
-    The search stays in the disc |w| ≤ 2·max(|w₀|, u_max) of the phase velocity
-    w = iz/|k|, with w₀ the guess's and u_max the half-width of the model's grid;
-    for |w₀| ≤ u_max = 12 that disc keeps e^{-w²} finite.  RootNotFoundError when
-    z leaves the disc or 80 steps leave the last step above 1e-13·max(|z|, 1).
-    numpy's floating-point warnings stay inside the search.
-    """
-    if not model.distribution.has_continuation:
-        raise InputError("root search needs an analytic continuation kind")
-    k = np.asarray(k, dtype=float)
-    a = float(np.linalg.norm(k))
-    if guess is None:
-        guess = -1j * a * _far_root_u(model, k, a) - 0.05 * a
-    z = complex(guess)
-    radius = 2.0 * max(abs(z), a * model.grid.u_max)  # the disc, in z
-    with np.errstate(all="ignore"):
-        for _ in range(80):
-            f = complex(model.epsilon_laplace(k, np.array([z]))[0])
-            h = 1e-7 * max(abs(z), 1.0)
-            fp = (
-                complex(model.epsilon_laplace(k, np.array([z + h]))[0])
-                - complex(model.epsilon_laplace(k, np.array([z - h]))[0])
-            ) / (2 * h)
-            step = f / fp
-            z = z - step
-            if not abs(z) <= radius:  # also a non-finite z
-                break
-            if abs(step) < 1e-13 * max(abs(z), 1.0):
-                return z
-    raise RootNotFoundError(f"Newton's search for a zero of ε from z = {complex(guess):.6g} "
-                            f"ended at {z:.6g} without converging in the disc |z| ≤ {radius:.3g}")
-
-
-def vlasov_laplace_residue_split(model, k, H0, t, H0_analytic, shift_c=0.25,
-                                 contour=None):
-    """ρ̂(t) as explicit Landau-pole residues plus a shifted-contour rest.
-
-    Mirrors the Ψ₁-convergence proof: the contour moves to Re z = -c|k| and
-    the zeros of the continued ε crossed on the way contribute
-    e^{z_j t} m_{Ĥ₀}(z_j)/ε'(z_j).  Needs an entire continuation of F and of
-    the initial profile (`H0_analytic`: callable on complex u), because for
-    Re z < 0 the continued Cauchy moment is the integral plus the jump
-    (2π/|k|)·Ĥ₀(iz/|k|).
-    """
-    if not model.distribution.has_continuation:
-        raise InputError("residue split needs an analytic continuation kind")
-    k = np.asarray(k, dtype=float)
-    a = float(np.linalg.norm(k))
-    grid = model.grid
-    H0 = np.asarray(H0, dtype=complex)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    roots = []
-    guess_u = _far_root_u(model, k, a)
-    for sgn in (+1.0, -1.0):
-        z0 = landau_root(model, k, guess=-1j * a * sgn * guess_u - 0.05 * a)
-        if -shift_c * a < z0.real <= 1e-12 and not any(abs(z0 - r) < 1e-8 for r in roots):
-            roots.append(z0)
-
-    def m_H0_at(z):
-        zf = np.ravel(np.asarray(z, dtype=complex))
-        vals = (-1j / a) * grid_cauchy(grid, H0, 1j * zf / a)
-        left = zf.real < 0
-        if np.any(left):
-            vals = np.where(left, vals + (2 * np.pi / a) * H0_analytic(1j * zf / a), vals)
-        return vals
-
-    # residues
-    res_part = np.zeros(len(t_arr), dtype=complex)
-    for z0 in roots:
-        h = 1e-6 * a
-        dps = (
-            complex(model.epsilon_laplace(k, np.array([z0 + h]))[0])
-            - complex(model.epsilon_laplace(k, np.array([z0 - h]))[0])
-        ) / (2 * h)
-        num = complex(m_H0_at(np.array([z0]))[0])
-        res_part += np.exp(z0 * t_arr) * num / dps
-    # shifted contour (Im w < 0 side: the continuation formula stays valid)
-    if contour is None:
-        contour = BromwichContour(gamma=0.5, height=120.0, n_nodes=16384)
-    tau = contour.tau
-    z = -shift_c * a + 1j * tau
-    eps_vals = model.epsilon_laplace(k, z)
-    mvals = m_H0_at(z)
-    rest = np.empty(len(t_arr), dtype=complex)
-    integ = mvals / eps_vals
-    for i, tt in enumerate(t_arr):
-        rest[i] = contour.dtau / (2 * np.pi) * np.exp(-shift_c * a * tt) * np.sum(
-            np.exp(1j * tau * tt) * integ
-        )
-    return res_part + rest, {"roots": roots}
-
-
 # ---------------------------------------------------------------------------
 # Debye cloud
 # ---------------------------------------------------------------------------
@@ -721,8 +613,9 @@ def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
     def rho_hat(kappa, u):
         kappa = np.asarray(kappa, dtype=float)
         W = model.potential.fourier(kappa)
-        P_plus = np.conj(model.plemelj_minus_dF(kvec, u))
-        eps = 1.0 - W * np.conj(P_plus)  # = 1 - W·P⁻[dF](u)
+        P_minus = model.plemelj_minus_dF(kvec, u)
+        P_plus = np.conj(P_minus)
+        eps = 1.0 - W * P_minus
         return -sigma * (2 * np.pi) ** -1.5 * W * P_plus / eps
 
     result = {"sigma": float(sigma), "V0": [float(x) for x in V0], "r": r_values}
@@ -858,6 +751,15 @@ class _WeakFormEvaluator:
             m_F, mt_F = self._F.cauchy_moments(self.contour, a, (-1j / a) * C_F)
             yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal(), m_F, mt_F
 
+    def _times(self, t_values):
+        """`t_values` as floats; the time grid serves 0 ≤ t ≤ t_max only."""
+        t = np.asarray(t_values, dtype=float)
+        if not np.all(t >= 0.0):  # also NaN
+            raise InputError("weak-form pairings and fluxes need times t ≥ 0")
+        if np.any(t > self.t_max):
+            raise TruncationError(f"t = {np.max(t):.6g} beyond t_max = {self.t_max:.6g}")
+        return t
+
     def _invert(self, fn: ContourFn):
         return fn.invert().values[: self._n_t]
 
@@ -891,7 +793,7 @@ class PairPropagator(_WeakFormEvaluator):
 
     def psi_pairing(self, test: GaussianTestFunction, t_values):
         """⟨Ψ(t,t), ψ⟩ for the zero-initial-datum propagator G(t)[0]."""
-        t_values = np.asarray(t_values, dtype=float)
+        t_values = self._times(t_values)
         dist = self.model.distribution
         G0_1, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
@@ -912,7 +814,7 @@ class PairPropagator(_WeakFormEvaluator):
 
     def lambda_pairing(self, g0: SeparableGaussianPair, test: GaussianTestFunction, t_values):
         """⟨Λ(t,t), ψ⟩ = ⟨V₁(t)V₂(t)[g₀], ψ⟩ for a separable Schwartz g₀."""
-        t_values = np.asarray(t_values, dtype=float)
+        t_values = self._times(t_values)
         dist = self.model.distribution
         _, G1_1 = gaussian_weighted_profiles(dist, test.sigma_v1)
         _, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
@@ -1057,7 +959,7 @@ class FluxEvaluator(_WeakFormEvaluator):
         An array `v_mag` gives one row per speed.  The μ and κ sums come
         before the time integral, which is taken once per speed.
         """
-        t_values = np.asarray(t_values, dtype=float)
+        t_values = self._times(t_values)
         speeds, f_v, g_r = self._speeds(v_mag)
         integrand = np.zeros((len(speeds), self._n_t), dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m, m_F, mt_F in self._kappa_nodes():
@@ -1080,7 +982,7 @@ class FluxEvaluator(_WeakFormEvaluator):
 
     def lambda_marginal_flux_scalar(self, g0: SeparableGaussianPair, v_mag, t_values):
         """Λ-part angular-reduced flux A_λ(|v₁|, t); one row per speed for an array `v_mag`."""
-        t_values = np.asarray(t_values, dtype=float)
+        t_values = self._times(t_values)
         speeds, _, g_r = self._speeds(v_mag)
         total = np.zeros((len(speeds), self._n_t), dtype=complex)
         for a, kw, W, inv_eps, inv_eps_m, _, _ in self._kappa_nodes():
@@ -1150,8 +1052,9 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
     """t → ∞ flux target: J_∞(v₁) = ∇·(-i ∫ k φ̂(k) ĥ_B(k,v₁) dk).
 
     ĥ_B is the marginal of g_B, so this is the flux the time-dependent
-    marginal converges to (eq. of fluxes); it equals π times the literal
-    shielded-tensor form of the kernel module (the paper's loose constant).
+    marginal converges to (eq. of fluxes); it equals π·∇·(A v̂) with A from
+    `bl_flux_vector`, the literal shielded-tensor form of the kernel module
+    (the paper's loose constant), which serves as its oracle.
     """
     if hsol is None:
         hsol = HSolution(model, k_min=3e-3, k_max=k_range[1] + 4.0, n_k=140)

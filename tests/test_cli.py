@@ -44,6 +44,10 @@ REFUSED_VALUES = [
     ("cloud", "distribution = two-bump\nbump-sigma = 0", "bump-sigma"),
     ("equilibrium", "distribution = two-temperature\nmixture-weights = -0.5 1.5",
      "mixture-weights"),
+    ("equilibrium", "ray-v1 = 0.6 0 0\nray-v2 = 0.6 0 0", "ray-v1"),
+    ("evolve", "potential = gaussian\nk = 200", "dt"),
+    ("kernel", "lattice-n = 35", "lattice-n"),
+    ("kernel", "half-width = 1", "half-width"),
 ]
 
 
@@ -262,7 +266,9 @@ class TestCommands:
     @pytest.mark.parametrize("kind, lines, key", REFUSED_VALUES,
                              ids=[f"{kind}-{key}" for kind, _, key in REFUSED_VALUES])
     def test_refused_values_exit64_name_their_key(self, runner, tmp_path, kind, lines, key):
-        """Zero wavenumbers and refused distribution parameters are configuration errors."""
+        """Zero wavenumbers, refused distribution parameters, a vanishing relative
+        velocity, an unstable RK4 step and a collision lattice `bl_rhs` refuses
+        are configuration errors."""
         cfg = write_cfg(tmp_path / "z.cfg", f"scenario = {kind}\n{lines}\n")
         out = tmp_path / "o"
         res = runner.invoke(main, [kind, "--config", cfg, "--out", str(out)])

@@ -111,8 +111,6 @@ class TestHhat:
         eps = 1.0 / (1.0 + complex(hsol_mc.h_hat_values(kappa, np.array(u), 1.0, 0.0)))
         ref = complex(model_mc.epsilon(np.array([0.0, 0.0, 1.0]), np.array([u]))[0])
         assert abs(eps - ref) <= 1e-12 * abs(ref)
-        P = complex(hsol_mc._p_minus_dF(np.array(u)))
-        assert P == complex(model_mc.plemelj_minus_dF(np.array([0.0, 0.0, 1.0]), np.array([u]))[0])
 
     def test_maxwellian_debye_hueckel_collapse(self, hsol_ms, model_ms):
         """Exact identity for Maxwellian f: ĥ_B = -f(v) φ̂/(1+φ̂)."""
