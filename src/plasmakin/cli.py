@@ -75,7 +75,8 @@ def _run(config_path, out, kind):
 def _model(scn):
     from .dielectric import DielectricModel
 
-    return DielectricModel(build_distribution(scn), build_potential(scn), build_grid(scn))
+    distribution = build_distribution(scn)
+    return DielectricModel(distribution, build_potential(scn), build_grid(scn, distribution))
 
 
 def _run_guard(fn):
@@ -302,7 +303,6 @@ def evolve(config_path, out):
     with _run(config_path, out, "evolve") as (scn, out_dir, manifest):
         if build_potential(scn).is_coulomb:
             raise ConfigError("evolve needs a soft potential: set potential = gaussian or zero")
-        from .equilibrium import HSolution
         from .propagator import (
             BromwichContour,
             GaussianTestFunction,
@@ -357,8 +357,7 @@ def evolve(config_path, out):
         if pair:
             test = GaussianTestFunction(*scn.get("test-sigmas", [1.5, 1.0, 1.0]))
             pair_vals = pp.psi_pairing(test, ts)
-            hsol = HSolution(model, k_max=12.0, n_k=120)
-            target = pp.g_B_pairing(test, hsol)
+            target = pp.g_B_pairing(test)
             columns["weak_gap"] = np.abs(pair_vals - target)
             manifest.diagnostics["g_B_pairing"] = target.real
         write_csv(out_dir / "evolve.csv", columns,
@@ -391,7 +390,8 @@ def kernel(config_path, out):
         try:
             field = maxwellian_field(1.0, 1.0, half_width=scn.get("half-width", 6.0), n=n_lat)
         except ResolutionError as exc:
-            raise ConfigError(f"key 'half-width' / 'lattice-n': {exc}") from exc
+            key = "lattice-n" if "lattice" in str(exc) else "half-width"
+            raise ConfigError(f"key {key!r}: {exc}") from exc
         model = _model(scn)
         w = np.asarray(scn.get("w", [0.8, -0.3, 0.5]))
         v = np.asarray(scn.get("v", [0.4, 0.2, 0.1]))

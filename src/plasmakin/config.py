@@ -8,8 +8,12 @@ key such as `drift` or `ray-x` without exactly three numbers, a
 `test-sigmas` that is not three positive numbers, a `slope-window` that
 is not two increasing positive numbers, a `k-max-list` entry that is
 not positive, a zero wavenumber `k`, `k-check` or `k-values` entry, or a
-zero `w`) are rejected with line/column diagnostics, and a distribution
-parameter its constructor refuses raises ConfigError naming its key.
+zero `w`) are rejected with line/column diagnostics.  So is a
+distribution or potential parameter that the chosen kind does not read
+(`drift` with `distribution = exponential`), also when it comes through
+`extends`; a distribution parameter its constructor refuses raises
+ConfigError naming its key.  A grid with only one of `grid-u-max` and
+`grid-n` set takes the other from the distribution's default grid.
 CSV bodies are byte-stable: 17 significant digits, scientific notation,
 LF endings, fixed column order, and `#`-prefixed metadata lines that
 never include wall-clock data.
@@ -56,6 +60,21 @@ _SCENARIO_KEYS = {
     "cloud": {"sigma", "v0", "r-min", "r-max", "r-count"},
     "evolve": {"k", "t-max", "dt", "amplitude", "pair", "test-sigmas"},
     "kernel": {"k-max-list", "lattice-n", "half-width", "w", "v"},
+}
+
+# per kind key: the kind a scenario gets without it, and the parameters each kind reads
+_KIND_PARAMETERS = {
+    "distribution": ("maxwellian", {
+        "maxwellian": {"drift", "temperature"},
+        "two-bump": {"bump-separation", "bump-sigma"},
+        "two-temperature": {"mixture-weights", "mixture-sigmas"},
+        "exponential": {"gamma", "modulation"},
+    }),
+    "potential": ("coulomb", {
+        "coulomb": set(),
+        "gaussian": {"potential-amplitude", "potential-width"},
+        "zero": set(),
+    }),
 }
 
 _VECTOR_KEYS = {
@@ -170,6 +189,16 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"unknown key {key!r} for scenario {kind!r}", line_no, 1, str(path))
     for key, (raw, line_no) in entries.items():
         merged[key] = _parse_value(key, raw, line_no, str(path))
+    for kind_key, (default, reads) in _KIND_PARAMETERS.items():
+        chosen = merged.get(kind_key, default)
+        if chosen not in reads:
+            continue  # `build_distribution` / `build_potential` refuse the kind
+        for key in sorted(set().union(*reads.values()) - reads[chosen]):
+            if key in merged:
+                # the key's line, or the kind's if the key came through `extends`
+                line = (entries.get(key) or entries.get(kind_key) or (None,))[-1]
+                raise ConfigError(f"key {key!r} is not read by {kind_key} {chosen!r}",
+                                  line, 1 if line else None, str(path))
     return Scenario(kind=kind, values=merged, source=str(path))
 
 
@@ -225,14 +254,18 @@ def build_potential(scn: Scenario):
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
-def build_grid(scn: Scenario):
+def build_grid(scn: Scenario, distribution):
+    """The scenario's u-grid, None when it sets neither grid key; an unset key
+    is the one of `default_grid(distribution)`."""
+    from .dielectric import default_grid
     from .transforms import UGrid
 
     u_max = scn.get("grid-u-max")
     n = scn.get("grid-n")
     if u_max is None and n is None:
         return None
-    return UGrid(u_max or 12.0, int(n or 1024))
+    default = default_grid(distribution)
+    return UGrid(u_max or default.u_max, int(n or default.n))
 
 
 # ---------------------------------------------------------------------------

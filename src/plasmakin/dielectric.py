@@ -104,6 +104,24 @@ def debye_rescale(temperature, number_density, coupling) -> ScalingUnits:
     return ScalingUnits(temperature, number_density, coupling, L, N, sigma)
 
 
+def default_grid(distribution) -> UGrid:
+    """The u-grid of a model built without one: u_max = 26 and 2048 nodes for
+    the γ = 1 exponential family, whose profile F is still 2.4e-5 at u = 12
+    (4e-11 at 26), and the `UGrid` defaults otherwise."""
+    wide = getattr(distribution, "kind", "") == "exponential-family" and getattr(
+        distribution, "gamma", 2
+    ) == 1
+    return UGrid(26.0, 2048) if wide else UGrid()
+
+
+def _complex(re, im):
+    """re + i·im without a complex product (a scalar for 0-d parts)."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out[()]
+
+
 def alpha_tail(moments, u):
     """The large-|u| expansion m0/u² + 2m1/u³ + 3m2/u⁴ of α from the raw moments of F."""
     m0, m1, m2 = moments
@@ -328,12 +346,7 @@ class DielectricModel:
     def __init__(self, distribution, potential, grid: UGrid | None = None):
         self.distribution = distribution
         self.potential = potential
-        if grid is None:
-            wide = getattr(distribution, "kind", "") == "exponential-family" and getattr(
-                distribution, "gamma", 2
-            ) == 1
-            grid = UGrid(26.0, 2048) if wide else UGrid()
-        self.grid = grid
+        self.grid = default_grid(distribution) if grid is None else grid
         self._caches = {}
         self.direction_cache(_Z_HAT)
         self.lower_bound_estimate = None
@@ -391,7 +404,22 @@ class DielectricModel:
     def epsilon(self, k, u):
         """ε(k, u) = 1 - φ̂(|k|) P⁻[∂_uF](u) (phase-velocity argument)."""
         kvec, nk = _as_vector(k)
-        return 1.0 - self.potential.fourier(np.asarray(nk)) * self.plemelj_minus_dF(kvec, u)
+        return self.epsilon_at(self.potential.fourier(np.asarray(nk)), u, kvec)
+
+    def epsilon_at(self, W, u=None, k=_Z_HAT, cell=None):
+        """The one real-axis ε = 1 - W·P⁻[∂_uF](χ(k), u) for φ̂ values W (broadcast with u).
+
+        u None: on the grid nodes.  Formed part by part, (1 - W·α) + i(W·π∂_uF + 0.0)
+        has the bits of the complex expression, whose zero imaginary parts are +0
+        (the + 0.0 lifts the exponential family's ∂_uF = -0 at u = 0).
+        """
+        cache = self.direction_cache(k)
+        if u is None:
+            alpha, dF = cache.alpha, cache.dF.values
+        else:
+            alpha = cache.alpha_at(u, cell=cell)
+            dF = np.asarray(self.distribution.radon_profile_derivative(cache.chi, u))
+        return _complex(1.0 - W * alpha, W * (np.pi * dF) + 0.0)
 
     def epsilon_laplace(self, k, z):
         """ε(k, -iz) = 1 - φ̂(|k|) C[∂_uF](iz/|k|) on Bromwich contours.

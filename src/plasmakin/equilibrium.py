@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from .dielectric import DielectricModel, EPSILON_FLOOR
+from .dielectric import DielectricModel, EPSILON_FLOOR, _complex
 from .errors import (
     ConsistencyError,
     DegenerateDielectricError,
@@ -164,7 +164,7 @@ class HSolution:
     def _eps_on_grid(self, kappa):
         """ε = 1 - φ̂(κ) P⁻[∂_uF] on the grid, and φ̂(κ); |ε| below the floor is refused."""
         W = float(self.model.potential.fourier(np.asarray(kappa)))
-        eps = 1.0 - W * (self._alpha - 1j * np.pi * self._dF)
+        eps = self.model.epsilon_at(W)
         if np.min(np.abs(eps)) < EPSILON_FLOOR:
             raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
         return eps, W
@@ -235,7 +235,6 @@ class HSolution:
         w_tr = np.ones(self.grid.n)
         w_tr[0] = w_tr[-1] = 0.5
         F_eval = np.asarray(self.model.distribution.radon_profile(_Z_HAT, u_eval), dtype=float)
-        P_eval = self.model.plemelj_minus_dF(_Z_HAT, u_eval)
         log_end = np.log((u[-1] - u_eval) / (u_eval - u[0]))
         diff = u[None, :] - u_eval[:, None]
         hit_e, hit_j = np.nonzero(diff == 0.0)
@@ -244,15 +243,12 @@ class HSolution:
         C[near_e] = 0.0
         C = C.T
         c = C.sum(axis=0)
-        pi_dF = np.pi * self._dF
         out = np.empty((len(kappas), len(u_eval)), dtype=complex)
         for b0 in range(0, len(kappas), _KAPPA_BLOCK):
             kb = kappas[b0 : b0 + _KAPPA_BLOCK]
             W = self.model.potential.fourier(kb)[:, None]
-            eps_e = 1.0 - W * P_eval
-            # ε on the nodes part by part: the bits of 1 - W·P⁻[∂_uF]
-            eps_g = _complex(1.0 - W * self._alpha, W * pi_dF)
-            G = self._F / np.abs(eps_g) ** 2
+            eps_e = self.model.epsilon_at(W, u_eval)
+            G = self._F / np.abs(self.model.epsilon_at(W)) ** 2
             g_e = F_eval / np.abs(eps_e) ** 2
             pole_c = np.zeros(g_e.shape, dtype=complex)
             for i in np.flatnonzero(kb < self._k_root_max):
@@ -270,12 +266,6 @@ class HSolution:
         return out
 
     # -- interpolated ingredient evaluations ---------------------------------
-    def _h_hat(self, kappa, u, A, f_v, omega_grad_f):
-        """ĥ_B from A⁻ at (κ, u), with ε = 1 - φ̂ P⁻[∂_uF](u)."""
-        W = self.model.potential.fourier(np.asarray(kappa, dtype=float))
-        eps = 1.0 - W * self.model.plemelj_minus_dF(_Z_HAT, u)
-        return _h_hat_formula(eps, W, A, f_v, omega_grad_f)
-
     def h_hat_values(self, kappa, u, f_v, omega_grad_f, W=None):
         """Batch ĥ_B(k, v) given f(v) and ω·∇f(v) per evaluation point.
 
@@ -305,12 +295,9 @@ class HSolution:
                   _lerp(np.take(plane[n_u:], base), np.take(plane[n_u + 1:], base), t), fi)
             for plane in self._A_planes
         )
-        alpha = self._cache.alpha_at(u, cell=(j0, fu - j0))
-        dF = self.model.distribution.radon_profile_derivative(_Z_HAT, u)
         if W is None:
             W = self.model.potential.fourier(kappa)
-        # ε = 1 - φ̂ (α - iπF') part by part, the bits of the complex expression
-        eps = _complex(1.0 - W * alpha, W * (np.pi * dF))
+        eps = self.model.epsilon_at(W, u, cell=(j0, fu - j0))
         return _h_hat_formula(eps, W, _complex(A_re, A_im), f_v, omega_grad_f)
 
     def h_hat_axial_exact(self, kappas, u_eval, f_v, g_r_over_v):
@@ -318,7 +305,9 @@ class HSolution:
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         u_eval = np.asarray(u_eval, dtype=float)
         A = self.A_minus_exact(kappas, u_eval)
-        return self._h_hat(kappas[:, None], u_eval, A, f_v, (u_eval * g_r_over_v)[None, :])
+        W = self.model.potential.fourier(kappas[:, None])
+        return _h_hat_formula(self.model.epsilon_at(W, u_eval), W, A, f_v,
+                              (u_eval * g_r_over_v)[None, :])
 
 
 def _h_hat_formula(eps, W, A, f_v, omega_grad_f):
@@ -330,14 +319,6 @@ def _h_hat_formula(eps, W, A, f_v, omega_grad_f):
     if np.any(np.abs(eps) < EPSILON_FLOOR):
         raise DegenerateDielectricError("|ε| below floor in h_hat evaluation")
     return (f_v * (1.0 - eps) - A * (W * omega_grad_f)) / eps
-
-
-def _complex(re, im):
-    """re + i·im without a complex product."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
 
 
 def _lerp(a, b, t):

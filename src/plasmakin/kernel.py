@@ -28,6 +28,7 @@ dot products and its row and column sums as 3-deep matrix products
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,7 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32):
     W = model.potential.fourier(r)
     W2 = np.abs(W) ** 2
     u = -v_perp_mag * np.cos(theta)
-    # ε = 1 - φ̂(r) P⁻[∂_uF](u): P⁻ does not depend on r
-    P = model.plemelj_minus_dF(np.array([0.0, 0.0, 1.0]), u)
-    eps2 = np.abs(1.0 - W[:, None] * P[None, :]) ** 2
+    eps2 = np.abs(model.epsilon_at(W[:, None], u)) ** 2
     radial = (ws * r**4 * W2)[:, None] / eps2  # r³ dr = r⁴ ds in log vars
     c, sn = np.cos(theta), np.sin(theta)
     A11 = wt * float(np.sum(radial * c**2))
@@ -255,7 +254,12 @@ class VelocityGridField:
 
 
 def maxwellian_field(mass_m, temperature, half_width=None, n=21) -> VelocityGridField:
-    """Sampled Maxwellian (m/2πT)^{3/2} e^{-m|v|²/2T}, discrete mass renormalized."""
+    """Sampled Maxwellian (m/2πT)^{3/2} e^{-m|v|²/2T}, discrete mass renormalized.
+
+    A discrete mass more than 1e-3 off 1 raises `ResolutionError`: "lattice
+    too coarse" when the box holds all but 1e-3 of the continuous mass,
+    erf(half_width/(√2 v_th))³, and "box too small" otherwise.
+    """
     if mass_m <= 0 or temperature <= 0:
         raise InputError("m and T must be positive")
     vth = np.sqrt(temperature / mass_m)
@@ -270,9 +274,10 @@ def maxwellian_field(mass_m, temperature, half_width=None, n=21) -> VelocityGrid
     )
     raw_mass = float(np.sum(vals)) * field.cell_volume
     if abs(raw_mass - 1.0) > 1e-3:
-        raise ResolutionError(
-            f"box too small: discrete mass defect {abs(raw_mass-1):.2e} > 1e-3"
-        )
+        missed = 1.0 - math.erf(half_width / (math.sqrt(2.0) * vth)) ** 3
+        culprit = (f"lattice too coarse (the continuous mass within ±{half_width:g} misses "
+                   f"only {missed:.2g})" if missed <= 1e-3 else "box too small")
+        raise ResolutionError(f"{culprit}: discrete mass defect {abs(raw_mass-1):.2e} > 1e-3")
     field.values = vals / raw_mass
     return field
 

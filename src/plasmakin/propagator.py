@@ -43,7 +43,7 @@ import numpy as np
 
 from .dielectric import DielectricModel
 from .distributions import _GaussianMixtureBase, gaussian_cauchy
-from .equilibrium import HSolution
+from .equilibrium import HSolution, _h_hat_formula
 from .errors import InputError, StepSizeError, TruncationError
 from .kernel import TensorTable
 from .transforms import (
@@ -53,7 +53,7 @@ from .transforms import (
     _next_pow2,
     axial_inverse_transform,
     grid_cauchy,
-    pv_transform,
+    plemelj_minus,
     radial_inverse_transform,
 )
 
@@ -647,8 +647,7 @@ def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
         # |ε| = |1 - φ̂(κ) P⁻[∂_uF](u)| on the (κ, u) scan; the last column is u = 0
         ks = np.geomspace(0.02, 2.0, 120)
         u = np.append(np.linspace(-1.0, 1.0, 41) * speed, 0.0)
-        W = model.potential.fourier(ks)
-        abs_eps = np.abs(1.0 - W[:, None] * model.plemelj_minus_dF(kvec, u))
+        abs_eps = np.abs(model.epsilon_at(model.potential.fourier(ks)[:, None], u, kvec))
         floor = float(np.min(abs_eps[:, :-1]))
         ref = float(np.min(abs_eps[:, -1]))
         result["epsilon_floor"] = floor
@@ -842,7 +841,7 @@ class PairPropagator(_WeakFormEvaluator):
     def g_B_pairing(self, test: GaussianTestFunction, hsol: HSolution | None = None):
         """⟨g_B, ψ⟩ from the equilibrium chain (the t → ∞ target)."""
         if hsol is None:
-            hsol = HSolution(self.model, k_min=3e-3, k_max=max(10.0, self.k_q[-1] + 2), n_k=120)
+            hsol = HSolution(self.model)
         dist = self.model.distribution
         grid = hsol.grid
         u = grid.points
@@ -852,17 +851,15 @@ class PairPropagator(_WeakFormEvaluator):
         g02, g12 = G0_2.values(u), G1_2.values(u)
         A_all = np.zeros((len(self.k_q), grid.n), dtype=complex)
         A_all[:, 1:-1] = hsol.A_minus_exact(self.k_q, u[1:-1])
+        Pmg12 = plemelj_minus(LineProfile(grid, g12, endpoint_tol=1e-3)).values
         total = 0.0 + 0.0j
         for kap, kw, A in zip(self.k_q, self.k_w, A_all):
             a = float(kap)
             eps_u, W = hsol._eps_on_grid(a)
-            H1 = (1.0 - eps_u) / eps_u * g01 - W * A / eps_u * g11
-            H2 = (1.0 - eps_u) / eps_u * g02 - W * A / eps_u * g12
+            H1 = _h_hat_formula(eps_u, W, A, g01, g11)
+            H2 = _h_hat_formula(eps_u, W, A, g02, g12)
             Y1 = g02 + np.conj(H2)
-            prof_Y1 = LineProfile(grid, Y1, endpoint_tol=1e-3)
-            PmY1 = pv_transform(prof_Y1).values - 1j * np.pi * Y1
-            prof_g12 = LineProfile(grid, g12, endpoint_tol=1e-3)
-            Pmg12 = pv_transform(prof_g12).values - 1j * np.pi * g12
+            PmY1 = plemelj_minus(LineProfile(grid, Y1, endpoint_tol=1e-3)).values
             inner = -np.trapezoid(g11 * PmY1, u) + np.trapezoid((g01 + H1) * Pmg12, u)
             total = total + kw * 4 * np.pi * a**2 * test.x_hat(a) * W * inner
         return complex(total)
@@ -1057,7 +1054,7 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
     (the paper's loose constant), which serves as its oracle.
     """
     if hsol is None:
-        hsol = HSolution(model, k_min=3e-3, k_max=k_range[1] + 4.0, n_k=140)
+        hsol = HSolution(model)
     dist = model.distribution
     mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     kq, kw = np.polynomial.legendre.leggauss(n_k)

@@ -16,6 +16,8 @@ from plasmakin.config import (
     _COMMON_KEYS,
     _SCENARIO_KEYS,
     RunManifest,
+    build_distribution,
+    build_grid,
     compare_manifests,
     load_scenario,
     read_manifest,
@@ -25,6 +27,7 @@ from plasmakin.dielectric import DielectricModel
 from plasmakin.distributions import ExponentialFamily, Maxwellian
 from plasmakin.errors import CompareError, ConfigError
 from plasmakin.potentials import CoulombPotential
+from plasmakin.transforms import UGrid
 
 
 # SHA-256 of evolve.csv's t, k, re_rho and im_rho columns at the defaults
@@ -48,6 +51,11 @@ REFUSED_VALUES = [
     ("evolve", "potential = gaussian\nk = 200", "dt"),
     ("kernel", "lattice-n = 35", "lattice-n"),
     ("kernel", "half-width = 1", "half-width"),
+    ("penrose", "distribution = exponential\ndrift = 1 0 0", "drift"),
+    ("dielectric", "potential = coulomb\npotential-width = 3", "potential-width"),
+    ("cloud", "distribution = two-temperature\ntemperature = 2", "temperature"),
+    ("equilibrium", "gamma = 2", "gamma"),
+    ("evolve", "potential = zero\npotential-amplitude = 0.5", "potential-amplitude"),
 ]
 
 
@@ -276,6 +284,40 @@ class TestCommands:
         assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
         assert f"key {key!r}" in res.output
         assert not out.exists()
+
+    def test_parameter_through_extends_refused(self, runner, tmp_path):
+        """A parameter of the base's kind is refused once the child changes the kind."""
+        write_cfg(tmp_path / "base.cfg", "scenario = penrose\ndrift = 1 0 0\n")
+        cfg = write_cfg(tmp_path / "child.cfg", "extends = base.cfg\ndistribution = exponential\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["penrose", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64, res.output
+        assert "child.cfg:2:1: key 'drift'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key, other", [
+        ("lattice-n = 3", "lattice-n", "half-width"),
+        ("half-width = 1", "half-width", "lattice-n"),
+    ])
+    def test_lattice_mass_defect_names_one_key(self, runner, tmp_path, lines, key, other):
+        """Three nodes on the default box are too coarse; a box of half-width 1 is too small."""
+        cfg = write_cfg(tmp_path / "k.cfg", f"scenario = kernel\n{lines}\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["kernel", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 64, res.output
+        assert f"key {key!r}" in res.output and repr(other) not in res.output
+        assert ("box" in res.output) == (key == "half-width")
+        assert not out.exists()
+
+    def test_grid_n_alone_keeps_the_default_u_max(self, runner, tmp_path):
+        """grid-n alone takes u_max from the distribution's default grid, 26 for
+        the γ = 1 exponential family, whose profile does not decay by u = 12."""
+        cfg = write_cfg(tmp_path / "g.cfg", "scenario = dielectric\ndistribution = exponential\n"
+                                            "gamma = 1\ngrid-n = 4096\n")
+        res = runner.invoke(main, ["dielectric", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        scn = load_scenario(cfg)
+        assert build_grid(scn, build_distribution(scn)) == UGrid(26.0, 4096)
 
     def test_malformed_config_exit64_no_outputs(self, runner, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", "scenario = cloud\nwat = 1\n")

@@ -77,6 +77,47 @@ class TestEpsilon:
         assert np.max(np.abs(model_mc.alpha(KZ, u) - model_mc.alpha(KZ, -u))) < 1e-9
 
 
+def _bits(z):
+    """The float64 bits of the real and imaginary parts, signs of zero included."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag]).view(np.int64)
+
+
+class TestEpsilonAt:
+    """`epsilon_at` is 1 - W·P⁻[∂_uF] bit for bit, the sign of a zero
+    imaginary part included."""
+
+    @pytest.mark.parametrize("dist, chi", [
+        (Maxwellian(), KZ),
+        (BumpMixture([(0.85, (0, 0, 0), 1.0), (0.15, (0, 0, 0), 1.3)]), KZ),
+        (Maxwellian(drift=(0.3, -0.2, 0.4), temperature=1.2), np.array([0.48, -0.6, 0.64])),
+        (ExponentialFamily(gamma=1, modulation=0.3), KZ),
+    ], ids=["maxwellian", "two-temperature", "drifted-off-z", "exponential"])
+    def test_bits_of_one_minus_W_times_plemelj_minus(self, dist, chi):
+        model = DielectricModel(dist, gaussian_soft())
+        grid = model.grid
+        nodes = grid.points[::97]
+        between = nodes[:-1] + 0.37 * grid.spacing
+        beyond = np.array([1.0, -1.0, 1.5, -3.0]) * grid.u_max
+        u = np.concatenate([nodes, between, beyond, [0.0, -0.0]])
+        # W = 0 (zero potential) rounds 0·π∂_uF to either sign of zero too
+        W = np.append(0.0, model.potential.fourier(np.array([0.05, 0.4, 1.0, 3.0])))[:, None]
+        k = 0.7 * chi
+        eps = model.epsilon_at(W, u, k)
+        assert eps.shape == (W.size, u.size)
+        assert np.array_equal(_bits(eps), _bits(1.0 - W * model.plemelj_minus_dF(k, u)))
+        cache = model.direction_cache(k)
+        on_nodes = 1.0 - W * (cache.alpha - 1j * np.pi * cache.dF.values)
+        assert np.array_equal(_bits(model.epsilon_at(W, k=k)), _bits(on_nodes))
+
+    def test_exponential_family_at_rest_has_plus_zero_imaginary_part(self, exp_tail):
+        model = DielectricModel(exp_tail, CoulombPotential())
+        assert np.signbit(model.distribution.radon_profile_derivative(KZ, np.zeros(1)))[0]
+        eps = model.epsilon_at(1.0, 0.0)
+        assert eps.imag == 0.0 and not np.signbit(eps.imag)
+        assert _bits(model.epsilon(KZ, 0.0)).tolist() == _bits(eps).tolist()
+
+
 def _epsilon_drifted_reference(chi, drift, k, u, variance=1.0):
     """ε of a drifted Gaussian, Coulomb weight, in mpmath.
 

@@ -152,6 +152,15 @@ class TestMaxwellianField:
         with pytest.raises(InputError):
             maxwellian_field(-1.0, 1.0)
 
+    def test_mass_defect_blames_lattice_or_box(self):
+        """The default box misses 1 - erf(6/√2)³ = 5.9e-9 of the mass: a
+        three-node lattice fails on its spacing, a box of half-width 2 on its size."""
+        with pytest.raises(ResolutionError, match="lattice too coarse") as err:
+            maxwellian_field(1.0, 1.0, n=3)
+        assert "box" not in str(err.value)
+        with pytest.raises(ResolutionError, match="box too small"):
+            maxwellian_field(1.0, 1.0, half_width=2.0, n=15)
+
 
 class TestVelocityGridField:
     @pytest.mark.parametrize("half_width", [0.0, -1.0, np.nan, np.inf])
