@@ -15,12 +15,14 @@ holds α once, as its spline's cubic per u-cell, and `DirectionCache.alpha_at`
 serves α and α′ to every reader, with the 1/u² tail beyond ±u_max.
 
 The module needs numpy alone: the not-a-knot spline (`not_a_knot_cubic`),
-Brent's root finder (`_brent_root`) and Brent's bounded minimiser
-(`_bounded_minimum`) are built here.
+Brent's root finder (`_brent_root`), the batched polynomial root finder
+(`_bracketed_roots`) and Brent's bounded minimiser (`_bounded_minimum`) are
+built here.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,6 +48,8 @@ _POLE_POWERS = _POLE ** np.arange(_POLE_TAPS + 1)
 _STENCIL_INVERSE = np.concatenate([_POLE_POWERS[:0:-1], _POLE_POWERS]) / (2.0 * math.sqrt(3.0))
 _BRENT_RTOL = 4.0 * np.finfo(float).eps  # scipy's `brentq` default and floor
 _BRENT_MAXITER = 100
+_ROOT_MAXITER = 100  # Newton-bisection steps of `_bracketed_roots`
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _FMINBOUND_MAXFUN = 500  # scipy's `minimize_scalar(method="bounded")` default
 
@@ -214,6 +218,46 @@ def _brent_root(f, a, b, xtol):
     raise RootNotFoundError(f"Brent's root search on [{a}, {b}] did not converge")
 
 
+def _bracketed_roots(coef, a, b):
+    """A root in [a, b] of each row's polynomial (coef highest power first),
+    whose values at a and b differ in sign: Newton steps from the midpoint,
+    each kept inside the shrinking sign-change bracket, and bisection where
+    a step would leave it.
+
+    A row stops after a Newton step of at most 4ε·max(|x|, 1), or where
+    p(x) = 0.  The result then lies within E/|p′| of a root of the exact
+    polynomial, where E ≈ 2·deg·ε·Σ|c_k||x|^k bounds the rounding of
+    Horner's rule.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    f_lo = _horner(coef, lo)[0]
+    x = 0.5 * (lo + hi)
+    live = np.ones(x.shape, dtype=bool)
+    for _ in range(_ROOT_MAXITER):
+        f, df = _horner(coef, x)
+        right = np.sign(f) == np.sign(f_lo)
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - np.where(df != 0.0, f / df, np.inf)
+        inside = (newton >= lo) & (newton <= hi)
+        done = (f == 0.0) | (inside & (
+            np.abs(newton - x) <= _ROOT_RTOL * np.maximum(np.abs(newton), 1.0)))
+        x = np.where(live & (f != 0.0), np.where(inside, newton, 0.5 * (lo + hi)), x)
+        live &= ~done
+        if not live.any():
+            break
+    return x
+
+
+def _horner(coef, x):
+    """p(x) and p′(x) of each row's polynomial (coef highest power first)."""
+    p, dp = np.broadcast_to(coef[:, 0], x.shape).copy(), np.zeros_like(x)
+    for c in coef.T[1:]:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 def _bounded_minimum(f, a, b, xatol):
     """(x, f(x)) at a minimum of f on [a, b] by Brent's fminbound (Brent 1973, ch. 5).
 
@@ -339,6 +383,81 @@ class DirectionCache:
             out = np.where(outside, tail, out)
         return out if np.ndim(out) else float(out)
 
+    def far_roots(self, kappas):
+        """The far roots (u₀+, u₀−) of α(u) = κ² for each κ, as a (len(κ), 2)
+        array, NaN where a side's window holds no crossing.
+
+        Each side's window is 1/(2√κ) ≤ |u| ≤ 4/κ; it can hold the near
+        (rising-side) root as well, and the far root is the outermost
+        crossing, the Langmuir root.  One (κ × node) sign table of α - κ²
+        over the window's ends, the nodes inside it and the tail's start
+        just past u_max finds each κ's outermost sign change, or exact zero,
+        which is the root.  Inside ±u_max α is its spline's cubic on the
+        bracketing cell; beyond it α = κ² is κ²u⁴ = m0u² + 2m1u + 3m2 (the
+        tail m0/u² + 2m1/u³ + 3m2/u⁴ times u⁴), a quartic.  So one
+        polynomial solve per κ and side (`_bracketed_roots`) follows.  Where
+        the crossing is the step from the spline at u_max to the tail just
+        past it, the root is ±u_max.  A pair of crossings inside one cell,
+        both nodes on the same side of κ², is not seen: κ² then lies within
+        the cubic's bump over its nodes, some h²|α″|/8 from α's peak value,
+        where the root is double.
+        """
+        kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+        n, h, u_max = self.grid.n, self.grid.spacing, self.grid.u_max
+        pos, own, own_tail = self._far_table
+        m = kappas.size
+        side = np.repeat([1.0, -1.0], m)  # rows: every κ on the u > 0 side, then on u < 0
+        target = np.tile(kappas**2, 2)
+        lo, hi = np.tile(1.0 / (2.0 * np.sqrt(kappas)), 2), np.tile(4.0 / kappas, 2)
+        ends = self.alpha_at(np.concatenate([side * lo, side * hi])) - np.tile(target, 2)
+        pos, own = np.repeat(pos, m, axis=0), np.repeat(own, m, axis=0) - target[:, None]
+        below, above = pos <= lo[:, None], pos >= hi[:, None]
+        g = np.where(below, ends[: 2 * m, None], np.where(above, ends[2 * m :, None], own))
+        tail = np.where(below, (lo > u_max)[:, None], np.where(above, (hi > u_max)[:, None],
+                                                                 own_tail))
+        loc = np.clip(pos, lo[:, None], hi[:, None])
+        stop = g == 0.0
+        stop[:, :-1] |= g[:, :-1] * g[:, 1:] < 0.0
+        out = np.full(2 * m, np.nan)
+        found = np.flatnonzero(stop.any(axis=1))
+        c = pos.shape[1] - 1 - np.argmax(stop[found, ::-1], axis=1)
+        zero = g[found, c] == 0.0
+        out[found[zero]] = side[found[zero]] * loc[found[zero], c[zero]]
+        i, c = found[~zero], c[~zero]
+        inner, outer, s_i = loc[i, c], loc[i, c + 1], side[i]
+        kind = tail[i, c].astype(int) + tail[i, c + 1]  # 0 cell, 1 step at u_max, 2 tail
+        out[i[kind == 1]] = s_i[kind == 1] * u_max
+        cell, far = kind == 0, kind == 2
+        j = np.clip(((s_i * 0.5 * (inner + outer) + u_max) / h).astype(np.intp), 0, n - 2)[cell]
+        u_j = j * h - u_max  # node j, as `alpha_at` has it
+        coef = np.zeros((j.size + far.sum(), 5))
+        coef[: j.size, 1:] = self.alpha_cubic[j]
+        coef[: j.size, 4] -= target[i[cell]]
+        coef[j.size :, 0] = target[i[far]]
+        coef[j.size :, 2:] = [-self.moments[0], -2 * self.moments[1], -3 * self.moments[2]]
+        bracket = np.concatenate([(s_i[cell] * np.stack([inner[cell], outer[cell]]) - u_j) / h,
+                                  s_i[far] * np.stack([inner[far], outer[far]])], axis=1)
+        x = _bracketed_roots(coef, *bracket)
+        out[i[cell]] = u_j + h * x[: j.size]
+        out[i[far]] = x[j.size :]
+        return out.reshape(2, m).T
+
+    @functools.cached_property
+    def _far_table(self):
+        """`far_roots`' columns per side (rows u > 0, u < 0), outward: the
+        window's start, the nodes, the tail's start just past u_max and the
+        window's end.  Returns their |u| (the window's ends as ∓∞), α there
+        (0 at the window's ends) and which column is the tail's."""
+        n, u_max = self.grid.n, self.grid.u_max
+        nodes = np.stack([np.arange(n // 2, n), np.arange((n - 1) // 2, -1, -1)])
+        side = np.array([[1.0], [-1.0]])
+        edge = np.zeros((2, 1))
+        pos = np.concatenate([edge - np.inf, side * self.grid.points[nodes], edge + u_max,
+                              edge + np.inf], axis=1)
+        own = np.concatenate([edge, self.alpha[nodes], alpha_tail(self.moments, side * u_max),
+                              edge], axis=1)
+        return pos, own, np.arange(pos.shape[1]) == nodes.shape[1] + 1
+
 
 class DielectricModel:
     """Cached evaluator of ε and its ingredients for one (f, φ) pair."""
@@ -439,13 +558,18 @@ class DielectricModel:
 
     # -- spectral diagnostics -------------------------------------------------
     def dispersion_roots(self, k):
-        """Far roots u₀± of α(χ,u) = |k|², with L± and the affine maps Ψ±."""
+        """Far roots u₀± of α(χ,u) = |k|², with L± and the affine maps Ψ±:
+        the one-κ case of `DirectionCache.far_roots`."""
         kvec, nk = _as_vector(k)
         cache = self.direction_cache(kvec)
         target = nk**2
-
-        u0 = np.array([self._far_root(cache, target, nk, side=+1),
-                       self._far_root(cache, target, nk, side=-1)])
+        u0 = cache.far_roots(nk)[0]
+        if np.isnan(u0).any():
+            side = "u > 0" if np.isnan(u0[0]) else "u < 0"
+            raise RootNotFoundError(
+                f"no sign change of α - |k|² in {1.0 / (2.0 * np.sqrt(nk)):.3g} ≤ |u| ≤ "
+                f"{4.0 / nk:.3g} for {side} (|k|² = {target:.3g})"
+            )
         dF0 = np.asarray(self.distribution.radon_profile_derivative(cache.chi, u0), dtype=float)
         da0 = cache.alpha_at(u0, derivative=True)
         residual = np.abs(cache.alpha_at(u0) - target)
@@ -456,33 +580,6 @@ class DielectricModel:
             residual_plus=float(residual[0]), residual_minus=float(residual[1]),
             dF_plus=float(dF0[0]), dF_minus=float(dF0[1]),
             dalpha_plus=float(da0[0]), dalpha_minus=float(da0[1]),
-        )
-
-    def _far_root(self, cache, target, nk, side):
-        """Rightmost (leftmost) crossing of α = |k|², scanned inward from 4/|k|.
-
-        The bracket [1/(2√|k|), 4/|k|] can contain the near (rising-side)
-        root as well; marching from the far end selects the Langmuir root:
-        the first of 400 geometric scan points that is an exact zero, or
-        the first sign change, polished by `_brent_root`.
-        """
-        lo = 1.0 / (2.0 * np.sqrt(nk))
-        hi = 4.0 / nk
-
-        def g(u):
-            return cache.alpha_at(side * u) - target
-
-        us = np.geomspace(lo, hi, 400)[::-1]
-        vals = g(us)
-        stops = np.flatnonzero((vals == 0.0) | np.r_[False, vals[1:] * vals[:-1] < 0])
-        if stops.size:
-            i = stops[0]
-            if vals[i] == 0.0:
-                return side * us[i]
-            return side * _brent_root(g, us[i], us[i - 1], xtol=1e-14)
-        raise RootNotFoundError(
-            f"no sign change of α - |k|² in [{lo:.3g}, {hi:.3g}] "
-            f"(α range [{min(vals):.3g}, {max(vals):.3g}], |k|² = {target:.3g})"
         )
 
     def epsilon_infimum(self, k_range=(0.5, 50.0), u_max=3.0, n_u=801):
@@ -542,7 +639,8 @@ class DielectricModel:
         along ẑ, so every |k| shares χ = ẑ, and on the line Re ζ = -c the
         point z = (-c + iy)|k| maps to w = iz/|k| = -y - ic whatever |k| is.
         So C[∂_uF](w) is evaluated once per c, and ε = 1 - φ̂(|k|)·C for
-        each |k| reuses it.
+        each |k| reuses it.  `c` is the last line passed and `c0` the
+        minimum of |ε| over every line passed, the whole certified strip.
         """
         if not self.distribution.has_continuation:
             return {"status": "not checkable", "reason": self.distribution.kind}
@@ -558,7 +656,7 @@ class DielectricModel:
             if m < floor:
                 break
             best_c = float(c)
-            c0 = m
+            c0 = m if c0 is None else min(c0, m)
         return {"status": "checked", "c": best_c, "c0": c0}
 
 

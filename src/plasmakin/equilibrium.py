@@ -43,7 +43,6 @@ from .errors import (
     DegenerateDielectricError,
     InputError,
     ResolutionError,
-    RootNotFoundError,
     SingularConfigurationError,
 )
 from .transforms import (
@@ -52,10 +51,12 @@ from .transforms import (
     _interp_complex,
     perpendicular_unit,
     pv_transform,
+    pv_transform_rows,
 )
 
 GAMMA_SPLIT_SPACINGS = 10.0  # split when γ is below this many grid spacings
 _KAPPA_BLOCK = 128  # κ rows per matrix product in A_minus_exact (bounds its memory)
+_SLICE_BLOCK = 16  # κ rows per block of `slices`: 0.5 MB per complex (κ × 2n) buffer at n = 1024
 _NEAR_NODE = 1e-3  # u* this many spacings from a node keeps the subtracted PV form
 _LINE_POINTS = 20480  # ĥ points per pass of a g_B fan, v₁ and one v₂ plane (15 rows at n_θ 32)
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the isotropic chain's direction
@@ -136,6 +137,13 @@ class HSolution:
     def __init__(self, model: DielectricModel, k_min=3e-3, k_max=45.0, n_k=240):
         if not model.distribution.is_isotropic:
             raise InputError("the equilibrium chain uses the isotropic fast path")
+        if not (isinstance(n_k, (int, np.integer)) and n_k >= 2):
+            raise InputError(f"n_k must be an integer >= 2, got {n_k!r}")
+        for name, value in (("k_min", k_min), ("k_max", k_max)):
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and positive, got {value}")
+        if not k_min < k_max:
+            raise InputError(f"k_min must be below k_max, got k_min = {k_min}, k_max = {k_max}")
         self.model = model
         self.grid = model.grid
         self._u = self.grid.points
@@ -151,8 +159,9 @@ class HSolution:
 
     @functools.cached_property
     def slices(self) -> list[HSlice]:
-        """One solved slice per κ of `k_grid`."""
-        return [self._solve_slice(kk) for kk in self.k_grid]
+        """One solved slice per κ of `k_grid`, solved `_SLICE_BLOCK` κ at a time."""
+        return [sl for b0 in range(0, len(self.k_grid), _SLICE_BLOCK)
+                for sl in self._solve_block(self.k_grid[b0 : b0 + _SLICE_BLOCK])]
 
     @functools.cached_property
     def _A_planes(self):
@@ -169,42 +178,62 @@ class HSolution:
             raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
         return eps, W
 
-    def _resonance_poles(self, kappa):
-        """Lorentzian parameters (mass, u0, gamma, height A) per spike."""
-        if not self.model.potential.is_coulomb or kappa >= self._k_root_max:
-            return []
-        try:
-            roots = self.model.dispersion_roots(np.array([0.0, 0.0, kappa]))
-        except RootNotFoundError:
-            return []
+    def _resonance_poles(self, kappas):
+        """Per κ, the Lorentzian parameters (mass, u0, gamma, height A) of its spikes.
+
+        The far roots of every κ below the far-root bound come from one
+        `DirectionCache.far_roots` call; a κ without a root on a side has no
+        spike there.
+        """
+        kappas = np.asarray(kappas, dtype=float)
+        poles = [[] for _ in kappas]
+        if not self.model.potential.is_coulomb:
+            return poles
+        low = np.flatnonzero(kappas < self._k_root_max)
+        u0 = self._cache.far_roots(kappas[low])
+        row, side = np.nonzero(np.isfinite(u0))
+        at = u0[row, side]
         dist = self.model.distribution
-        poles = []
-        for u0, dF0, da in ((roots.u0_plus, roots.dF_plus, roots.dalpha_plus),
-                            (roots.u0_minus, roots.dF_minus, roots.dalpha_minus)):
-            gamma = np.pi * abs(dF0) / abs(da) if dF0 != 0.0 else 0.0
-            if gamma >= GAMMA_SPLIT_SPACINGS * self.grid.spacing or abs(da) < 1e-12:
-                continue
-            ratio = float(np.abs(dist.radon_ratio(_Z_HAT, np.array([u0]))[0]))
-            mass = kappa**4 * ratio / abs(da)
-            height = mass * max(gamma, 0.0) / np.pi  # A in A/(s²+γ²)
-            poles.append((mass, float(u0), float(gamma), height))
+        dF0 = np.asarray(dist.radon_profile_derivative(_Z_HAT, at), dtype=float)
+        da = np.abs(self._cache.alpha_at(at, derivative=True))
+        with np.errstate(divide="ignore"):
+            gamma = np.pi * np.abs(dF0) / np.where(dF0 != 0.0, da, 1.0)
+        keep = (gamma < GAMMA_SPLIT_SPACINGS * self.grid.spacing) & (da >= 1e-12)
+        row, at, gamma, da = row[keep], at[keep], gamma[keep], da[keep]
+        mass = kappas[low[row]] ** 4 * np.abs(dist.radon_ratio(_Z_HAT, at)) / da
+        height = mass * gamma / np.pi  # A in A/(s²+γ²)
+        for r, pole in zip(row, zip(mass, at, gamma, height)):
+            poles[low[r]].append(tuple(float(x) for x in pole))
         return poles
 
     def _solve_slice(self, kappa) -> HSlice:
-        eps_u, W = self._eps_on_grid(kappa)
-        abs2 = np.abs(eps_u) ** 2
-        poles = self._resonance_poles(kappa)
-        g_smooth, pole_cauchy = _subtract_poles(poles, self._u, self._F / abs2)
-        prof = LineProfile(self.grid, g_smooth, endpoint_tol=1e-4)
-        P_g = pv_transform(prof).values - 1j * np.pi * g_smooth + pole_cauchy
-        A_minus = eps_u * P_g
+        """The slice of one κ: the one-row case of `_solve_block`."""
+        return self._solve_block(np.array([float(kappa)]))[0]
+
+    def _solve_block(self, kappas) -> list[HSlice]:
+        """The slices of a block of κ, bit for bit as solved one at a time.
+
+        ε = 1 - φ̂(κ) P⁻[∂_uF] is one (κ × u) array, refused where |ε| falls
+        below the floor (naming the first such κ); G = F/|ε|², less each κ's
+        Langmuir Lorentzians, takes one blocked PV transform.
+        """
+        W = self.model.potential.fourier(kappas)[:, None]
+        eps = self.model.epsilon_at(W)
+        abs_eps = np.abs(eps)
+        low = np.flatnonzero(np.min(abs_eps, axis=1) < EPSILON_FLOOR)
+        if low.size:
+            raise DegenerateDielectricError(f"|ε| below floor at κ = {kappas[low[0]]}")
+        G = self._F / abs_eps**2
+        pole_cauchy = np.zeros(G.shape, dtype=complex)
+        poles = self._resonance_poles(kappas)
+        for i, p in enumerate(poles):
+            if p:
+                G[i], pole_cauchy[i] = _subtract_poles(p, self._u, G[i])
+        P_g = pv_transform_rows(self.grid, G, endpoint_tol=1e-4) - 1j * np.pi * G + pole_cauchy
+        A_minus = eps * P_g
         H_B = -np.imag(A_minus) / np.pi - self._F
-        return HSlice(
-            kappa=float(kappa),
-            A_minus=A_minus,
-            H_B=H_B,
-            split=bool(poles),
-        )
+        return [HSlice(kappa=float(kk), A_minus=A_minus[i], H_B=H_B[i], split=bool(poles[i]))
+                for i, kk in enumerate(kappas)]
 
     # -- exact (interpolation-free) evaluation --------------------------------
     def A_minus_exact(self, kappas, u_eval):
@@ -228,6 +257,10 @@ class HSolution:
         `_NEAR_NODE` spacings to a node keeps the subtracted form, because the
         split form cancels there.
         """
+        return self._A_minus_and_eps(kappas, u_eval)[0]
+
+    def _A_minus_and_eps(self, kappas, u_eval):
+        """`A_minus_exact` and the ε on the (κ, u*) set it is built from."""
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         u_eval = np.asarray(u_eval, dtype=float)
         u = self._u
@@ -244,15 +277,16 @@ class HSolution:
         C = C.T
         c = C.sum(axis=0)
         out = np.empty((len(kappas), len(u_eval)), dtype=complex)
+        eps = np.empty_like(out)
         for b0 in range(0, len(kappas), _KAPPA_BLOCK):
             kb = kappas[b0 : b0 + _KAPPA_BLOCK]
             W = self.model.potential.fourier(kb)[:, None]
-            eps_e = self.model.epsilon_at(W, u_eval)
+            eps_e = eps[b0 : b0 + len(kb)]
+            eps_e[...] = self.model.epsilon_at(W, u_eval)
             G = self._F / np.abs(self.model.epsilon_at(W)) ** 2
             g_e = F_eval / np.abs(eps_e) ** 2
             pole_c = np.zeros(g_e.shape, dtype=complex)
-            for i in np.flatnonzero(kb < self._k_root_max):
-                poles = self._resonance_poles(kb[i])
+            for i, poles in enumerate(self._resonance_poles(kb)):
                 if poles:
                     G[i], _ = _subtract_poles(poles, u, G[i])
                     g_e[i], pole_c[i] = _subtract_poles(poles, u_eval, g_e[i])
@@ -263,7 +297,7 @@ class HSolution:
                 S[:, e] = ((G - g_e[:, e, None]) / diff[e]) @ w_tr
             P_g = h * S + g_e * log_end
             out[b0 : b0 + len(kb)] = eps_e * (P_g - 1j * np.pi * g_e + pole_c)
-        return out
+        return out, eps
 
     # -- interpolated ingredient evaluations ---------------------------------
     def h_hat_values(self, kappa, u, f_v, omega_grad_f, W=None):
@@ -301,13 +335,13 @@ class HSolution:
         return _h_hat_formula(eps, W, _complex(A_re, A_im), f_v, omega_grad_f)
 
     def h_hat_axial_exact(self, kappas, u_eval, f_v, g_r_over_v):
-        """ĥ_B on a (κ, u) product set via the exact A⁻ path."""
+        """ĥ_B on a (κ, u) product set via the exact A⁻ path, with the ε that
+        A⁻ was built from."""
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         u_eval = np.asarray(u_eval, dtype=float)
-        A = self.A_minus_exact(kappas, u_eval)
+        A, eps = self._A_minus_and_eps(kappas, u_eval)
         W = self.model.potential.fourier(kappas[:, None])
-        return _h_hat_formula(self.model.epsilon_at(W, u_eval), W, A, f_v,
-                              (u_eval * g_r_over_v)[None, :])
+        return _h_hat_formula(eps, W, A, f_v, (u_eval * g_r_over_v)[None, :])
 
 
 def _h_hat_formula(eps, W, A, f_v, omega_grad_f):

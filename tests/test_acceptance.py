@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import pv_quadrature
 
 from plasmakin.cli import main as cli_main
 from plasmakin.config import read_manifest
@@ -42,7 +43,7 @@ from plasmakin.propagator import (
     flux_limit,
     vlasov_laplace_eval,
 )
-from plasmakin.transforms import LineProfile, UGrid, pv_quadrature, pv_transform
+from plasmakin.transforms import LineProfile, UGrid, pv_transform
 
 LINE_KW = dict(s_max=10.0, n_s=256, r_nodes=(8, 12, 20))
 

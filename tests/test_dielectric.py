@@ -1,5 +1,6 @@
 """Dielectric function, stability checks and unit scaling."""
 
+import dataclasses
 import warnings
 
 import mpmath
@@ -19,6 +20,7 @@ from plasmakin.dielectric import (
     _bounded_minimum,
     _brent_root,
     _critical_points,
+    alpha_tail,
     debye_rescale,
     penrose_check,
     not_a_knot_cubic,
@@ -35,6 +37,8 @@ from plasmakin.distributions import (
 from plasmakin.errors import DegenerateDielectricError, InputError, RootNotFoundError
 from plasmakin.potentials import CoulombPotential, gaussian_soft, zero_potential
 from plasmakin.transforms import UGrid
+
+from oracles import far_root_brent
 
 KZ = np.array([0.0, 0.0, 1.0])
 
@@ -607,12 +611,15 @@ class TestDispersionRoots:
         assert np.allclose(r.psi_plus(y), r.u0_plus + y * r.L_plus)
 
     @pytest.mark.parametrize("nk", [0.5, 1.0])
-    def test_exact_zero_at_the_first_scan_point(self, model_mc, nk):
-        """α(±4/|k|) = |k|² exactly at the scan's far end: that point is the root."""
-        cache = model_mc.direction_cache(KZ)
-        for side in (1, -1):
-            target = cache.alpha_at(side * 4.0 / nk)
-            assert model_mc._far_root(cache, target, nk, side) == side * 4.0 / nk
+    def test_exact_zero_at_the_first_scan_point(self, nk):
+        """α(±4/|k|) = |k|² exactly at the window's far end: that point is the root.
+
+        On a narrow grid (u_max = 3) whose tail is set to 16/u², the tail at
+        u = ±4/|k| is |k|² in exact arithmetic and in floating point."""
+        model = DielectricModel(Maxwellian(temperature=0.05), CoulombPotential(), UGrid(3.0, 256))
+        cache = dataclasses.replace(model.direction_cache(KZ), moments=(16.0, 0.0, 0.0))
+        assert cache.alpha_at(4.0 / nk) == cache.alpha_at(-4.0 / nk) == nk**2
+        assert cache.far_roots(nk).tolist() == [[4.0 / nk, -4.0 / nk]]
 
     @pytest.mark.parametrize("k", [0.02, 0.05])
     def test_root_past_the_grid_reads_the_tail(self, model_mc, k):
@@ -627,6 +634,95 @@ class TestDispersionRoots:
             assert abs(dalpha - tail_dalpha) <= 1e-12 * abs(tail_dalpha)
             dF = float(Maxwellian().radon_profile_derivative(KZ, np.array([u0]))[0])
             assert abs(L - dF / tail_dalpha) <= 1e-12 * abs(dF / tail_dalpha)
+
+
+_EPS = np.finfo(float).eps
+_ROOT_KINDS = {
+    "maxwellian": (Maxwellian(), KZ),
+    "mixture": (BumpMixture([(0.75, (0, 0, 0), 1.0), (0.25, (0, 0, 0), 1.35)]), KZ),
+    "exponential": (ExponentialFamily(gamma=1), KZ),
+    "drifted": (Maxwellian(drift=(0.3, 0.0, 0.5)), np.array([0.36, 0.48, 0.8])),
+}
+
+
+def _root_bound(cache, u, kappa, xtol=1e-14):
+    """How far the batched far root may lie from Brent's at u.
+
+    Brent stops within xtol + 4ε|u| of a sign change of its α - κ².  Either
+    evaluation of α - κ² near the root is off by at most E: Horner's rule on
+    the cell's cubic (6ε·Σ|c_k| + ε(|α| + κ²)) with t = (u - u_j)/h off by
+    3ε(|u| + u_max)/h, or the tail's terms and its quartic κ²u⁴ - m0u² -
+    2m1u - 3m2 (8ε times the terms' absolute sum).  Each sign change then
+    lies within E/|α′| of the exact one; the batched solver stops within
+    4ε·max(|u|, h) of its own.
+    """
+    u_max, h = cache.grid.u_max, cache.grid.spacing
+    slope = abs(float(cache.alpha_at(u, derivative=True)))
+    if abs(u) > u_max:
+        m0, m1, m2 = cache.moments
+        size = abs(m0) / u**2 + 2 * abs(m1) / abs(u) ** 3 + 3 * abs(m2) / u**4 + kappa**2
+        rounding = 8 * _EPS * size / slope
+    else:
+        j = min(int((u + u_max) / h), cache.grid.n - 2)
+        size = float(np.sum(np.abs(cache.alpha_cubic[max(j - 1, 0) : j + 2]), axis=1).max())
+        rounding = (7 * _EPS * (size + kappa**2)) / slope + 3 * _EPS * (abs(u) + u_max)
+    return xtol + 4 * _EPS * abs(u) + 2 * rounding + 4 * _EPS * max(abs(u), h)
+
+
+def _assert_far_roots_match_brent(cache, kappas):
+    got = cache.far_roots(kappas)
+    for kappa, row in zip(kappas, got):
+        for side, u in zip((1, -1), row):
+            ref = far_root_brent(cache, kappa, side)
+            assert np.isnan(u) == np.isnan(ref), (kappa, side, u, ref)
+            if np.isnan(u):
+                continue
+            assert abs(u - ref) <= _root_bound(cache, ref, kappa), (kappa, side, u, ref)
+            if abs(u) != cache.grid.u_max:  # not the step from the spline to the tail
+                res, res_ref = (abs(float(cache.alpha_at(x)) - kappa**2) for x in (u, ref))
+                assert res <= res_ref + 16 * _EPS * (abs(float(cache.alpha_at(ref))) + kappa**2)
+
+
+class TestFarRoots:
+    """The far roots read from α's cells, against scalar Brent on a fine scan."""
+
+    @pytest.mark.parametrize("kind", list(_ROOT_KINDS))
+    def test_match_brent_over_the_range(self, kind):
+        dist, k_hat = _ROOT_KINDS[kind]
+        cache = DielectricModel(dist, CoulombPotential()).direction_cache(k_hat)
+        u = cache.grid.points
+        # κ² at α's largest node value on the side where it is lower
+        top = np.sqrt(min(np.max(cache.alpha[u > 0]), np.max(cache.alpha[u < 0])))
+        u_max = cache.grid.u_max
+        step = 0.5 * (float(cache.alpha_at(u_max)) + alpha_tail(cache.moments, u_max))
+        kappas = np.concatenate([np.geomspace(1e-3, 1.1 * top, 40),
+                                 top * np.sqrt(1.0 - np.array([1e-2, 1e-4, 1e-7])),
+                                 [np.sqrt(step)]])
+        _assert_far_roots_match_brent(cache, kappas)
+        # κ² between the spline's α at u_max and the tail's just past it: the step is the root
+        assert cache.far_roots(np.sqrt(step))[0, 0] == u_max
+
+    def test_two_crossings_in_adjacent_cells(self, model_mc):
+        """κ² just below α's largest node value crosses α in the cells on both
+        sides of that node; the far root is the outer crossing."""
+        cache = model_mc.direction_cache(KZ)
+        u, alpha = cache.grid.points, cache.alpha
+        j = int(np.argmax(np.where(u > 0, alpha, -np.inf)))
+        side_max = max(alpha[j - 1], alpha[j + 1])
+        kappa = np.sqrt(side_max + 0.5 * (alpha[j] - side_max))
+        assert alpha[j - 1] < kappa**2 < alpha[j] and alpha[j + 1] < kappa**2
+        u0 = cache.far_roots(kappa)[0]
+        assert u[j] < u0[0] < u[j + 1] and -u[j + 1] < u0[1] < -u[j]
+        _assert_far_roots_match_brent(cache, [kappa])
+
+    @settings(max_examples=20, deadline=None)
+    @given(weight=st.floats(0.05, 0.95), sigma=st.floats(0.6, 1.6),
+           fraction=st.floats(0.0, 1.0))
+    def test_mixture_draw(self, weight, sigma, fraction):
+        dist = BumpMixture([(weight, (0, 0, 0), 1.0), (1.0 - weight, (0, 0, 0), sigma)])
+        cache = DielectricModel(dist, CoulombPotential()).direction_cache(KZ)
+        top = np.sqrt(np.max(cache.alpha))
+        _assert_far_roots_match_brent(cache, [2e-3 * (top / 2e-3) ** (0.999 * fraction)])
 
 
 def _alpha_reference(components, u, order=0):
@@ -800,6 +896,18 @@ class TestAlphaAsymptotics:
 
 
 class TestStrongStability:
+    def test_c0_is_the_minimum_over_the_strip(self, model_mc):
+        """c0 is min |ε| over every line passed, not over the last one: for the
+        Coulomb Maxwellian the c = 0 line holds the minimum (0.0143), well
+        below the last line's (0.1258)."""
+        rep = model_mc.strong_stability_check()
+        ys = np.linspace(-30.0, 30.0, 601)
+        minima = [min(float(np.min(np.abs(model_mc.epsilon_laplace(kk * KZ, (-c + 1j * ys) * kk))))
+                      for kk in (0.25, 0.5, 1.0, 2.0))
+                  for c in np.linspace(0.0, rep["c"], 9)]
+        assert rep["c"] == 0.4
+        assert rep["c0"] == min(minima) == minima[0] < 0.5 * minima[-1]
+
     def test_maxwellian_checkable(self, model_ms):
         rep = model_ms.strong_stability_check()
         assert rep["status"] == "checked"
@@ -813,7 +921,8 @@ class TestStrongStability:
 
 def _strong_stability_per_k(model, k_values=(0.25, 0.5, 1.0, 2.0), c_max=0.4, floor=1e-3):
     """`strong_stability_check` as one `epsilon_laplace` line per (c, |k|),
-    and the number of c lines it reached."""
+    and the number of c lines it reached; c0 is the minimum over every line
+    passed."""
     best_c, c0 = 0.0, None
     ys = np.linspace(-30.0, 30.0, 601)
     for n_c, c in enumerate(np.linspace(0.0, c_max, 9), start=1):
@@ -823,7 +932,7 @@ def _strong_stability_per_k(model, k_values=(0.25, 0.5, 1.0, 2.0), c_max=0.4, fl
             m = min(m, float(np.min(np.abs(model.epsilon_laplace(np.array([0, 0, kk]), z)))))
             if m < floor:
                 return {"status": "checked", "c": best_c, "c0": c0}, n_c
-        best_c, c0 = float(c), m
+        best_c, c0 = float(c), m if c0 is None else min(c0, m)
     return {"status": "checked", "c": best_c, "c0": c0}, n_c
 
 

@@ -13,8 +13,10 @@ from plasmakin.dielectric import DielectricModel, alpha_tail
 from plasmakin.equilibrium import (
     _IN_PLANE,
     _LINE_POINTS,
+    _SLICE_BLOCK,
     _Z_HAT,
     HSolution,
+    _h_hat_formula,
     _marginal_fan,
     _subtract_poles,
     correlation_line,
@@ -61,6 +63,20 @@ class TestSolveH:
     def test_k_zero_rejected(self, model_mc):
         with pytest.raises(InputError):
             solve_H(model_mc, 0.0)
+
+
+class TestHSolutionArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_k=1), "n_k"),
+        (dict(k_min=0.0), "k_min"),
+        (dict(k_min=5.0, k_max=1.0), "k_min must be below k_max"),
+        (dict(k_min=float("nan")), "k_min"),
+    ], ids=["n_k-1", "k_min-0", "reversed", "k_min-nan"])
+    def test_bad_kappa_grid_refused_by_name(self, model_ms, kwargs, name):
+        """A κ grid HSolution cannot build is refused at construction, naming
+        the argument."""
+        with pytest.raises(InputError, match=name):
+            HSolution(model_ms, **kwargs)
 
 
 class TestHhat:
@@ -384,7 +400,7 @@ def _A_minus_exact_reference(sol, kappas, u_eval):
     out = np.empty((len(kappas), len(u_eval)), dtype=complex)
     for i, kap in enumerate(kappas):
         eps_g, _ = sol._eps_on_grid(kap)
-        poles = sol._resonance_poles(kap)
+        poles = sol._resonance_poles([kap])[0]
         g, _ = _subtract_poles(poles, u, sol._F / np.abs(eps_g) ** 2)
         g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)
         quot = (g[None, :] - g_e[:, None]) / safe
@@ -599,6 +615,19 @@ class TestMarginalFan:
 
 
 class TestAMinusExact:
+    def test_h_hat_axial_exact_takes_eps_from_A_minus(self, model_mc):
+        """ĥ_B on the exact path has the bits of the closed formula with ε
+        evaluated afresh on the (κ, u*) set: reusing A⁻'s ε changes nothing.
+        The κ span three `A_minus_exact` blocks, split ones among them."""
+        sol = HSolution(model_mc)
+        kappas = np.geomspace(0.01, 5.0, 300)
+        u = np.concatenate([np.linspace(-3.0, 3.0, 13), sol.grid.points[[500, 700]]])
+        got = sol.h_hat_axial_exact(kappas, u, 0.3, -0.2)
+        W = model_mc.potential.fourier(kappas[:, None])
+        ref = _h_hat_formula(model_mc.epsilon_at(W, u), W, sol.A_minus_exact(kappas, u), 0.3,
+                             (u * -0.2)[None, :])
+        assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("name", CRITERION_5)
     def test_h_realspace_inputs(self, criterion_5_chains, name):
         sol, k_max = criterion_5_chains[name]
@@ -702,15 +731,15 @@ class TestHHatKernel:
 # ---------------------------------------------------------------------------
 
 def _count_slice_solves(sol):
-    """Count `sol._solve_slice` calls from here on."""
+    """Count the κ rows that `sol._solve_block` solves from here on."""
     calls = [0]
-    inner = sol._solve_slice
+    inner = sol._solve_block
 
-    def counting(kappa):
-        calls[0] += 1
-        return inner(kappa)
+    def counting(kappas):
+        calls[0] += len(kappas)
+        return inner(kappas)
 
-    sol._solve_slice = counting
+    sol._solve_block = counting
     return calls
 
 
@@ -745,3 +774,19 @@ class TestLazyTable:
         assert np.array_equal(sol._A_planes[0], table.real)
         assert np.array_equal(sol._A_planes[1], table.imag)
         assert calls[0] == len(sol.k_grid)
+
+    def test_slice_bits_do_not_depend_on_the_block(self, model_mc):
+        """A κ's slice has the same bits solved in its `slices` block, alone, or
+        in a block that starts elsewhere; Langmuir-split slices included."""
+        sol = HSolution(model_mc, n_k=40)
+        shift = 5
+        shifted = sol._solve_block(sol.k_grid[shift : shift + _SLICE_BLOCK])
+        assert any(s.split for s in sol.slices) and not all(s.split for s in sol.slices)
+        for i, (kk, got) in enumerate(zip(sol.k_grid, sol.slices, strict=True)):
+            refs = [sol._solve_slice(kk)]
+            if 0 <= i - shift < len(shifted):
+                refs.append(shifted[i - shift])
+            for ref in refs:
+                assert got.kappa == ref.kappa and got.split == ref.split
+                assert np.array_equal(got.A_minus, ref.A_minus)
+                assert np.array_equal(got.H_B, ref.H_B)

@@ -6,23 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
+from oracles import pv_fft_padded, pv_quadrature
 from plasmakin.distributions import BumpMixture, ExponentialFamily, Maxwellian, Tabulated
 from plasmakin.errors import DomainError, InputError, PreconditionError
 from plasmakin.transforms import (
     LineProfile,
     UGrid,
     _panel_nodes,
+    _pv_kernel,
     _smooth_cutoff,
     axial_inverse_transform,
     perpendicular_unit,
     plemelj_minus,
     plemelj_plus,
-    pv_quadrature,
     pv_transform,
+    pv_transform_rows,
     radial_inverse_transform,
     radon,
     radon_derivative,
     spherical_jn_orders,
+    taper_window,
 )
 
 GRID = UGrid(12.0, 1024)
@@ -169,6 +172,71 @@ class TestPrincipalValue:
         assert not p.decay_flag
         with pytest.raises(PreconditionError):
             pv_transform(p)
+
+
+def _fft_rounding_bound(grid, x):
+    """A bound on |2n-point route - 8n-point route| from FFT rounding alone,
+    for the tapered profile x.
+
+    A length-M FFT has a relative 2-norm error of at most log₂M·η, with
+    η = μ + γ₄(√2 + μ) ≈ 7ε for twiddle factors accurate to μ ≈ ε (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §24.1).  Both
+    routes compute the same restricted convolution as IFFT(FFT(x)·m):
+    - the 8n route with the exact multiplier |m| = π: error at most
+      (2·log₂8n·η + ε)·π·‖x‖₂;
+    - the 2n route with m = FFT_2n of the lags of IFFT_8n(iπ·sign ξ): error at
+      most (2·log₂2n·η + ε)·max|m|·‖x‖₂ plus ‖Δm‖∞·‖x‖₂, where
+      ‖Δm‖∞ ≤ ‖Δm‖₂ ≤ √(2n)·π·(log₂8n + log₂2n)·η (the lags' 2-norm is at
+      most π).
+    Both then add the same moment corrections, one rounding each of the
+    result's size.
+    """
+    eps = np.finfo(float).eps
+    eta = eps + 4 * eps / (1 - 4 * eps) * (np.sqrt(2) + eps)
+    l8, l2 = np.log2(8 * grid.n), np.log2(2 * grid.n)
+    m_max = float(np.max(np.abs(_pv_kernel(grid)[0])))
+    scale = np.max(np.abs(x), axis=-1, keepdims=True)  # ‖x‖₂ without underflow
+    norm = scale * np.linalg.norm(x / np.where(scale > 0, scale, 1.0), axis=-1, keepdims=True)
+    return norm * ((2 * l8 * eta + eps) * np.pi + (2 * l2 * eta + eps) * m_max
+                   + np.sqrt(2 * grid.n) * np.pi * (l8 + l2) * eta)
+
+
+class TestBlockedPV:
+    """The 2n-point blocked route against the 8n-point zero-padded oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_n=st.integers(6, 11),
+        bumps=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.3, 1.5),
+                                 st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=1, max_size=4),
+        rows=st.integers(1, 3),
+        is_complex=st.booleans(),
+    )
+    def test_rows_match_the_zero_padded_oracle(self, log_n, bumps, rows, is_complex):
+        grid = UGrid(12.0, 2**log_n)
+        u = grid.points
+        profiles = []
+        for r in range(rows):
+            vals = sum((a + 1j * b * is_complex) * np.exp(-0.5 * ((u - c - r) / w) ** 2)
+                       for c, w, a, b in bumps)
+            profiles.append(vals if is_complex else np.real(vals))
+        got = pv_transform_rows(grid, np.array(profiles))
+        ref = np.array([pv_fft_padded(LineProfile(grid, p)) for p in profiles])
+        bound = _fft_rounding_bound(grid, np.array(profiles) * taper_window(grid))
+        bound = bound + 2 * np.finfo(float).eps * np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= bound)
+        for p, row in zip(profiles, got):
+            assert np.array_equal(pv_transform(LineProfile(grid, p)).values, row)
+
+    def test_rows_refuse_what_a_profile_refuses(self):
+        ok = np.exp(-0.5 * U**2)
+        with pytest.raises(PreconditionError):
+            pv_transform_rows(GRID, np.array([ok, 1.0 / (1.0 + U**2)]))
+        with pytest.raises(InputError, match="non-finite"):
+            pv_transform_rows(GRID, np.array([ok, np.where(U > 0, np.nan, ok)]))
+        with pytest.raises(InputError):
+            pv_transform_rows(GRID, ok)
 
 
 class TestPlemelj:
