@@ -218,11 +218,11 @@ def _brent_root(f, a, b, xtol):
     raise RootNotFoundError(f"Brent's root search on [{a}, {b}] did not converge")
 
 
-def _bracketed_roots(coef, a, b):
+def _bracketed_roots(coef, a, b, start):
     """A root in [a, b] of each row's polynomial (coef highest power first),
-    whose values at a and b differ in sign: Newton steps from the midpoint,
-    each kept inside the shrinking sign-change bracket, and bisection where
-    a step would leave it.
+    whose values at a and b differ in sign: Newton steps from `start`,
+    clamped into the bracket, each kept inside the shrinking sign-change
+    bracket, and bisection where a step would leave it.
 
     A row stops after a Newton step of at most 4ε·max(|x|, 1), or where
     p(x) = 0.  The result then lies within E/|p′| of a root of the exact
@@ -231,7 +231,7 @@ def _bracketed_roots(coef, a, b):
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     f_lo = _horner(coef, lo)[0]
-    x = 0.5 * (lo + hi)
+    x = np.clip(start, lo, hi)
     live = np.ones(x.shape, dtype=bool)
     for _ in range(_ROOT_MAXITER):
         f, df = _horner(coef, x)
@@ -437,7 +437,11 @@ class DirectionCache:
         coef[j.size :, 2:] = [-self.moments[0], -2 * self.moments[1], -3 * self.moments[2]]
         bracket = np.concatenate([(s_i[cell] * np.stack([inner[cell], outer[cell]]) - u_j) / h,
                                   s_i[far] * np.stack([inner[far], outer[far]])], axis=1)
-        x = _bracketed_roots(coef, *bracket)
+        # a cell root starts at its bracket's middle, a tail root at the
+        # tail's leading-order root u = ±√m0/κ
+        start = 0.5 * (bracket[0] + bracket[1])
+        start[j.size :] = s_i[far] * np.sqrt(max(self.moments[0], 0.0) / target[i[far]])
+        x = _bracketed_roots(coef, *bracket, start)
         out[i[cell]] = u_j + h * x[: j.size]
         out[i[far]] = x[j.size :]
         return out.reshape(2, m).T

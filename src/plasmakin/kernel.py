@@ -28,6 +28,7 @@ dot products and its row and column sums as 3-deep matrix products
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +80,15 @@ def _auto_cutoff(model, requested):
     return float(k[idx[-1]] * 2.0) if idx.size else 10.0
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1]; built once per n, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32):
     """(A11, A22, A12) of ∫ k̂_i k̂_j r³ |φ̂|²/|ε|² dr dθ on the k ⊥ w plane.
 
@@ -90,7 +100,7 @@ def _plane_components(model, v_perp_mag, K_max, n_r=64, n_theta=32):
     """
     if not model.distribution.is_isotropic:
         raise InputError("the Balescu-Lenard tensor needs an isotropic distribution")
-    x, wr = np.polynomial.legendre.leggauss(n_r)
+    x, wr = _gauss_legendre(n_r)
     s0, s1 = np.log(1e-4), np.log(K_max)
     s = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x
     ws = 0.5 * (s1 - s0) * wr

@@ -23,6 +23,19 @@ the mean of F.  The contour nodes γ + iτ_j are closed under conjugation
 so `ContourFn.reflected` turns one sign's samples into the other's, and
 only node 0 is evaluated directly.
 
+A profile that is even or odd as well gives a second symmetry at one sign
+of k.  w = iz/a maps the node pair (z, z̄) to (w, -w̄), and
+C_g(-w̄) = -conj C_g(w) for even g, +conj C_g(w) for odd g, so m_g(z̄) is
++conj m_g(z) for even g and -conj m_g(z) for odd g.  The zero-mean
+Gaussian components of a `UProfile` of one degree, of F in the weak form
+and of its ∂_uF have such a parity: their transforms are evaluated on
+nodes 0 … n/2 (`BromwichContour.half_nodes`) and mirrored
+(`BromwichContour.mirrored`).  scipy's `wofz` obeys w(-ζ̄) = conj w(ζ) bit
+for bit, and the arithmetic after it is sign-symmetric under IEEE
+rounding, so the mirrored values are those of the direct evaluation, bit
+for bit.  `_epsilon_contour_fn` evaluates every node: the parity of ε
+depends on the drift of F.
+
 The two-particle propagator G(t)[g₀] = V₁V₂[S + g₀] - T(t)[S] is evaluated
 in weak form against separable Gaussian test functions.  Every pairing
 reduces to one-dimensional inverse Laplace transforms of products of
@@ -96,6 +109,9 @@ class BromwichContour:
             raise InputError("contour height must be positive")
         if not self.n_nodes >= 2:
             raise InputError("a contour needs at least 2 nodes")
+        if self.n_nodes % 2:
+            raise InputError(f"n_nodes = {self.n_nodes}: node j pairs with node n - j "
+                             "under conjugation only for an even count")
 
     @property
     def dtau(self) -> float:
@@ -108,6 +124,17 @@ class BromwichContour:
     @cached_property
     def nodes(self) -> np.ndarray:
         return _read_only(self.gamma + 1j * self.tau)
+
+    @property
+    def half_nodes(self) -> np.ndarray:
+        """Nodes 0 … n/2: with their conjugates, every node (see `mirrored`)."""
+        return self.nodes[: self.n_nodes // 2 + 1]
+
+    def mirrored(self, half, sign) -> np.ndarray:
+        """Node values of F from its values `half` on `half_nodes`, for F with
+        F(z̄) = sign·conj F(z): node j > n/2 takes sign·conj of node n - j."""
+        partners = np.conj(half[self.n_nodes // 2 - 1 : 0 : -1])  # of nodes n/2 + 1 … n - 1
+        return np.concatenate([half, -partners if sign < 0 else partners])
 
     @cached_property
     def node_powers(self) -> tuple:
@@ -228,17 +255,18 @@ class ContourFn:
         b3 = (-(a1**3) + 2 * a0 * a1 * a2 - a0**2 * a3) / a0**4
         return ContourFn(self.contour, 1.0 / self.vals, (b0, b1, b2, b3))
 
-    def invert(self) -> "TimeSeries":
-        """L⁻¹ on the contour's natural time grid (causal, t ≥ 0)."""
+    def invert(self, n_t=None) -> "TimeSeries":
+        """L⁻¹ on the contour's natural time grid (causal, t ≥ 0), or on its
+        first `n_t` times only."""
         if self.a[0] != 0.0:
             raise InputError("a0 ≠ 0: distributional δ(t) part; subtract it first")
         c = self.contour
         z2, z3 = c.node_powers
         rem = self.vals - self.a[1] / c.nodes - self.a[2] / z2 - self.a[3] / z3
         # ρ(t_m) = (e^{γt}/2π) dτ Σ_j rem(γ+iτ_j) e^{iτ_j t_m}
-        spec = np.fft.ifft(np.fft.ifftshift(rem)) * c.n_nodes
-        t = c.t_grid
-        vals = c.time_scale * spec
+        spec = np.fft.ifft(np.fft.ifftshift(rem))[:n_t] * c.n_nodes
+        t = c.t_grid[:n_t]
+        vals = c.time_scale[:n_t] * spec
         vals = vals + self.a[1] + self.a[2] * t + 0.5 * self.a[3] * t**2
         return TimeSeries(t=t, values=vals)
 
@@ -332,9 +360,20 @@ class UProfile:
 
     def cauchy_moment(self, contour: BromwichContour, a_signed: float, vals=None) -> ContourFn:
         """m_g(z) = ∫ g(u)/(z + i·a·u) du = (-i/a)·C_g(iz/a) as a ContourFn,
-        from its node values `vals` when they are already known."""
+        from its node values `vals` when they are already known.
+
+        The components of one degree make g even (degree 0) or odd
+        (degree 1), and m_g(z̄) = ±conj m_g(z) with the same sign (see
+        module docstring): such a g is evaluated on the contour's
+        `half_nodes` and mirrored.
+        """
         if vals is None:
-            vals = self._moment_vals(contour.nodes, a_signed)
+            degrees = {deg for *_, deg in self.comps}
+            if len(degrees) == 1:
+                half = self._moment_vals(contour.half_nodes, a_signed)
+                vals = contour.mirrored(half, -1.0 if degrees.pop() else 1.0)
+            else:
+                vals = self._moment_vals(contour.nodes, a_signed)
         m0, m1, m2 = self.moments()
         return ContourFn(contour, vals, (0.0, m0, -1j * a_signed * m1, -(a_signed**2) * m2))
 
@@ -404,6 +443,19 @@ class ModeState:
 def _require_soft(model):
     if model.potential.is_coulomb:
         raise InputError("time evolution is restricted to soft potentials")
+
+
+def _require_count(name, value):
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _require_k_range(k_range):
+    """(k_lo, k_hi) of a κ quadrature range, finite with 0 ≤ k_lo < k_hi."""
+    a, b = k_range
+    if not (np.isfinite(b) and 0 <= a < b):
+        raise InputError(f"k_range must be finite with 0 <= k_lo < k_hi, got {k_range}")
+    return a, b
 
 
 def vlasov_step(model: DielectricModel, state: ModeState, dt: float) -> ModeState:
@@ -715,6 +767,10 @@ class _WeakFormEvaluator:
         _require_soft(model)
         if not model.distribution.is_isotropic:
             raise InputError("the weak-form evaluators need an isotropic distribution")
+        if not (np.isfinite(t_max) and t_max > 0):
+            raise InputError(f"t_max must be finite and positive, got {t_max}")
+        _require_count("k_nodes", k_nodes)
+        a, b = _require_k_range(k_range)
         self._F = radon_profile_of(model.distribution)
         self.model = model
         gamma = causal_gamma(t_max)
@@ -724,7 +780,6 @@ class _WeakFormEvaluator:
         self.contour.check_reach(t_max)
         self.t_max = float(t_max)
         x, w = np.polynomial.legendre.leggauss(k_nodes)
-        a, b = k_range
         self.k_q = 0.5 * (a + b) + 0.5 * (b - a) * x
         self.k_w = 0.5 * (b - a) * w
         self._n_t = int(self.t_max / self.contour.dt) + 2
@@ -736,18 +791,21 @@ class _WeakFormEvaluator:
         ε̃ = ε(-k, ·) and m̃_F = m_F at -a are ε and m_F reflected (see module
         docstring): only their node 0 is evaluated.  ε = 1 - W·C[∂_uF](w) and
         m_F = (-i/a)·C_F(w), w = iz/a, read the Z function at the same ζ, so
-        one `cauchy_with_derivative` pass gives both, bit for bit the values
-        of `epsilon_laplace` and `UProfile.cauchy_moments`.
+        one `cauchy_with_derivative` pass gives both.  It covers the
+        contour's `half_nodes` only: F is even and ∂_uF odd, so C_F takes
+        -conj and C[∂_uF] +conj at the mirror nodes.  The values are bit for
+        bit those of `epsilon_laplace` and `UProfile.cauchy_moments`.
         """
-        z = self.contour.nodes
+        c = self.contour
         for kap, kw in zip(self.k_q, self.k_w):
             a = float(kap)
             W = float(self.model.potential.fourier(np.asarray(a)))
             kv = np.array([0.0, 0.0, a])
-            C_F, C_dF = self._F.cauchy_with_derivative(1j * z / a)
-            eps = _epsilon_contour_fn(self.model, kv, self.contour, vals=1.0 - W * C_dF)
-            first = np.conj(self.model.epsilon_laplace(kv, np.conj(z[:1]))[0])
-            m_F, mt_F = self._F.cauchy_moments(self.contour, a, (-1j / a) * C_F)
+            C_F, C_dF = self._F.cauchy_with_derivative(1j * c.half_nodes / a)
+            C_F, C_dF = c.mirrored(C_F, -1.0), c.mirrored(C_dF, 1.0)
+            eps = _epsilon_contour_fn(self.model, kv, c, vals=1.0 - W * C_dF)
+            first = np.conj(self.model.epsilon_laplace(kv, np.conj(c.nodes[:1]))[0])
+            m_F, mt_F = self._F.cauchy_moments(c, a, (-1j / a) * C_F)
             yield a, kw, W, eps.reciprocal(), eps.reflected(first).reciprocal(), m_F, mt_F
 
     def _times(self, t_values):
@@ -760,7 +818,7 @@ class _WeakFormEvaluator:
         return t
 
     def _invert(self, fn: ContourFn):
-        return fn.invert().values[: self._n_t]
+        return fn.invert(self._n_t).values
 
     def _test_moments(self, G1_1, G1_2, a):
         """(m_{G1_1} at +a, m_{G1_2} at -a), the second reflected; one
@@ -878,6 +936,11 @@ def _radial_log_derivative(dist, v_mag):
 
 
 def _stencil(v_mag, dv):
+    """The speeds |v₁| - dv, |v₁|, |v₁| + dv, each finite and positive."""
+    if not (np.isfinite(dv) and dv > 0):
+        raise InputError(f"dv must be finite and positive, got {dv}")
+    if not (np.isfinite(v_mag) and v_mag > dv):
+        raise InputError(f"v_mag must be finite and above dv = {dv}, got {v_mag}")
     return np.array([v_mag - dv, v_mag, v_mag + dv])
 
 
@@ -903,6 +966,7 @@ class FluxEvaluator(_WeakFormEvaluator):
     def __init__(self, model, t_max=35.0, k_nodes=20, k_range=(0.02, 6.0),
                  n_mu=24, height=160.0, n_nodes=None):
         super().__init__(model, t_max, k_nodes, k_range, height, n_nodes)
+        _require_count("n_mu", n_mu)
         self.mu, self.wmu = np.polynomial.legendre.leggauss(n_mu)
         # the nodes are antisymmetric, μ_{n-1-j} = -μ_j, so the kernels sum the μ > 0 half twice
         half = self.mu > 0
@@ -1053,12 +1117,15 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
     `bl_flux_vector`, the literal shielded-tensor form of the kernel module
     (the paper's loose constant), which serves as its oracle.
     """
+    speeds = _stencil(v_mag, dv)
+    a_, b_ = _require_k_range(k_range)
+    _require_count("n_k", n_k)
+    _require_count("n_mu", n_mu)
     if hsol is None:
         hsol = HSolution(model)
     dist = model.distribution
     mu, wmu = np.polynomial.legendre.leggauss(n_mu)
     kq, kw = np.polynomial.legendre.leggauss(n_k)
-    a_, b_ = k_range
     ks = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * kq
     kws = 0.5 * (b_ - a_) * kw
 
@@ -1071,5 +1138,5 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
             tot += ww * (-2j * np.pi) * kk**3 * W * np.sum(wmu * mu * h)
         return tot
 
-    A = [A_scalar(v) for v in _stencil(v_mag, dv)]
+    A = [A_scalar(v) for v in speeds]
     return float(_radial_divergence(A, v_mag, dv))

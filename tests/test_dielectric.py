@@ -14,6 +14,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.spatial.transform import Rotation
 from scipy.special import wofz
 
+from plasmakin import dielectric
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
     DielectricModel,
@@ -723,6 +724,23 @@ class TestFarRoots:
         cache = DielectricModel(dist, CoulombPotential()).direction_cache(KZ)
         top = np.sqrt(np.max(cache.alpha))
         _assert_far_roots_match_brent(cache, [2e-3 * (top / 2e-3) ** (0.999 * fraction)])
+
+
+class TestTailRootStart:
+    def test_tail_root_starts_at_its_leading_order(self, model_mc, monkeypatch):
+        """Beyond u_max α = κ² is the quartic κ²u⁴ = m0u² + 2m1u + 3m2, whose
+        root is near √m0/κ.  Newton from there takes the steps of a cell
+        root; from the middle of the wide bracket [u_max, 4/κ] it took 9
+        (10 `_horner` calls with the sign at the bracket's end)."""
+        cache = model_mc.direction_cache(KZ)
+        calls = []
+        horner = dielectric._horner
+        monkeypatch.setattr(dielectric, "_horner", lambda c, x: calls.append(1) or horner(c, x))
+        roots = cache.far_roots(0.01)
+        assert np.all(np.abs(roots) > cache.grid.u_max)
+        assert len(calls) <= 6
+        monkeypatch.undo()
+        _assert_far_roots_match_brent(cache, [0.01])
 
 
 def _alpha_reference(components, u, order=0):

@@ -14,6 +14,7 @@ from plasmakin.kernel import (
     LOG_FLOOR,
     TensorTable,
     VelocityGridField,
+    _gauss_legendre,
     _pair_flux,
     _plane_components,
     bl_rhs,
@@ -102,6 +103,13 @@ class TestTensor:
         a = bl_tensor(model_ms, W, V).matrix
         b = bl_tensor(model_ms, W + np.array([h, 0, 0]), V).matrix
         assert np.max(np.abs(a - b)) <= 50 * h * np.max(np.abs(a))
+
+    def test_radial_rule_built_once(self):
+        """The plane quadrature's Gauss-Legendre rule is cached read-only per node count."""
+        x, w = _gauss_legendre(64)
+        assert _gauss_legendre(64)[0] is x and not (x.flags.writeable or w.flags.writeable)
+        ref = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
 
 
 class TestLandauLimit:

@@ -516,6 +516,85 @@ class TestSchwarzReflection:
         assert abs(g.cauchy_moment(c, a).vals[j] - ref) <= 1e-13 * abs(ref)
 
 
+class TestHalfContour:
+    """Cauchy transforms of mean-zero Gaussian profiles on nodes 0 … n/2,
+    mirrored to the rest, equal the evaluation at every node bit for bit:
+    wofz obeys w(-z̄) = conj w(z) exactly, and the arithmetic after it is
+    sign-symmetric under IEEE rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.sampled_from([0, 1, "mixed"]),
+           comps=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.2, 3.0)),
+                          min_size=1, max_size=3),
+           a=st.floats(0.02, 8.0), a_sign=st.sampled_from([1.0, -1.0]),
+           log_n=st.integers(6, 14), gamma=st.floats(0.02, 2.0), height=st.floats(5.0, 400.0))
+    def test_cauchy_moment(self, degree, comps, a, a_sign, log_n, gamma, height):
+        g = UProfile([(amp, s, i % 2 if degree == "mixed" else degree)
+                      for i, (amp, s) in enumerate(comps)])
+        c = BromwichContour(gamma, height, 2**log_n)
+        a = a_sign * a
+        every_node = (-1j / a) * g.cauchy(1j * c.nodes / a)
+        assert np.array_equal(g.cauchy_moment(c, a).vals, every_node)
+
+    @pytest.mark.parametrize("dist", ["maxwellian", "two_temperature", "screening_mixture"])
+    def test_kappa_nodes(self, dist, soft, request):
+        """C_F (even F) takes -conj and C[∂_uF] +conj at the mirror nodes."""
+        model = DielectricModel(request.getfixturevalue(dist), soft)
+        fe = FluxEvaluator(model, t_max=35.0, k_nodes=5)
+        c = fe.contour
+        for a, _, W, inv_eps, _, m_F, _ in fe._kappa_nodes():
+            C_F, C_dF = fe._F.cauchy_with_derivative(1j * c.nodes / a)
+            assert np.array_equal(inv_eps.vals, 1.0 / (1.0 - W * C_dF))
+            assert np.array_equal(m_F.vals, (-1j / a) * C_F)
+
+    def test_invert_returns_its_first_times(self, model_ms):
+        """`invert(n_t)` is the full inversion's first n_t times."""
+        fe = FluxEvaluator(model_ms, t_max=8.0, k_nodes=2)
+        for _, _, _, inv_eps, _, m_F, _ in fe._kappa_nodes():
+            fn = m_F * inv_eps
+            full, first = fn.invert(), fn.invert(fe._n_t)
+            assert np.array_equal(first.t, full.t[: fe._n_t])
+            assert np.array_equal(first.values, full.values[: fe._n_t])
+
+    def test_odd_node_count_refused(self):
+        """Node j pairs with node n - 1 - j when n is odd, so the reflection
+        and the mirror would read the wrong partner."""
+        with pytest.raises(InputError, match="n_nodes"):
+            BromwichContour(0.3, 160.0, 1025)
+
+
+class TestWeakFormRefusals:
+    """What the weak-form evaluators and `flux_limit` cannot compute raises
+    InputError naming the argument, at construction or entry."""
+
+    @pytest.mark.parametrize("cls, kwargs, name", [
+        (FluxEvaluator, dict(t_max=-1.0), "t_max"),
+        (PairPropagator, dict(t_max=0.0), "t_max"),
+        (PairPropagator, dict(t_max=np.nan), "t_max"),
+        (PairPropagator, dict(t_max=5.0, k_range=(6.0, 0.02)), "k_range"),
+        (FluxEvaluator, dict(t_max=5.0, k_nodes=0), "k_nodes"),
+        (FluxEvaluator, dict(t_max=5.0, n_mu=0), "n_mu"),
+    ], ids=["flux-t_max-negative", "pair-t_max-zero", "pair-t_max-nan", "pair-k_range-reversed",
+            "flux-k_nodes-zero", "flux-n_mu-zero"])
+    def test_constructor(self, model_ms, cls, kwargs, name):
+        with pytest.raises(InputError, match=name):
+            cls(model_ms, **kwargs)
+
+    @pytest.mark.parametrize("v_mag", [0.0, np.nan])
+    def test_flux_limit_speed(self, model_ms, v_mag):
+        with pytest.raises(InputError, match="v_mag"):
+            flux_limit(model_ms, v_mag)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(k_range=(8.0, 0.02)), "k_range"),  # returned the flux with its sign flipped
+        (dict(n_k=0), "n_k"),
+        (dict(n_mu=0), "n_mu"),
+    ], ids=["k_range-reversed", "n_k-zero", "n_mu-zero"])
+    def test_flux_limit_rule(self, model_ms, kwargs, name):
+        with pytest.raises(InputError, match=name):
+            flux_limit(model_ms, 1.2, **kwargs)
+
+
 def _weighted_moment_reference(g, z, a):
     """m_g(z) = ∫ g(u)/(z + i·a·u) du of a degree-1 `UProfile` by mpmath quadrature."""
     import mpmath as mp
