@@ -2,7 +2,7 @@
 
 Submodules map to the toolkit's functional areas:
 
-- transforms: principal-value operators, Radon transform, grid/FFT utilities
+- transforms: principal-value operators, grid/FFT and inverse-transform utilities
 - distributions: one-particle velocity distributions and Radon profiles
 - potentials: interaction weights phi-hat(|k|)
 - dielectric: eps(k,u), Penrose stability, dispersion roots, Debye rescaling

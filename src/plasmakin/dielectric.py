@@ -23,7 +23,6 @@ built here.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -562,8 +561,8 @@ class DielectricModel:
 
     # -- spectral diagnostics -------------------------------------------------
     def dispersion_roots(self, k):
-        """Far roots u₀± of α(χ,u) = |k|², with L± and the affine maps Ψ±:
-        the one-κ case of `DirectionCache.far_roots`."""
+        """Far roots u₀± of α(χ,u) = |k|², with L± = ∂_uF/α′ there: the
+        one-κ case of `DirectionCache.far_roots`."""
         kvec, nk = _as_vector(k)
         cache = self.direction_cache(kvec)
         target = nk**2
@@ -680,21 +679,12 @@ class DispersionRoots:
     dalpha_plus: float
     dalpha_minus: float
 
-    def psi_plus(self, y):
-        return self.u0_plus + np.asarray(y) * self.L_plus
-
 
 @dataclass
 class StabilityReport:
     verdict: str  # STABLE | UNSTABLE | INCONCLUSIVE
     offenders: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"verdict": self.verdict, "offenders": self.offenders, "details": self.details},
-            sort_keys=True,
-        )
 
 
 def _critical_points(distribution, chi, u_max, n):
@@ -801,10 +791,17 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
     distribution is also tested at half resolution; when the two verdicts
     differ the report is INCONCLUSIVE.  `details` holds the number of
     directions and of critical points found (on the full-resolution input).
+    `directions` are finite unit 3-vectors (to 1e-12), one per row.
     """
     if directions is None:
         directions = [_Z_HAT] if distribution.is_isotropic else sphere_lattice_directions()
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if directions.ndim != 2 or directions.shape[1] != 3:
+        raise InputError(f"directions must be rows of 3-vectors, got shape {directions.shape}")
+    bad = ~(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12)  # also NaN
+    if bad.any():
+        raise InputError(f"directions must be finite unit 3-vectors, got "
+                         f"{directions[bad][0].tolist()}")
     offenders, n_critical = _offenders(distribution, potential, directions, u_max, n)
     details = {"directions": len(directions), "critical_points": n_critical}
     if distribution.kind == "tabulated":

@@ -73,6 +73,20 @@ def _one_plus_zeta_z(zeta, Z):
     return out
 
 
+def _three_vector(name, value):
+    """`value` as a finite 3-vector; InputError names the parameter otherwise."""
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+        raise InputError(f"{name} must be a finite 3-vector, got {vec.tolist()}")
+    return vec
+
+
+def _positive(name, value):
+    """InputError naming the parameter unless `value` is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value}")
+
+
 def _gauss_pdf(u, mu, s):
     return np.exp(-0.5 * ((u - mu) / s) ** 2) / (s * _SQRT2PI)
 
@@ -187,9 +201,8 @@ class Maxwellian(_GaussianMixtureBase):
     kind = "maxwellian"
 
     def __init__(self, drift=(0.0, 0.0, 0.0), temperature=1.0):
-        if temperature <= 0:
-            raise InputError("temperature must be positive")
-        self.drift = np.asarray(drift, dtype=float)
+        _positive("temperature", temperature)
+        self.drift = _three_vector("drift", drift)
         self.temperature = float(temperature)
         self.is_isotropic = bool(np.all(self.drift == 0.0))
 
@@ -220,7 +233,7 @@ class AnisotropicGaussian(_GaussianMixtureBase):
         if np.min(np.linalg.eigvalsh(cov)) <= 0:
             raise InputError("covariance must be positive definite")
         self.cov = cov
-        self.drift = np.asarray(drift, dtype=float)
+        self.drift = _three_vector("drift", drift)
         self._cov_inv = np.linalg.inv(cov)
         self._norm = 1.0 / np.sqrt((2 * np.pi) ** 3 * np.linalg.det(cov))
         # exact: every isotropic fast path reads one ẑ profile for all directions
@@ -250,11 +263,9 @@ class BumpMixture(_GaussianMixtureBase):
         comps = []
         total = 0.0
         for weight, center, sigma in components:
-            if weight <= 0:
-                raise InputError("component weights must be positive")
-            if sigma <= 0:
-                raise InputError("component sigmas must be positive")
-            comps.append((float(weight), np.asarray(center, dtype=float), float(sigma)))
+            _positive("component weight", weight)
+            _positive("component sigma", sigma)
+            comps.append((float(weight), _three_vector("component center", center), float(sigma)))
             total += weight
         if abs(total - 1.0) > 1e-12:
             raise InputError("component weights must sum to 1")

@@ -97,21 +97,6 @@ class CorrelationSample:
         return float(np.real(self.value))
 
 
-@dataclass
-class SpectralField:
-    """Samples of an axisymmetric spectral field on (κ, u) with metadata."""
-
-    kappa: np.ndarray
-    u: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def hermitian_defect(self) -> float:
-        """max |conj(G(κ,u)) - G(κ,-u)| — zero when the x-space field is real."""
-        rev = self.values[:, ::-1]
-        return float(np.max(np.abs(np.conj(self.values) - rev)))
-
-
 # ---------------------------------------------------------------------------
 # per-kappa slice
 # ---------------------------------------------------------------------------
@@ -170,14 +155,6 @@ class HSolution:
         return table.real.copy(), table.imag.copy()
 
     # -- construction --------------------------------------------------------
-    def _eps_on_grid(self, kappa):
-        """ε = 1 - φ̂(κ) P⁻[∂_uF] on the grid, and φ̂(κ); |ε| below the floor is refused."""
-        W = float(self.model.potential.fourier(np.asarray(kappa)))
-        eps = self.model.epsilon_at(W)
-        if np.min(np.abs(eps)) < EPSILON_FLOOR:
-            raise DegenerateDielectricError(f"|ε| below floor at κ = {kappa}")
-        return eps, W
-
     def _resonance_poles(self, kappas):
         """Per κ, the Lorentzian parameters (mass, u0, gamma, height A) of its spikes.
 
@@ -674,6 +651,8 @@ def h_realspace(sol: HSolution, v, r_values, k_max=None, n_leg=32):
     Inverse transform of the axisymmetric spectral field ĥ_B(κ, |v|μ) via
     the Legendre/spherical-Bessel path.  Returns real values.
     """
+    if np.size(r_values) == 0:
+        raise InputError("r_values must hold at least one r")
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
     dist = sol.model.distribution
@@ -699,21 +678,6 @@ def h_realspace(sol: HSolution, v, r_values, k_max=None, n_leg=32):
     if imag > 1e-6 * scale:
         warnings.warn(f"h_realspace Hermiticity defect {imag:.2e}")
     return vals.real
-
-
-def spectral_field(sol: HSolution, v, n_mu=49) -> SpectralField:
-    """ĥ_B(κ, u) samples for diagnostics (isotropic path)."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    dist = sol.model.distribution
-    f_v = float(dist.density(v))
-    g_r = float((v / nv) @ dist.gradient(v)) if nv > 0 else 0.0
-    mu = np.linspace(-1.0, 1.0, n_mu)
-    u = nv * mu
-    kk = sol.k_grid[:, None]
-    og = (u[None, :] / nv) * g_r if nv > 0 else np.zeros((1, n_mu))
-    vals = sol.h_hat_values(kk, u[None, :], f_v, og)
-    return SpectralField(kappa=sol.k_grid, u=u, values=vals, label="h_hat")
 
 
 def fit_decay_slope(r, h, window=(5.0, 20.0)):
@@ -747,6 +711,8 @@ def marginal_check(
     integrable; the Jacobian q²sinφ removes it).  The samples of one φ node
     form one fan (`_marginal_fan`).
     """
+    if np.size(x_magnitudes) == 0:
+        raise InputError("x_magnitudes must hold at least one |x|")
     v1 = np.array([0.0, 0.0, v1_magnitude])
     xq, wq = np.polynomial.legendre.leggauss(n_q)
     q = q_max / 2 * (xq + 1.0)

@@ -256,12 +256,6 @@ class VelocityGridField:
     def mass(self) -> float:
         return float(np.sum(self.values) * self.cell_volume)
 
-    def second_moment_per_axis(self):
-        ax = self.axis
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        w = self.values * self.cell_volume
-        return tuple(float(np.sum(w * A**2)) for A in (X, Y, Z))
-
 
 def maxwellian_field(mass_m, temperature, half_width=None, n=21) -> VelocityGridField:
     """Sampled Maxwellian (m/2πT)^{3/2} e^{-m|v|²/2T}, discrete mass renormalized.

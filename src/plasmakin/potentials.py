@@ -66,8 +66,9 @@ class SoftPotential(Potential):
 
 def gaussian_soft(amplitude=1.0, width=1.0) -> SoftPotential:
     """φ̂(k) = amplitude · exp(-(k·width)²/2)."""
-    if amplitude <= 0 or width <= 0:
-        raise InputError("amplitude and width must be positive")
+    for name, value in (("amplitude", amplitude), ("width", width)):
+        if not (np.isfinite(value) and value > 0):
+            raise InputError(f"{name} must be finite and positive, got {value}")
 
     def fn(k):
         return amplitude * np.exp(-0.5 * (np.asarray(k) * width) ** 2)

@@ -21,7 +21,8 @@ so m_{g,-a}(z) = conj m_{g,a}(z̄) and ε(-k,-iz) = conj ε(k,-iz̄), whatever
 the mean of F.  The contour nodes γ + iτ_j are closed under conjugation
 (node j pairs with node n - j; node 0, at τ = -height, has no partner),
 so `ContourFn.reflected` turns one sign's samples into the other's, and
-only node 0 is evaluated directly.
+only node 0 is evaluated directly.  The direct evaluation at every node
+serves the tests as the reflection's oracle (`tests/oracles.py`).
 
 A profile that is even or odd as well gives a second symmetry at one sign
 of k.  w = iz/a maps the node pair (z, z̄) to (w, -w̄), and
@@ -41,9 +42,10 @@ in weak form against separable Gaussian test functions.  Every pairing
 reduces to one-dimensional inverse Laplace transforms of products of
 Cauchy moments m_g over 1/ε factors, coupled at equal times through
 cumulative Duhamel integrals (1/(z+z') = ∫₀^∞ e^{-s(z+z')} ds plus
-causality).  The t → ∞ limits reproduce the Balescu-Lenard flux and the
-equilibrium pair correlation of the `equilibrium` module, which serves as
-the cross-machinery oracle.
+causality).  The t → ∞ limits reproduce the equilibrium pair correlation
+of the `equilibrium` module (`PairPropagator.g_B_pairing`, `flux_limit`)
+and, through it, the Balescu-Lenard flux, whose literal shielded-tensor
+form the tests hold `flux_limit` to.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .dielectric import DielectricModel
 from .distributions import _GaussianMixtureBase, gaussian_cauchy
 from .equilibrium import HSolution, _h_hat_formula
 from .errors import InputError, StepSizeError, TruncationError
-from .kernel import TensorTable
 from .transforms import (
     LineProfile,
     UGrid,
@@ -67,6 +68,7 @@ from .transforms import (
     axial_inverse_transform,
     grid_cauchy,
     plemelj_minus,
+    pv_transform_rows,
     radial_inverse_transform,
 )
 
@@ -436,9 +438,6 @@ class ModeState:
     def rho(self) -> complex:
         return complex(np.trapezoid(self.H, dx=self.grid.spacing))
 
-    def velocity_moment(self) -> complex:
-        return complex(np.trapezoid(self.grid.points * self.H, dx=self.grid.spacing))
-
 
 def _require_soft(model):
     if model.potential.is_coulomb:
@@ -458,52 +457,25 @@ def _require_k_range(k_range):
     return a, b
 
 
-def vlasov_step(model: DielectricModel, state: ModeState, dt: float) -> ModeState:
-    """One RK4 step of the reduced linear Vlasov dynamics (exact transport).
-
-    Interaction picture g = e^{i|k|ut} Ĥ removes the stiff phase; the
-    accuracy guard dt·|k|·u_max ≤ 1 keeps the collective term resolved.
-    The phases at t₀, t₀ + dt/2 and t₀ + dt are computed once each, and
-    e^{-i|k|ut} is taken as their conjugate.
-    """
-    _require_soft(model)
-    k = np.asarray(state.k, dtype=float)
-    a = float(np.linalg.norm(k))
-    u = state.grid.points
-    if dt * a * state.grid.u_max > 1.0:
-        raise StepSizeError(f"dt·|k|·u_max = {dt * a * state.grid.u_max:.3f} > 1")
-    W = float(model.potential.fourier(np.asarray(a)))
-    dF = np.asarray(model.dF(k, u))
-    du = state.grid.spacing
-    t0 = state.time
-
-    e0, e_half, e1 = (np.exp(1j * a * u * tau) for tau in (t0, t0 + 0.5 * dt, t0 + dt))
-
-    def rate(g, e):
-        rho = np.trapezoid(np.conj(e) * g, dx=du)
-        return 1j * a * W * dF * e * rho
-
-    g0 = e0 * state.H
-    k1 = rate(g0, e0)
-    k2 = rate(g0 + 0.5 * dt * k1, e_half)
-    k3 = rate(g0 + 0.5 * dt * k2, e_half)
-    k4 = rate(g0 + dt * k3, e1)
-    g1 = g0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    H1 = np.conj(e1) * g1
-    return ModeState(k=k, grid=state.grid, H=H1, time=t0 + dt)
-
-
 def evolve_density(model, k, H0, t_max, dt=0.01, store_every=1):
     """Time-domain ρ̂(t) series: round(t_max/dt) RK4 steps, ρ̂ stored every `store_every`.
 
-    The loop is `vlasov_step`'s with its invariants hoisted: φ̂(|k|), ∂_uF
-    and i|k|φ̂∂_uF are computed once, and each step's end phase
-    e^{i|k|u(t₀+dt)} and its conjugate serve as the next step's start
-    phase, the same floats `vlasov_step` computes from t₀.  So the times,
-    ρ̂ and the final state equal those of a loop of `vlasov_step` bit for
-    bit.  Returns (ts, ρ̂, final `ModeState`).
+    Each step integrates the reduced linear Vlasov dynamics in the
+    interaction picture g = e^{i|k|ut} Ĥ, so transport is exact; the
+    accuracy guard dt·|k|·u_max ≤ 1 keeps the collective term resolved.
+    φ̂(|k|), ∂_uF and i|k|φ̂∂_uF are computed once, and each step's end
+    phase e^{i|k|u(t₀+dt)} and its conjugate serve as the next step's start
+    phase.  Those are the floats a step computes from t₀ alone, so the
+    times, ρ̂ and the final state equal those of a loop of independent steps
+    bit for bit (the tests' oracle `vlasov_step`).  t_max must be finite and
+    ≥ 0, dt finite and positive.  Returns (ts, ρ̂, final `ModeState`).
     """
     _require_soft(model)
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise InputError(f"t_max must be finite and >= 0, got {t_max}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InputError(f"dt must be finite and positive, got {dt}")
+    _require_count("store_every", store_every)
     k = np.asarray(k, dtype=float)
     a = float(np.linalg.norm(k))
     grid = model.grid
@@ -536,21 +508,18 @@ def evolve_density(model, k, H0, t_max, dt=0.01, store_every=1):
     return np.array(ts), np.array(rhos), ModeState(k=k, grid=grid, H=H, time=t)
 
 
-def _epsilon_contour_fn(model, k, contour, conjugate_mode=False, vals=None) -> ContourFn:
-    """ε(k, -iz) on the contour; with `conjugate_mode` ε(-k, -iz), taken as
-    conj ε(k, -iz̄) (see module docstring).  `vals` are the node values of
-    ε(k, -iz) when they are already known."""
+def _epsilon_contour_fn(model, k, contour, vals=None) -> ContourFn:
+    """ε(k, -iz) on the contour, from its node values `vals` when they are
+    already known; ε(-k, ·) is its `ContourFn.reflected`."""
     k = np.asarray(k, dtype=float)
     a = float(np.linalg.norm(k)) if k.ndim else abs(float(k))
     W = float(model.potential.fourier(np.asarray(a)))
     if vals is None:
-        conj = np.conj if conjugate_mode else np.asarray
-        vals = conj(model.epsilon_laplace(k, conj(contour.nodes)))
+        vals = model.epsilon_laplace(k, contour.nodes)
     kvec = k if k.ndim else np.array([0.0, 0.0, a])
     m0, m1, _ = model.direction_cache(kvec).moments
-    sgn = -1.0 if conjugate_mode else 1.0
     a2 = W * a**2 * m0
-    a3 = -2j * W * a**3 * m1 * sgn
+    a3 = -2j * W * a**3 * m1
     return ContourFn(contour, vals, (1.0, 0.0, a2, a3))
 
 
@@ -644,18 +613,21 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
 # ---------------------------------------------------------------------------
 
 
-def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
+def debye_cloud(model, sigma, V0=None, r_values=None):
     """Steady (V₀=0) or traveling (rectilinear V₀≠0) screening cloud.
 
     ρ̂(k) = -σ (2π)^{-3/2} φ̂(k) P⁺[∂_uF](ω·V₀) / ε(k, ω·V₀); the V₀ = 0
     Coulomb+Maxwellian case is the classic Yukawa profile σ e^{-r}/(4πr).
-    Returns a dict with the profile, induced charge and |ε|-floor scan.
+    V₀ is a finite 3-vector.  Returns a dict with the profile, induced
+    charge and |ε|-floor scan.
     """
     if not model.potential.is_coulomb:
         raise InputError("the Debye-cloud formula is stated for the Coulomb weight")
     if V0 is None:
         V0 = np.zeros(3)
     V0 = np.asarray(V0, dtype=float)
+    if V0.shape != (3,) or not np.all(np.isfinite(V0)):
+        raise InputError(f"V0 must be a finite 3-vector, got {V0.tolist()}")
     speed = float(np.linalg.norm(V0))
     if r_values is None:
         r_values = np.geomspace(0.3, 8.0, 60)
@@ -695,20 +667,19 @@ def debye_cloud(model, sigma, V0=None, r_values=None, epsilon_floor_scan=True):
         prof = axial_inverse_transform(G, r_values, k_min=3e-3, k_max=60.0, k_roll=42.0)
         result["rho"] = prof.real
         result["hermiticity_defect"] = float(np.max(np.abs(prof.imag)))
-    if epsilon_floor_scan:
-        # |ε| = |1 - φ̂(κ) P⁻[∂_uF](u)| on the (κ, u) scan; the last column is u = 0
-        ks = np.geomspace(0.02, 2.0, 120)
-        u = np.append(np.linspace(-1.0, 1.0, 41) * speed, 0.0)
-        abs_eps = np.abs(model.epsilon_at(model.potential.fourier(ks)[:, None], u, kvec))
-        floor = float(np.min(abs_eps[:, :-1]))
-        ref = float(np.min(abs_eps[:, -1]))
-        result["epsilon_floor"] = floor
-        result["epsilon_floor_at_rest"] = ref
-        if floor < 1e-3:
-            warnings.warn(
-                f"|ε| floor {floor:.2e} at |V0| = {speed}: Langmuir-resonance regime"
-            )
-            result["degeneracy_warning"] = True
+    # |ε| = |1 - φ̂(κ) P⁻[∂_uF](u)| on the (κ, u) scan; the last column is u = 0
+    ks = np.geomspace(0.02, 2.0, 120)
+    u = np.append(np.linspace(-1.0, 1.0, 41) * speed, 0.0)
+    abs_eps = np.abs(model.epsilon_at(model.potential.fourier(ks)[:, None], u, kvec))
+    floor = float(np.min(abs_eps[:, :-1]))
+    ref = float(np.min(abs_eps[:, -1]))
+    result["epsilon_floor"] = floor
+    result["epsilon_floor_at_rest"] = ref
+    if floor < 1e-3:
+        warnings.warn(
+            f"|ε| floor {floor:.2e} at |V0| = {speed}: Langmuir-resonance regime"
+        )
+        result["degeneracy_warning"] = True
     return result
 
 
@@ -907,19 +878,20 @@ class PairPropagator(_WeakFormEvaluator):
         G0_2, G1_2 = gaussian_weighted_profiles(dist, test.sigma_v2)
         g01, g11 = G0_1.values(u), G1_1.values(u)
         g02, g12 = G0_2.values(u), G1_2.values(u)
-        A_all = np.zeros((len(self.k_q), grid.n), dtype=complex)
-        A_all[:, 1:-1] = hsol.A_minus_exact(self.k_q, u[1:-1])
+        A = np.zeros((len(self.k_q), grid.n), dtype=complex)
+        A[:, 1:-1] = hsol.A_minus_exact(self.k_q, u[1:-1])
+        W = hsol.model.potential.fourier(self.k_q)[:, None]
+        eps = hsol.model.epsilon_at(W)
+        H1 = _h_hat_formula(eps, W, A, g01, g11)
+        H2 = _h_hat_formula(eps, W, A, g02, g12)
+        Y1 = g02 + np.conj(H2)
+        PmY1 = pv_transform_rows(grid, Y1, endpoint_tol=1e-3) - 1j * np.pi * Y1
         Pmg12 = plemelj_minus(LineProfile(grid, g12, endpoint_tol=1e-3)).values
         total = 0.0 + 0.0j
-        for kap, kw, A in zip(self.k_q, self.k_w, A_all):
+        for i, (kap, kw) in enumerate(zip(self.k_q, self.k_w)):
             a = float(kap)
-            eps_u, W = hsol._eps_on_grid(a)
-            H1 = _h_hat_formula(eps_u, W, A, g01, g11)
-            H2 = _h_hat_formula(eps_u, W, A, g02, g12)
-            Y1 = g02 + np.conj(H2)
-            PmY1 = plemelj_minus(LineProfile(grid, Y1, endpoint_tol=1e-3)).values
-            inner = -np.trapezoid(g11 * PmY1, u) + np.trapezoid((g01 + H1) * Pmg12, u)
-            total = total + kw * 4 * np.pi * a**2 * test.x_hat(a) * W * inner
+            inner = -np.trapezoid(g11 * PmY1[i], u) + np.trapezoid((g01 + H1[i]) * Pmg12, u)
+            total = total + kw * 4 * np.pi * a**2 * test.x_hat(a) * W[i, 0] * inner
         return complex(total)
 
 
@@ -1068,54 +1040,16 @@ class FluxEvaluator(_WeakFormEvaluator):
         return _radial_divergence(A, v_mag, dv)
 
 
-def bl_flux_vector(model, v_mag, table: TensorTable, n_q=24, n_phi=16, q_max=8.0):
-    """D(v₁)·v̂₁ with D = ∫ a(v₁-v', v₁) f f' (∇ln f - ∇'ln f') dv'.
-
-    This is the t → ∞ flux target ψ_∞ of the marginal evolution and the
-    Balescu-Lenard collision flux at v₁ (axisymmetric reduction around v̂₁).
-    """
-    dist = model.distribution
-    v1 = np.array([0.0, 0.0, float(v_mag)])
-    xq, wq = np.polynomial.legendre.leggauss(n_q)
-    q = q_max / 2 * (xq + 1.0)
-    wq = q_max / 2 * wq
-    xp, wp = np.polynomial.legendre.leggauss(n_phi)
-    phi = np.pi / 2 * (xp + 1.0)
-    wp = np.pi / 2 * wp
-    f1 = float(dist.density(v1))
-    gl1 = dist.gradient(v1) / max(f1, 1e-300)
-    total = 0.0
-    for qi, wqi in zip(q, wq):
-        for pj, wpj in zip(phi, wp):
-            vp = v1 + qi * np.array([np.sin(pj), 0.0, np.cos(pj)])
-            w = v1 - vp
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                continue
-            what = w / nw
-            f2 = float(dist.density(vp))
-            gl2 = dist.gradient(vp) / max(f2, 1e-300)
-            bracket = f1 * f2 * (gl1 - gl2)
-            vperp = v1 - (v1 @ what) * what
-            vpn = np.linalg.norm(vperp)
-            A11, A22 = table.components(vpn)
-            vec = A22 * (bracket - what * (what @ bracket))
-            if vpn > 1e-12:
-                e1 = vperp / vpn
-                vec += (A11 - A22) * e1 * (e1 @ bracket)
-            vec /= nw
-            total += wqi * wpj * 2 * np.pi * qi**2 * np.sin(pj) * vec[2]
-    return float(total)
-
-
 def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
                n_k=40, n_mu=32, dv=0.08):
     """t → ∞ flux target: J_∞(v₁) = ∇·(-i ∫ k φ̂(k) ĥ_B(k,v₁) dk).
 
     ĥ_B is the marginal of g_B, so this is the flux the time-dependent
-    marginal converges to (eq. of fluxes); it equals π·∇·(A v̂) with A from
-    `bl_flux_vector`, the literal shielded-tensor form of the kernel module
-    (the paper's loose constant), which serves as its oracle.
+    marginal converges to (eq. of fluxes); it equals π·∇·(A v̂) with A the
+    Balescu-Lenard flux D(v₁)·v̂₁ in the literal shielded-tensor form of the
+    kernel module (the paper's loose constant), which the tests compute as
+    its oracle (`bl_flux_vector`).  Each stencil speed takes ĥ_B on all
+    n_k × n_mu (κ, u) nodes from one `h_hat_axial_exact` call.
     """
     speeds = _stencil(v_mag, dv)
     a_, b_ = _require_k_range(k_range)
@@ -1128,15 +1062,12 @@ def flux_limit(model, v_mag, hsol: HSolution | None = None, k_range=(0.02, 8.0),
     kq, kw = np.polynomial.legendre.leggauss(n_k)
     ks = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * kq
     kws = 0.5 * (b_ - a_) * kw
+    k_weights = kws * (-2j * np.pi) * ks**3 * model.potential.fourier(ks)
 
     def A_scalar(vm):
         f_v, g_r = _radial_log_derivative(dist, vm)
-        tot = 0.0 + 0.0j
-        for kk, ww in zip(ks, kws):
-            W = float(model.potential.fourier(np.asarray(kk)))
-            h = hsol.h_hat_axial_exact(np.array([kk]), vm * mu, f_v, g_r / vm)[0]
-            tot += ww * (-2j * np.pi) * kk**3 * W * np.sum(wmu * mu * h)
-        return tot
+        h = hsol.h_hat_axial_exact(ks, vm * mu, f_v, g_r / vm)
+        return k_weights @ (h @ (wmu * mu))
 
     A = [A_scalar(v) for v in speeds]
     return float(_radial_divergence(A, v_mag, dv))

@@ -6,11 +6,16 @@ the convention
     P[p](u)  = PV ∫ p(u') / (u' - u) du',
     P±[p](u) = P[p](u) ± iπ p(u),
 
-so that p = (P⁺[p] - P⁻[p]) / (2πi) holds identically.  On the Fourier
-side ``P`` is the multiplier iπ·sign(ξ) under the symmetric transform
-convention; the multiplier route, a 2n-point circular convolution with
-the periodic kernel's lags, is the one path (its direct-quadrature and
-8n-point zero-padded oracles live with the tests).
+so that p = (P⁺[p] - P⁻[p]) / (2πi) holds identically; the package
+evaluates ``P`` (`pv_transform`, `pv_transform_rows`) and ``P⁻``
+(`plemelj_minus`).  On the Fourier side ``P`` is the multiplier
+iπ·sign(ξ) under the symmetric transform convention; the multiplier
+route, a 2n-point circular convolution with the periodic kernel's lags,
+is the one path (its direct-quadrature and 8n-point zero-padded oracles
+live with the tests).  Radon profiles F(χ,u) and ∂_uF are the
+distributions' own (`radon_profile`, `radon_profile_derivative`); the
+module also holds the oscillatory radial and axisymmetric inverse
+transforms.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 
 DEFAULT_U_MAX = 12.0
 DEFAULT_N = 1024
@@ -40,10 +45,10 @@ class UGrid:
     n: int = DEFAULT_N
 
     def __post_init__(self):
-        if self.n < 16:
-            raise InputError(f"grid needs n >= 16, got {self.n}")
-        if self.u_max <= 0:
-            raise InputError("u_max must be positive")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 16):
+            raise InputError(f"grid needs an integer n >= 16, got {self.n!r}")
+        if not (np.isfinite(self.u_max) and self.u_max > 0):
+            raise InputError(f"u_max must be finite and positive, got {self.u_max}")
 
     @property
     def spacing(self) -> float:
@@ -204,12 +209,6 @@ def plemelj_minus(profile: LineProfile) -> LineProfile:
     return profile.copy_with(pv.values - 1j * np.pi * profile.values)
 
 
-def plemelj_plus(profile: LineProfile) -> LineProfile:
-    """P⁺[p] = P[p] + iπ p; equals conj(P⁻[p]) for real p."""
-    pv = pv_transform(profile)
-    return profile.copy_with(pv.values + 1j * np.pi * profile.values)
-
-
 def grid_cauchy(grid: UGrid, g, w):
     """C_g(w) = ∫ g(u)/(u - w) du by the trapezoid rule on `grid`, for w off
     the real axis (the integral on both half-planes, not a continuation).
@@ -224,33 +223,6 @@ def grid_cauchy(grid: UGrid, g, w):
     for i in range(0, flat.size, rows):
         out[i : i + rows] = np.trapezoid(g / (u - flat[i : i + rows, None]), u, axis=-1)
     return out.reshape(np.shape(w))
-
-
-def radon(distribution, chi, grid: UGrid) -> LineProfile:
-    """Radon transform F(χ,u) = ∫_{χ·v=u} f(v) dv sampled on `grid`.
-
-    Uses the distribution's closed form when available, otherwise plane
-    quadrature.  The result is real and nonnegative.
-    """
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape != (3,):
-        raise InputError("chi must be a 3-vector")
-    if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-        raise InputError("chi must have unit norm")
-    vals = distribution.radon_profile(chi, grid.points)
-    vals = np.asarray(vals, dtype=float)
-    if np.min(vals) < -1e-12:
-        raise DomainError("radon transform returned negative density")
-    return LineProfile(grid, np.maximum(vals, 0.0), real_valued=True)
-
-
-def radon_derivative(distribution, chi, grid: UGrid) -> LineProfile:
-    """∂_u F(χ,u) on `grid` (closed form when the kind admits one)."""
-    chi = np.asarray(chi, dtype=float)
-    if abs(np.linalg.norm(chi) - 1.0) > 1e-12:
-        raise InputError("chi must have unit norm")
-    vals = distribution.radon_profile_derivative(chi, grid.points)
-    return LineProfile(grid, np.asarray(vals, dtype=float), real_valued=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,22 @@ one the package runs:
 - `pv_fft_padded`: P[p] by the 8n-point zero-padded FFT multiplier route,
   which the package evaluates as a 2n-point circular convolution;
 - `far_root_brent`: the far root of α = κ² by a geometric scan and the
-  scalar Brent root finder, which the package reads from α's cells.
+  scalar Brent root finder, which the package reads from α's cells;
+- `vlasov_step`: one RK4 step of the reduced linear Vlasov dynamics with
+  every phase computed from the step's start time, which `evolve_density`
+  must equal bit for bit over a loop of steps;
+- `epsilon_minus_k`: ε(-k, -iz) evaluated at every contour node, which
+  `ContourFn.reflected` of ε(k, ·) must match to rounding;
+- `bl_flux_vector`: the Balescu-Lenard flux D(v₁)·v̂₁ by plane quadrature
+  of the shielded tensor table, π times whose divergence `flux_limit` must
+  reproduce from the equilibrium chain.
 """
 
 import numpy as np
 
 from plasmakin.dielectric import _brent_root
-from plasmakin.errors import InputError
+from plasmakin.errors import InputError, StepSizeError
+from plasmakin.propagator import ContourFn, ModeState, _require_soft
 from plasmakin.transforms import LineProfile, _next_pow2, taper_window
 
 
@@ -111,3 +120,92 @@ def far_root_brent(cache, kappa, side, n_scan=4000, xtol=1e-14):
     if vals[i] == 0.0:
         return side * us[i]
     return side * _brent_root(g, us[i], us[i - 1], xtol=xtol)
+
+
+def vlasov_step(model, state: ModeState, dt: float) -> ModeState:
+    """One RK4 step of the reduced linear Vlasov dynamics (exact transport).
+
+    Interaction picture g = e^{i|k|ut} Ĥ removes the stiff phase; the
+    accuracy guard dt·|k|·u_max ≤ 1 keeps the collective term resolved.
+    The phases at t₀, t₀ + dt/2 and t₀ + dt are computed once each, and
+    e^{-i|k|ut} is taken as their conjugate.
+    """
+    _require_soft(model)
+    k = np.asarray(state.k, dtype=float)
+    a = float(np.linalg.norm(k))
+    u = state.grid.points
+    if dt * a * state.grid.u_max > 1.0:
+        raise StepSizeError(f"dt·|k|·u_max = {dt * a * state.grid.u_max:.3f} > 1")
+    W = float(model.potential.fourier(np.asarray(a)))
+    dF = np.asarray(model.dF(k, u))
+    du = state.grid.spacing
+    t0 = state.time
+
+    e0, e_half, e1 = (np.exp(1j * a * u * tau) for tau in (t0, t0 + 0.5 * dt, t0 + dt))
+
+    def rate(g, e):
+        rho = np.trapezoid(np.conj(e) * g, dx=du)
+        return 1j * a * W * dF * e * rho
+
+    g0 = e0 * state.H
+    k1 = rate(g0, e0)
+    k2 = rate(g0 + 0.5 * dt * k1, e_half)
+    k3 = rate(g0 + 0.5 * dt * k2, e_half)
+    k4 = rate(g0 + dt * k3, e1)
+    g1 = g0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    H1 = np.conj(e1) * g1
+    return ModeState(k=k, grid=state.grid, H=H1, time=t0 + dt)
+
+
+def epsilon_minus_k(model, k, contour) -> ContourFn:
+    """ε(-k, -iz) at every node of the contour, evaluated directly as
+    conj ε(k, -iz̄), with the asymptotics a₂ = φ̂|k|²m0 and a₃ = 2iφ̂|k|³m1
+    of -k (m0, m1 the raw moments of F along k)."""
+    k = np.asarray(k, dtype=float)
+    a = float(np.linalg.norm(k)) if k.ndim else abs(float(k))
+    W = float(model.potential.fourier(np.asarray(a)))
+    vals = np.conj(model.epsilon_laplace(k, np.conj(contour.nodes)))
+    kvec = k if k.ndim else np.array([0.0, 0.0, a])
+    m0, m1, _ = model.direction_cache(kvec).moments
+    return ContourFn(contour, vals, (1.0, 0.0, W * a**2 * m0, 2j * W * a**3 * m1))
+
+
+def bl_flux_vector(model, v_mag, table, n_q=24, n_phi=16, q_max=8.0):
+    """D(v₁)·v̂₁ with D = ∫ a(v₁-v', v₁) f f' (∇ln f - ∇'ln f') dv'.
+
+    This is the t → ∞ flux target ψ_∞ of the marginal evolution and the
+    Balescu-Lenard collision flux at v₁ (axisymmetric reduction around v̂₁),
+    with a from the `TensorTable` `table`.
+    """
+    dist = model.distribution
+    v1 = np.array([0.0, 0.0, float(v_mag)])
+    xq, wq = np.polynomial.legendre.leggauss(n_q)
+    q = q_max / 2 * (xq + 1.0)
+    wq = q_max / 2 * wq
+    xp, wp = np.polynomial.legendre.leggauss(n_phi)
+    phi = np.pi / 2 * (xp + 1.0)
+    wp = np.pi / 2 * wp
+    f1 = float(dist.density(v1))
+    gl1 = dist.gradient(v1) / max(f1, 1e-300)
+    total = 0.0
+    for qi, wqi in zip(q, wq):
+        for pj, wpj in zip(phi, wp):
+            vp = v1 + qi * np.array([np.sin(pj), 0.0, np.cos(pj)])
+            w = v1 - vp
+            nw = np.linalg.norm(w)
+            if nw < 1e-12:
+                continue
+            what = w / nw
+            f2 = float(dist.density(vp))
+            gl2 = dist.gradient(vp) / max(f2, 1e-300)
+            bracket = f1 * f2 * (gl1 - gl2)
+            vperp = v1 - (v1 @ what) * what
+            vpn = np.linalg.norm(vperp)
+            A11, A22 = table.components(vpn)
+            vec = A22 * (bracket - what * (what @ bracket))
+            if vpn > 1e-12:
+                e1 = vperp / vpn
+                vec += (A11 - A22) * e1 * (e1 @ bracket)
+            vec /= nw
+            total += wqi * wpj * 2 * np.pi * qi**2 * np.sin(pj) * vec[2]
+    return float(total)

@@ -300,12 +300,20 @@ class TestPenrose:
         assert penrose_check(bump, weak).verdict == "STABLE"
         assert penrose_check(bump, strong).verdict == "UNSTABLE"
 
-    def test_report_serializes(self, maxwellian, coulomb):
-        import json
+    @pytest.mark.parametrize("directions", [
+        [[0.0, 0.0, 0.0]],  # reported STABLE
+        [[0.0, 0.0, 2.0]],  # read the profile of an unnormalised projection
+        [[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]],
+        [[0.0, 0.0, 1.0 + 1e-11]],
+    ], ids=["zero", "non-unit", "non-finite", "non-unit-1e-11"])
+    def test_bad_directions_refused(self, maxwellian, coulomb, directions):
+        with pytest.raises(InputError, match="directions"):
+            penrose_check(maxwellian, coulomb, directions=directions)
 
-        rep = penrose_check(maxwellian, coulomb)
-        parsed = json.loads(rep.to_json())
-        assert parsed["verdict"] == "STABLE"
+    def test_unit_directions_to_1e_12_accepted(self, maxwellian, coulomb):
+        chi = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
+        rep = penrose_check(maxwellian, coulomb, directions=[chi, [0.0, 0.0, -1.0]])
+        assert rep.verdict == "STABLE" and rep.details["directions"] == 2
 
     def test_coarse_tabulated_inconclusive(self):
         ax = np.linspace(-8.0, 8.0, 7)  # too coarse: verdict flips on coarsening
@@ -605,11 +613,6 @@ class TestDispersionRoots:
     def test_no_root_above_alpha_max(self, model_mc):
         with pytest.raises(RootNotFoundError):
             model_mc.dispersion_roots(0.8 * KZ)
-
-    def test_psi_map_is_affine(self, model_mc):
-        r = model_mc.dispersion_roots(0.15 * KZ)
-        y = np.array([-1.0, 0.0, 2.0])
-        assert np.allclose(r.psi_plus(y), r.u0_plus + y * r.L_plus)
 
     @pytest.mark.parametrize("nk", [0.5, 1.0])
     def test_exact_zero_at_the_first_scan_point(self, nk):
@@ -1090,3 +1093,23 @@ class TestScaling:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             debye_rescale(0.0, 1.0, 1.0)
+
+
+class TestConstructorRefusals:
+    """Parameters a distribution, potential or grid cannot compute with are
+    refused at construction, naming the parameter; each was accepted before."""
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Maxwellian(temperature=np.nan), "temperature"),
+        (lambda: Maxwellian(temperature=np.inf), "temperature"),
+        (lambda: Maxwellian(drift=(0.0, 1.0)), "drift"),  # failed at its first density call
+        (lambda: BumpMixture([(0.5, (0, 0, 1.0), np.nan), (0.5, (0, 0, -1.0), 1.0)]), "sigma"),
+        (lambda: gaussian_soft(amplitude=np.nan), "amplitude"),
+        (lambda: UGrid(np.nan, 1024), "u_max"),
+        (lambda: UGrid(12.0, 1024.5), "integer n"),
+    ], ids=["maxwellian-temperature-nan", "maxwellian-temperature-inf", "maxwellian-drift-2",
+            "bumps-sigma-nan", "gaussian-soft-amplitude-nan", "grid-u_max-nan",
+            "grid-n-fractional"])
+    def test_refused(self, make, name):
+        with pytest.raises(InputError, match=name):
+            make()

@@ -31,7 +31,6 @@ from plasmakin.equilibrium import (
     impact_geometry,
     marginal_check,
     solve_H,
-    spectral_field,
 )
 from plasmakin.errors import InputError, SingularConfigurationError
 from plasmakin.potentials import zero_potential
@@ -77,6 +76,15 @@ class TestHSolutionArguments:
         the argument."""
         with pytest.raises(InputError, match=name):
             HSolution(model_ms, **kwargs)
+
+    @pytest.mark.parametrize("evaluate, name", [
+        (lambda sol: h_realspace(sol, np.array([0.0, 0.0, 0.5]), []), "r_values"),
+        (lambda sol: marginal_check(sol, x_magnitudes=()), "x_magnitudes"),
+    ], ids=["h_realspace-no-r", "marginal_check-no-x"])
+    def test_empty_evaluation_set_refused_by_name(self, hsol_ms, evaluate, name):
+        """Both ended in numpy's zero-size-array ValueError."""
+        with pytest.raises(InputError, match=name):
+            evaluate(hsol_ms)
 
 
 class TestHhat:
@@ -263,8 +271,13 @@ class TestMarginalIdentity:
 
 class TestSpectralField:
     def test_hermitian_symmetry(self, hsol_mc):
-        field = spectral_field(hsol_mc, np.array([0.0, 0.0, 1.2]))
-        assert field.hermitian_defect() < 1e-10
+        """conj ĥ_B(κ, u) = ĥ_B(κ, -u) on the (κ grid, ±u) set, u = 1.2μ."""
+        v = np.array([0.0, 0.0, 1.2])
+        dist = hsol_mc.model.distribution
+        f_v, g_r = float(dist.density(v)), float(v @ dist.gradient(v)) / 1.2
+        u = 1.2 * np.linspace(-1.0, 1.0, 49)[None, :]
+        vals = hsol_mc.h_hat_values(hsol_mc.k_grid[:, None], u, f_v, (u / 1.2) * g_r)
+        assert np.max(np.abs(np.conj(vals) - vals[:, ::-1])) < 1e-10
 
     def test_realspace_h_is_real(self, hsol_ms):
         import warnings
@@ -399,7 +412,7 @@ def _A_minus_exact_reference(sol, kappas, u_eval):
     safe = np.where(diff == 0.0, 1.0, diff)
     out = np.empty((len(kappas), len(u_eval)), dtype=complex)
     for i, kap in enumerate(kappas):
-        eps_g, _ = sol._eps_on_grid(kap)
+        eps_g = sol.model.epsilon_at(sol.model.potential.fourier(kap))
         poles = sol._resonance_poles([kap])[0]
         g, _ = _subtract_poles(poles, u, sol._F / np.abs(eps_g) ** 2)
         g_e, pole_c = _subtract_poles(poles, u_eval, F_eval / np.abs(eps_eval[i]) ** 2)

@@ -138,8 +138,9 @@ class TestMaxwellianField:
 
     def test_second_moment(self):
         f = maxwellian_field(1.0, 1.0, n=25)
-        for m2 in f.second_moment_per_axis():
-            assert abs(m2 - 1.0) < 1e-3
+        X, Y, Z = np.meshgrid(f.axis, f.axis, f.axis, indexing="ij")
+        for A in (X, Y, Z):
+            assert abs(np.sum(f.values * f.cell_volume * A**2) - 1.0) < 1e-3
 
     def test_mass_vs_box(self):
         a = maxwellian_field(1.0, 1.0, half_width=6.0, n=21)

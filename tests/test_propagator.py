@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bl_flux_vector, epsilon_minus_k, vlasov_step
 from plasmakin.dielectric import DielectricModel
 from plasmakin.distributions import BumpMixture, Maxwellian
 from plasmakin.equilibrium import HSolution
@@ -29,7 +30,6 @@ from plasmakin.propagator import (
     _radial_divergence,
     _radial_log_derivative,
     _stencil,
-    bl_flux_vector,
     causal_gamma,
     contour_nodes,
     debye_cloud,
@@ -39,7 +39,6 @@ from plasmakin.propagator import (
     gaussian_weighted_profiles,
     radon_profile_of,
     vlasov_laplace_eval,
-    vlasov_step,
 )
 
 KZ = np.array([0.0, 0.0, 0.5])
@@ -58,34 +57,38 @@ class TestModeEvolution:
     def test_free_transport_exact(self, model_zero):
         grid = model_zero.grid
         H0 = initial_profile(grid).astype(complex)
-        state = ModeState(k=KZ, grid=grid, H=H0)
-        for _ in range(50):
-            state = vlasov_step(model_zero, state, 0.02)
+        *_, final = evolve_density(model_zero, KZ, H0, 1.0, dt=0.02)
         exact = np.exp(-1j * 0.5 * grid.points * 1.0) * H0
-        assert np.max(np.abs(state.H - exact)) < 1e-13
+        assert np.max(np.abs(final.H - exact)) < 1e-13
 
     def test_step_size_guard(self, model_ms):
-        grid = model_ms.grid
-        state = ModeState(k=KZ, grid=grid, H=initial_profile(grid).astype(complex))
         with pytest.raises(StepSizeError):
-            vlasov_step(model_ms, state, 1.0)
+            evolve_density(model_ms, KZ, initial_profile(model_ms.grid), 1.0, dt=1.0)
 
     def test_coulomb_rejected(self, model_mc):
-        grid = model_mc.grid
-        state = ModeState(k=KZ, grid=grid, H=initial_profile(grid).astype(complex))
         with pytest.raises(InputError):
-            vlasov_step(model_mc, state, 0.01)
+            evolve_density(model_mc, KZ, initial_profile(model_mc.grid), 0.01, dt=0.01)
 
     def test_density_moment_consistency(self, model_ms):
         """∂_t ρ̂ = -i|k| ∫ u Ĥ du along the trajectory."""
         grid = model_ms.grid
-        state = ModeState(k=KZ, grid=grid, H=initial_profile(grid).astype(complex))
+        H0 = initial_profile(grid)
         dt = 0.005
-        s0 = state
-        s1 = vlasov_step(model_ms, s0, dt)
-        s2 = vlasov_step(model_ms, s1, dt)
-        drho = (s2.rho - s0.rho) / (2 * dt)
-        assert abs(drho - (-1j * 0.5 * s1.velocity_moment())) < 1e-5
+        _, rhos, _ = evolve_density(model_ms, KZ, H0, 2 * dt, dt=dt)
+        *_, s1 = evolve_density(model_ms, KZ, H0, dt, dt=dt)
+        drho = (rhos[2] - rhos[0]) / (2 * dt)
+        moment = np.trapezoid(grid.points * s1.H, dx=grid.spacing)
+        assert abs(drho - (-1j * 0.5 * moment)) < 1e-5
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(t_max=np.nan), "t_max"),  # raised ValueError
+        (dict(dt=0.0), "dt"),  # raised ZeroDivisionError
+        (dict(store_every=0), "store_every"),  # raised ZeroDivisionError
+    ], ids=["t_max-nan", "dt-zero", "store_every-zero"])
+    def test_evolve_density_refusals(self, model_ms, kwargs, name):
+        args = dict(t_max=1.0, dt=0.01) | kwargs
+        with pytest.raises(InputError, match=name):
+            evolve_density(model_ms, KZ, initial_profile(model_ms.grid), **args)
 
     @pytest.mark.parametrize("store_every", [1, 20, 25])
     @pytest.mark.parametrize("dt", [0.01, 0.02])
@@ -196,13 +199,16 @@ class TestLaplaceEval:
 
     @pytest.mark.parametrize("conjugate_mode", [False, True])
     def test_contour_epsilon_asymptotics_follow_k(self, conjugate_mode):
-        """ε - 1 - a₂/z² - a₃/z³ is o(z⁻³) with the moments of k's direction."""
+        """ε - 1 - a₂/z² - a₃/z³ is o(z⁻³) with the moments of k's direction;
+        `conjugate_mode` takes ε(-k, ·) as the reflection of ε(k, ·)."""
         model = DielectricModel(Maxwellian(drift=(0.0, 0.0, 0.5)), gaussian_soft())
         k = np.array([0.0, 0.0, 0.8])
         scaled = []
         for height in (80.0, 160.0):
             contour = BromwichContour(gamma=0.5, height=height, n_nodes=4096)
-            fn = _epsilon_contour_fn(model, k, contour, conjugate_mode=conjugate_mode)
+            fn = _epsilon_contour_fn(model, k, contour)
+            if conjugate_mode:
+                fn = fn.reflected(np.conj(model.epsilon_laplace(k, np.conj(contour.nodes[:1])))[0])
             z = contour.nodes
             top = np.argsort(np.abs(z))[-8:]
             rem = (fn.vals - 1.0 - fn.a[2] / z**2 - fn.a[3] / z**3) * z**3
@@ -220,8 +226,8 @@ class TestDebyeCloud:
 
     def test_linearity_in_sigma(self, model_mc):
         r = np.geomspace(0.5, 4.0, 9)
-        a = debye_cloud(model_mc, 1.0, r_values=r, epsilon_floor_scan=False)
-        b = debye_cloud(model_mc, 2.0, r_values=r, epsilon_floor_scan=False)
+        a = debye_cloud(model_mc, 1.0, r_values=r)
+        b = debye_cloud(model_mc, 2.0, r_values=r)
         assert np.max(np.abs(b["rho"] - 2.0 * a["rho"])) < 1e-14
 
     def test_wake_and_resonance(self, model_mc):
@@ -236,6 +242,12 @@ class TestDebyeCloud:
     def test_soft_potential_rejected(self, model_ms):
         with pytest.raises(InputError):
             debye_cloud(model_ms, 1.0)
+
+    @pytest.mark.parametrize("V0", [[0.1, 0.2], [0.0, np.nan, 0.3]], ids=["2-vector", "nan"])
+    def test_velocity_must_be_a_finite_3_vector(self, model_mc, V0):
+        """A 2-vector ran, read as a speed along ẑ."""
+        with pytest.raises(InputError, match="V0"):
+            debye_cloud(model_mc, 1.0, V0=V0)
 
 
 class TestPairPropagator:
@@ -459,7 +471,7 @@ class TestSchwarzReflection:
         closed form at mirror-image points, so they differ by rounding."""
         model = DielectricModel(dist, soft)
         k = np.array(k)
-        direct = _epsilon_contour_fn(model, k, self.CONTOUR, conjugate_mode=True)
+        direct = epsilon_minus_k(model, k, self.CONTOUR)
         reflected = _epsilon_contour_fn(model, k, self.CONTOUR).reflected(direct.vals[0])
         assert np.max(np.abs(reflected.vals - direct.vals)) <= 1e-14 * np.max(np.abs(direct.vals))
         assert reflected.a == direct.a
@@ -769,7 +781,7 @@ def _pairings_reference(pp, test, g0, t_values):
         W = float(model.potential.fourier(np.asarray(a)))
         kv = np.array([0.0, 0.0, a])
         inv_eps = _epsilon_contour_fn(model, kv, c).reciprocal()
-        inv_eps_m = _epsilon_contour_fn(model, kv, c, conjugate_mode=True).reciprocal()
+        inv_eps_m = epsilon_minus_k(model, kv, c).reciprocal()
         m_F, mt_F = pp._F.cauchy_moment(c, a), pp._F.cauchy_moment(c, -a)
         m_G11, mt_G12 = G1_1.cauchy_moment(c, a), G1_2.cauchy_moment(c, -a)
         P1 = pp._invert(m_G11 * m_F * inv_eps)
@@ -808,7 +820,7 @@ def _flux_scalars_reference(fe, g0, speeds, t_values):
         W = float(model.potential.fourier(np.asarray(a)))
         kv = np.array([0.0, 0.0, a])
         inv_eps = _epsilon_contour_fn(model, kv, c).reciprocal()
-        inv_eps_m = _epsilon_contour_fn(model, kv, c, conjugate_mode=True).reciprocal()
+        inv_eps_m = epsilon_minus_k(model, kv, c).reciprocal()
         excess_m = inv_eps_m - 1.0
         gam = fe._invert(excess_m)
         dlt = fe._invert(fe._F.cauchy_moment(c, -a) * excess_m)
