@@ -15,14 +15,15 @@ holds α once, as its spline's cubic per u-cell, and `DirectionCache.alpha_at`
 serves α and α′ to every reader, with the 1/u² tail beyond ±u_max.
 
 The module needs numpy alone: the not-a-knot spline (`not_a_knot_cubic`),
-Brent's root finder (`_brent_root`), the batched polynomial root finder
-(`_bracketed_roots`) and Brent's bounded minimiser (`_bounded_minimum`) are
-built here.
+one root finder, the batched Chandrupatla solver `_bracketed_roots` (far
+roots of α = |k|² and Penrose critical points), and one minimiser, Brent's
+bounded `_bounded_minimum`, are built here.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,35 +46,36 @@ _POLE = math.sqrt(3.0) - 2.0
 _POLE_TAPS = 32
 _POLE_POWERS = _POLE ** np.arange(_POLE_TAPS + 1)
 _STENCIL_INVERSE = np.concatenate([_POLE_POWERS[:0:-1], _POLE_POWERS]) / (2.0 * math.sqrt(3.0))
-_BRENT_RTOL = 4.0 * np.finfo(float).eps  # scipy's `brentq` default and floor
-_BRENT_MAXITER = 100
-_ROOT_MAXITER = 100  # Newton-bisection steps of `_bracketed_roots`
+_ROOT_MAXITER = 100  # Chandrupatla steps of `_bracketed_roots`
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _FMINBOUND_MAXFUN = 500  # scipy's `minimize_scalar(method="bounded")` default
 
 
 def _as_vector(k):
-    """k as a 3-vector (a scalar lies along ẑ) and its norm; k = 0 is refused."""
+    """k as a 3-vector (a scalar lies along ẑ) and its norm; a zero or non-finite k is refused."""
     k = np.asarray(k, dtype=float)
     kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
     nk = np.linalg.norm(kvec)
+    if not math.isfinite(nk):  # a NaN or infinite component, or |k| beyond the float range
+        raise InputError(f"k must be finite, got {kvec.tolist()}")
     if nk == 0.0:
         raise InputError("k = 0: dielectric undefined")
     return kvec, nk
 
 
+def _require_scan(u_max, n_name, n):
+    """Refuse a scan over |u| ≤ u_max on n nodes that cannot be sampled."""
+    if not (np.isfinite(u_max) and u_max > 0):
+        raise InputError(f"u_max must be finite and positive, got {u_max}")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise InputError(f"{n_name} must be an integer >= 2, got {n!r}")
+
+
 def sphere_lattice_directions():
     """26 face/edge/corner directions of the cubic lattice, normalized."""
-    dirs = []
-    for ix in (-1, 0, 1):
-        for iy in (-1, 0, 1):
-            for iz in (-1, 0, 1):
-                if ix == iy == iz == 0:
-                    continue
-                d = np.array([ix, iy, iz], dtype=float)
-                dirs.append(d / np.linalg.norm(d))
-    return np.array(dirs)
+    d = np.array([c for c in itertools.product((-1.0, 0.0, 1.0), repeat=3) if any(c)])
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -160,101 +162,56 @@ def not_a_knot_cubic(y):
     return np.stack([s0 + s1 - 2.0 * d, 3.0 * d - 2.0 * s0 - s1, s0, y[:-1]], axis=1)
 
 
-def _brent_root(f, a, b, xtol):
-    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).
+def _bracketed_roots(f, a, b, fa, fb, start=None):
+    """A root in [a, b] of each lane of a vectorised f with end values
+    fa = f(a), fb = f(b), by Chandrupatla's method (Adv. Eng. Softw. 28
+    (1997) 145): inverse quadratic interpolation through the last three
+    points where it is monotone on the bracket, bisection otherwise.
 
-    A line-for-line port of scipy's `brentq` at rtol = 4ε and 100
-    iterations, so it returns the same bits.  f(a) and f(b) must differ in
-    sign; that failing, a NaN value or no convergence raises
-    `RootNotFoundError`.
+    f(x, lanes) is f of the lanes `lanes` (indices into a) at points x.  The
+    first trial point is `start`, clipped into the bracket, or its middle.
+    Stop: a lane ends where f is 0, or once its sign-change bracket is at
+    most 4ε·max(|x|, 1) wide, and returns x, the end where |f| is smaller,
+    so x lies within 4ε·max(|x|, 1) of a sign change of the computed f.  A
+    lane whose end values do not differ in sign (a 0 included) returns that
+    end at once; every result lies in its bracket.
     """
-    def fx(x):
-        value = float(f(x))
-        if math.isnan(value):
-            raise RootNotFoundError(f"NaN at u = {x} in Brent's root search")
-        return value
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise RootNotFoundError(f"no sign change on [{a}, {b}]: f = {fpre:.3g}, {fcur:.3g}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RootNotFoundError(f"Brent's root search on [{a}, {b}] did not converge")
-
-
-def _bracketed_roots(coef, a, b, start):
-    """A root in [a, b] of each row's polynomial (coef highest power first),
-    whose values at a and b differ in sign: Newton steps from `start`,
-    clamped into the bracket, each kept inside the shrinking sign-change
-    bracket, and bisection where a step would leave it.
-
-    A row stops after a Newton step of at most 4ε·max(|x|, 1), or where
-    p(x) = 0.  The result then lies within E/|p′| of a root of the exact
-    polynomial, where E ≈ 2·deg·ε·Σ|c_k||x|^k bounds the rounding of
-    Horner's rule.
-    """
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    f_lo = _horner(coef, lo)[0]
-    x = np.clip(start, lo, hi)
-    live = np.ones(x.shape, dtype=bool)
-    for _ in range(_ROOT_MAXITER):
-        f, df = _horner(coef, x)
-        right = np.sign(f) == np.sign(f_lo)
-        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - np.where(df != 0.0, f / df, np.inf)
-        inside = (newton >= lo) & (newton <= hi)
-        done = (f == 0.0) | (inside & (
-            np.abs(newton - x) <= _ROOT_RTOL * np.maximum(np.abs(newton), 1.0)))
-        x = np.where(live & (f != 0.0), np.where(inside, newton, 0.5 * (lo + hi)), x)
-        live &= ~done
-        if not live.any():
-            break
+    x = np.where(np.abs(fb) < np.abs(fa), b, a)
+    lanes = np.flatnonzero(np.sign(fa) * np.sign(fb) < 0.0)
+    x1, f1, x2, f2 = a[lanes], fa[lanes], b[lanes], fb[lanes]
+    trial = 0.5 * (x1 + x2) if start is None else np.clip(
+        start[lanes], np.minimum(x1, x2), np.maximum(x1, x2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAXITER):
+            if not lanes.size:
+                break
+            ft = f(trial, lanes)
+            # the trial point replaces the end of its own sign; x3 is the end dropped
+            same = np.signbit(ft) == np.signbit(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = trial, ft
+            x[lanes] = best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+            width, tol = np.abs(x2 - x1), _ROOT_RTOL * np.maximum(np.abs(best), 1.0)
+            live = (f1 != 0.0) & (width > tol)
+            if not live.all():
+                lanes, x1, f1, x2, f2, x3, f3, width, tol = (
+                    v[live] for v in (lanes, x1, f1, x2, f2, x3, f3, width, tol))
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            step = 0.5 * tol / width  # each trial at least tol/2 inside the bracket
+            trial = x1 + np.minimum(np.maximum(t, step), 1.0 - step) * (x2 - x1)
     return x
 
 
 def _horner(coef, x):
-    """p(x) and p′(x) of each row's polynomial (coef highest power first)."""
-    p, dp = np.broadcast_to(coef[:, 0], x.shape).copy(), np.zeros_like(x)
+    """p(x) of each row's polynomial (coef highest power first)."""
+    p = np.broadcast_to(coef[:, 0], x.shape).copy()
     for c in coef.T[1:]:
-        dp = dp * x + p
         p = p * x + c
-    return p, dp
+    return p
 
 
 def _bounded_minimum(f, a, b, xatol):
@@ -333,11 +290,10 @@ class DirectionCache:
     """F, ∂_uF and α = P[∂_uF] of one direction χ on the model's u-grid.
 
     Row j of `alpha_cubic` is α's not-a-knot spline on [u_j, u_j+1] as a
-    cubic in t = (u - u_j)/h, highest power first, built in-package by
-    `not_a_knot_cubic`.  `alpha_at` reads it
-    inside ±u_max and the 1/u² tail from the raw moments of F beyond: on
-    the default grid the spline is within 5e-9 of α up to u_max, the tail
-    5e-6 off there.
+    cubic in t = (u - u_j)/h, highest power first (`not_a_knot_cubic`).
+    `alpha_at` reads it inside ±u_max and the 1/u² tail from the raw
+    moments of F beyond: on the default grid the spline is within 5e-9 of
+    α up to u_max, the tail 5e-6 off there.
     """
 
     chi: np.ndarray
@@ -354,12 +310,12 @@ class DirectionCache:
         j is u's cell index, clipped to the end cells, and t the unclipped
         fraction (u - u_j)/h, so that u = u_max is the last cell's end knot.
         Formed as a difference from the node u_j, t keeps α(u_j + δ) - α(u_j)
-        exact to rounding as δ → 0.
+        exact to rounding as δ → 0.  A NaN u gives NaN.
         """
         u = np.asarray(u, dtype=float)
         h, u_max = self.grid.spacing, self.grid.u_max
         if cell is None:
-            j = np.minimum(np.maximum((u + u_max) / h, 0.0), self.grid.n - 1.000001)
+            j = np.fmin(np.fmax((u + u_max) / h, 0.0), self.grid.n - 1.000001)  # NaN → 0
             j = j.astype(np.intp)
             cell = (j, (u - (j * h - u_max)) / h)  # j·h - u_max: node j, as `grid.points` has it
         j, t = cell
@@ -394,12 +350,13 @@ class DirectionCache:
         which is the root.  Inside ±u_max α is its spline's cubic on the
         bracketing cell; beyond it α = κ² is κ²u⁴ = m0u² + 2m1u + 3m2 (the
         tail m0/u² + 2m1/u³ + 3m2/u⁴ times u⁴), a quartic.  So one
-        polynomial solve per κ and side (`_bracketed_roots`) follows.  Where
-        the crossing is the step from the spline at u_max to the tail just
-        past it, the root is ±u_max.  A pair of crossings inside one cell,
-        both nodes on the same side of κ², is not seen: κ² then lies within
-        the cubic's bump over its nodes, some h²|α″|/8 from α's peak value,
-        where the root is double.
+        `_bracketed_roots` call on these polynomials' Horner values solves
+        every κ and side, a tail root from the quartic's leading-order root
+        ±√m0/κ.  Where the crossing is the step from the spline at u_max to
+        the tail just past it, the root is ±u_max.  Two crossings in one cell,
+        both nodes on one side of κ², are not seen: κ² then lies within the
+        cubic's bump, some h²|α″|/8 from α's peak value, where the root is
+        double.
         """
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         n, h, u_max = self.grid.n, self.grid.spacing, self.grid.u_max
@@ -436,11 +393,10 @@ class DirectionCache:
         coef[j.size :, 2:] = [-self.moments[0], -2 * self.moments[1], -3 * self.moments[2]]
         bracket = np.concatenate([(s_i[cell] * np.stack([inner[cell], outer[cell]]) - u_j) / h,
                                   s_i[far] * np.stack([inner[far], outer[far]])], axis=1)
-        # a cell root starts at its bracket's middle, a tail root at the
-        # tail's leading-order root u = ±√m0/κ
         start = 0.5 * (bracket[0] + bracket[1])
         start[j.size :] = s_i[far] * np.sqrt(max(self.moments[0], 0.0) / target[i[far]])
-        x = _bracketed_roots(coef, *bracket, start)
+        x = _bracketed_roots(lambda x, lanes: _horner(coef[lanes], x), *bracket,
+                             *_horner(coef, bracket), start)
         out[i[cell]] = u_j + h * x[: j.size]
         out[i[far]] = x[j.size :]
         return out.reshape(2, m).T
@@ -569,10 +525,8 @@ class DielectricModel:
         u0 = cache.far_roots(nk)[0]
         if np.isnan(u0).any():
             side = "u > 0" if np.isnan(u0[0]) else "u < 0"
-            raise RootNotFoundError(
-                f"no sign change of α - |k|² in {1.0 / (2.0 * np.sqrt(nk)):.3g} ≤ |u| ≤ "
-                f"{4.0 / nk:.3g} for {side} (|k|² = {target:.3g})"
-            )
+            raise RootNotFoundError(f"no sign change of α - |k|² in {1.0 / (2.0 * np.sqrt(nk)):.3g}"
+                                    f" ≤ |u| ≤ {4.0 / nk:.3g} for {side} (|k|² = {target:.3g})")
         dF0 = np.asarray(self.distribution.radon_profile_derivative(cache.chi, u0), dtype=float)
         da0 = cache.alpha_at(u0, derivative=True)
         residual = np.abs(cache.alpha_at(u0) - target)
@@ -592,16 +546,18 @@ class DielectricModel:
         which does not depend on |k|.  Over real W ∈ [W_lo, W_hi], |1 − W·P|
         is smallest at W* = clamp(Re P/|P|², W_lo, W_hi) (|ε| = 1 where
         P = 0), so the infimum is a minimum over u alone: the minimum on an
-        n_u-point grid, polished by Brent's bounded minimiser
-        (`_bounded_minimum`) between the grid minimum's two neighbours.  [W_lo, W_hi] is the range of φ̂ on 400
+        n_u-point grid, polished by `_bounded_minimum` between the grid
+        minimum's two neighbours.  [W_lo, W_hi] is the range of φ̂ on 400
         geometric points of k_range, exact at the endpoints for the monotone
         built-ins (Coulomb, Gaussian, zero).
 
         The u-scan runs along ẑ for every kind, anisotropic ones included.
         For seeded drifted Maxwellians, also scanning the 26 lattice
         directions and the drift direction moves the value by at most 5e-4
-        relative, because a drift only shifts P in u.
+        relative, because a drift only shifts P in u.  u_max is finite and
+        positive and n_u an integer ≥ 2.
         """
+        _require_scan(u_max, "n_u", n_u)
         W = self.potential.fourier(np.geomspace(k_range[0], k_range[1], 400))
         w_lo, w_hi = float(np.min(W)), float(np.max(W))
 
@@ -627,12 +583,12 @@ class DielectricModel:
     def alpha_asymptotics_check(self, k=(0.0, 0.0, 1.0), u_range=(8.0, 12.0), n=200):
         """max |u|³·|α(u) - 1/u²| over the range, on two refinements."""
         out = {}
-        for level, nn in enumerate((n, 2 * n)):
+        for nn in (n, 2 * n):
             us = np.linspace(u_range[0], u_range[1], nn)
             a = self.alpha(np.asarray(k, float), us)
             out[f"constant_n{nn}"] = float(np.max(np.abs(us) ** 3 * np.abs(a - 1.0 / us**2)))
-        vals = list(out.values())
-        out["stable"] = bool(abs(vals[1] - vals[0]) <= 0.5 * max(vals[0], 1e-12) + 1e-9)
+        c1, c2 = out.values()
+        out["stable"] = bool(abs(c2 - c1) <= 0.5 * max(c1, 1e-12) + 1e-9)
         return out
 
     def strong_stability_check(self, k_values=(0.25, 0.5, 1.0, 2.0), c_max=0.4, floor=1e-3):
@@ -687,29 +643,39 @@ class StabilityReport:
     details: dict = field(default_factory=dict)
 
 
-def _critical_points(distribution, chi, u_max, n):
-    """Zeros of ∂_uF on [-u_max, u_max]: exact grid zeros and `_brent_root` roots of sign changes.
-
+def _critical_points(distribution, directions, u_max, n):
+    """Zeros of ∂_uF on [-u_max, u_max], one list per direction: exact zeros
+    of the n-node scan, and the sign changes of every direction polished in
+    one `_bracketed_roots` call (∂_uF evaluated once per direction per step).
     Near-duplicates (within 1e-6) are merged and points where F is below
     1e-10·max|∂_uF| (flat-tail artifacts) dropped.
     """
     u = np.linspace(-u_max, u_max, n)
-    dF = np.asarray(distribution.radon_profile_derivative(chi, u), dtype=float)
-    scale = float(np.max(np.abs(dF))) or 1.0
-    a, b = dF[:-1], dF[1:]
-    exact = u[:-1][(a == 0.0) & (np.abs(u[:-1]) < u_max - 1e-9)]
+    scans, ends = [], []  # per direction (exact zeros, max|∂_uF|) and its brackets
+    for r, chi in enumerate(directions):
+        dF = np.asarray(distribution.radon_profile_derivative(chi, u), dtype=float)
+        i = np.flatnonzero(dF[:-1] * dF[1:] < 0.0)
+        ends.append(np.stack([np.full(i.size, r), u[i], u[i + 1], dF[i], dF[i + 1]]))
+        scans.append((u[:-1][(dF[:-1] == 0.0) & (np.abs(u[:-1]) < u_max - 1e-9)],
+                      float(np.max(np.abs(dF))) or 1.0))
+    row, a, b, fa, fb = np.concatenate(ends, axis=1)
 
-    def fn(x):
-        return float(distribution.radon_profile_derivative(chi, np.array([x]))[0])
+    def dF_at(x, lanes):
+        out, rows = np.empty_like(x), row[lanes]
+        for r in np.unique(rows):
+            out[rows == r] = distribution.radon_profile_derivative(directions[int(r)], x[rows == r])
+        return out
 
-    roots = [_brent_root(fn, u[i], u[i + 1], xtol=1e-12) for i in np.flatnonzero(a * b < 0)]
-    crits = sorted(float(c) for c in (*exact, *roots))
-    merged = []
-    for c in crits:
-        if not merged or c - merged[-1] > 1e-6:
-            merged.append(c)
-    F = np.asarray(distribution.radon_profile(chi, np.array(merged)), dtype=float)
-    return [c for c, Fc in zip(merged, F) if Fc > 1e-10 * scale]
+    roots = _bracketed_roots(dF_at, a, b, fa, fb)
+    crits = []
+    for r, (chi, (exact, scale)) in enumerate(zip(directions, scans)):
+        merged = []
+        for c in np.sort(np.concatenate([exact, roots[row == r]])):
+            if not merged or c - merged[-1] > 1e-6:
+                merged.append(float(c))
+        F = np.asarray(distribution.radon_profile(chi, np.array(merged)), dtype=float)
+        crits.append([c for c, Fc in zip(merged, F) if Fc > 1e-10 * scale])
+    return crits
 
 
 def _support_cap(distribution, u_max):
@@ -765,21 +731,14 @@ def _offenders(distribution, potential, directions, u_max, n):
     """
     u_max = _support_cap(distribution, u_max)
     sup_w = None if potential.is_coulomb else potential.fourier_sup()
-    offenders = []
-    n_critical = 0
-    for chi in directions:
-        crits = _critical_points(distribution, chi, u_max, n)
+    offenders, n_critical = [], 0
+    for chi, crits in zip(directions, _critical_points(distribution, directions, u_max, n)):
         n_critical += len(crits)
         for u_c in crits:
             a_c = penrose_functional(distribution, chi, u_c)
-            if potential.is_coulomb:
-                unstable = a_c > 1e-8
-            else:
-                unstable = sup_w > 0 and a_c * sup_w >= 1.0
-            if unstable:
-                offenders.append(
-                    {"chi": [float(x) for x in chi], "u": float(u_c), "alpha": float(a_c)}
-                )
+            if a_c > 1e-8 if sup_w is None else sup_w > 0 and a_c * sup_w >= 1.0:
+                offenders.append({"chi": [float(x) for x in chi], "u": float(u_c),
+                                  "alpha": float(a_c)})
     return offenders, n_critical
 
 
@@ -791,8 +750,10 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
     distribution is also tested at half resolution; when the two verdicts
     differ the report is INCONCLUSIVE.  `details` holds the number of
     directions and of critical points found (on the full-resolution input).
-    `directions` are finite unit 3-vectors (to 1e-12), one per row.
+    `directions` are finite unit 3-vectors (to 1e-12), one per row; u_max
+    is finite and positive and n an integer ≥ 2.
     """
+    _require_scan(u_max, "n", n)
     if directions is None:
         directions = [_Z_HAT] if distribution.is_isotropic else sphere_lattice_directions()
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -809,5 +770,4 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
         if bool(coarse) != bool(offenders):
             details["reason"] = "verdict not grid-stable"
             return StabilityReport("INCONCLUSIVE", [], details)
-    verdict = "UNSTABLE" if offenders else "STABLE"
-    return StabilityReport(verdict, offenders, details)
+    return StabilityReport("UNSTABLE" if offenders else "STABLE", offenders, details)

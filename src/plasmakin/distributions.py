@@ -450,8 +450,8 @@ class Tabulated(VelocityDistribution):
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise InputError("values shape does not match axes")
-        if np.min(self.values) < 0:
-            raise InputError("tabulated density must be nonnegative")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):  # NaN fails too
+            raise InputError("tabulated density values must be finite and nonnegative")
         self._table = self.values.ravel()
         self._gradient_table = np.stack(np.gradient(self.values, *self.axes), axis=-1).reshape(-1, 3)
         self.half_width = float(min(a[-1] for a in self.axes))

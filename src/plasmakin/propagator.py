@@ -565,6 +565,8 @@ def vlasov_laplace_eval(model, k, H0, t, contour=None, richardson_check=False):
     profile = H0 if isinstance(H0, UProfile) else None
     H0 = np.asarray(H0 if profile is None else profile.values(u), dtype=complex)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not t_arr.size:
+        raise InputError("t must hold at least one time")
     t_hi = np.max(t_arr, initial=0.0)
     if contour is None:
         gamma, height = causal_gamma(t_hi), BromwichContour.height
@@ -618,8 +620,9 @@ def debye_cloud(model, sigma, V0=None, r_values=None):
 
     ρ̂(k) = -σ (2π)^{-3/2} φ̂(k) P⁺[∂_uF](ω·V₀) / ε(k, ω·V₀); the V₀ = 0
     Coulomb+Maxwellian case is the classic Yukawa profile σ e^{-r}/(4πr).
-    V₀ is a finite 3-vector.  Returns a dict with the profile, induced
-    charge and |ε|-floor scan.
+    σ is finite, V₀ a finite 3-vector, and a moving cloud needs at least
+    one r.  Returns a dict with the profile, induced charge and |ε|-floor
+    scan.
     """
     if not model.potential.is_coulomb:
         raise InputError("the Debye-cloud formula is stated for the Coulomb weight")
@@ -628,10 +631,12 @@ def debye_cloud(model, sigma, V0=None, r_values=None):
     V0 = np.asarray(V0, dtype=float)
     if V0.shape != (3,) or not np.all(np.isfinite(V0)):
         raise InputError(f"V0 must be a finite 3-vector, got {V0.tolist()}")
+    if not np.isfinite(sigma):
+        raise InputError(f"sigma must be finite, got {sigma}")
     speed = float(np.linalg.norm(V0))
-    if r_values is None:
-        r_values = np.geomspace(0.3, 8.0, 60)
-    r_values = np.asarray(r_values, dtype=float)
+    r_values = np.asarray(np.geomspace(0.3, 8.0, 60) if r_values is None else r_values, dtype=float)
+    if speed and not r_values.size:
+        raise InputError("r_values is empty: a moving cloud has no profile to evaluate")
     kvec = np.array([0.0, 0.0, 1.0])
 
     def rho_hat(kappa, u):

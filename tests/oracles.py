@@ -6,8 +6,9 @@ one the package runs:
 - `pv_quadrature`: P[p] by singularity-subtracted trapezoid quadrature;
 - `pv_fft_padded`: P[p] by the 8n-point zero-padded FFT multiplier route,
   which the package evaluates as a 2n-point circular convolution;
-- `far_root_brent`: the far root of α = κ² by a geometric scan and the
-  scalar Brent root finder, which the package reads from α's cells;
+- `far_root_brent`: the far root of α = κ² by a geometric scan and scipy's
+  scalar Brent root finder `brentq`, which the package reads from α's
+  cells with its batched Chandrupatla solver;
 - `vlasov_step`: one RK4 step of the reduced linear Vlasov dynamics with
   every phase computed from the step's start time, which `evolve_density`
   must equal bit for bit over a loop of steps;
@@ -19,8 +20,8 @@ one the package runs:
 """
 
 import numpy as np
+from scipy.optimize import brentq
 
-from plasmakin.dielectric import _brent_root
 from plasmakin.errors import InputError, StepSizeError
 from plasmakin.propagator import ContourFn, ModeState, _require_soft
 from plasmakin.transforms import LineProfile, _next_pow2, taper_window
@@ -102,7 +103,7 @@ def far_root_brent(cache, kappa, side, n_scan=4000, xtol=1e-14):
 
     The scan runs from 4/κ in to 1/(2√κ) over `n_scan` geometric points and
     every grid node between them; the first exact zero is the root, the
-    first sign change is polished by `_brent_root` on `cache.alpha_at`.
+    first sign change is polished by `brentq` on `cache.alpha_at`.
     """
     lo, hi = 1.0 / (2.0 * np.sqrt(kappa)), 4.0 / kappa
     u = cache.grid.points
@@ -119,7 +120,7 @@ def far_root_brent(cache, kappa, side, n_scan=4000, xtol=1e-14):
     i = stops[0]
     if vals[i] == 0.0:
         return side * us[i]
-    return side * _brent_root(g, us[i], us[i - 1], xtol=xtol)
+    return side * brentq(g, us[i], us[i - 1], xtol=xtol)
 
 
 def vlasov_step(model, state: ModeState, dt: float) -> ModeState:

@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
@@ -14,12 +14,11 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.spatial.transform import Rotation
 from scipy.special import wofz
 
-from plasmakin import dielectric
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
     DielectricModel,
     _bounded_minimum,
-    _brent_root,
+    _bracketed_roots,
     _critical_points,
     alpha_tail,
     debye_rescale,
@@ -61,6 +60,25 @@ class TestEpsilon:
     def test_k_zero_rejected(self, model_mc):
         with pytest.raises(InputError):
             model_mc.epsilon(np.zeros(3), 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: m.epsilon((0.0, 0.0, np.nan), 0.5),  # returned NaN
+        lambda m: m.dispersion_roots((0.0, 0.0, np.nan)),  # raised IndexError
+        lambda m: m.epsilon(np.inf, 0.5),
+    ], ids=["epsilon-nan", "dispersion-roots-nan", "epsilon-scalar-inf"])
+    def test_non_finite_k_refused(self, model_mc, call):
+        with pytest.raises(InputError, match="k must be finite"):
+            call(model_mc)
+
+    def test_nan_u_gives_nan(self, model_mc):
+        """The cell lookup of α raised IndexError at a NaN u; now NaN gives
+        NaN and the other points keep their values."""
+        u = np.array([0.5, np.nan, 13.0])
+        eps = model_mc.epsilon(KZ, u)
+        assert np.isnan(eps[1]) and np.isnan(model_mc.epsilon(KZ, np.nan))
+        assert np.array_equal(eps[[0, 2]], model_mc.epsilon(KZ, u[[0, 2]]))
+        alpha = model_mc.direction_cache(KZ).alpha_at(u, derivative=True)
+        assert np.isnan(alpha[1]) and np.all(np.isfinite(alpha[[0, 2]]))
 
     def test_imaginary_part_identity(self, model_mc):
         u = np.linspace(-4, 4, 41)
@@ -310,6 +328,16 @@ class TestPenrose:
         with pytest.raises(InputError, match="directions"):
             penrose_check(maxwellian, coulomb, directions=directions)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(u_max=np.nan), "u_max"),  # reported STABLE with 0 critical points
+        (dict(u_max=-14.0), "u_max"),
+        (dict(n=1), "n"),  # reported STABLE with 0 critical points
+        (dict(n=4097.5), "n"),
+    ], ids=["u_max-nan", "u_max-negative", "n-1", "n-fractional"])
+    def test_bad_scan_refused(self, maxwellian, coulomb, kwargs, name):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            penrose_check(maxwellian, coulomb, **kwargs)
+
     def test_unit_directions_to_1e_12_accepted(self, maxwellian, coulomb):
         chi = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
         rep = penrose_check(maxwellian, coulomb, directions=[chi, [0.0, 0.0, -1.0]])
@@ -400,21 +428,42 @@ class TestPenroseOracle:
         ExponentialFamily(gamma=2, modulation=0.2),
     ]
 
+    @staticmethod
+    def _assert_scan_matches_reference(distribution, dirs, u_max, n, noise_per_F=0.0):
+        """Equal counts per direction, and each root within Brent's stop
+        (xtol + 4ε|u|, xtol = 1e-12) plus the batched solver's
+        (4ε·max(|u|, 1)) of the `brentq` root.  Where |∂_uF| is at most
+        `noise_per_F`·max F at both ends of the root's scan cell, its sign
+        there is rounding and every point of the cell is a root of the
+        computed ∂_uF: such a root is held to its cell."""
+        u = np.linspace(-u_max, u_max, n)
+        h = u[1] - u[0]
+        for chi, crits in zip(dirs, _critical_points(distribution, dirs, u_max, n)):
+            ref = _critical_points_reference(distribution, chi, u_max, n)
+            assert len(crits) == len(ref), (chi, crits, ref)
+            dF = np.abs(distribution.radon_profile_derivative(chi, u))
+            noise = noise_per_F * np.max(distribution.radon_profile(chi, u))
+            for x, r in zip(crits, ref):
+                j = min(int((r + u_max) / h), n - 2)
+                bound = h if max(dF[j], dF[j + 1]) <= noise else (
+                    1e-12 + 4 * _EPS * abs(r) + 4 * _EPS * max(abs(r), 1.0))
+                assert abs(x - r) <= bound, (chi, x, r)
+
     @pytest.mark.parametrize("distribution", SWEEP_FAMILIES + [TWO_BUMP])
     def test_scan_matches_reference(self, distribution):
         dirs = [KZ] if distribution.is_isotropic else sphere_lattice_directions()
         assert len(dirs) == (1 if distribution.is_isotropic else 26)
-        for chi in dirs:
-            assert _critical_points(distribution, chi, 14.0, 4097) == (
-                _critical_points_reference(distribution, chi, 14.0, 4097))
+        self._assert_scan_matches_reference(distribution, dirs, 14.0, 4097)
 
     def test_scan_matches_reference_tabulated(self):
+        """A lattice's ∂_uF is a central difference, step 1e-3, of plane sums
+        of 16² nonnegative terms, so its rounding is below 256ε·max F/1e-3;
+        along ŷ the two-bump lattice's ∂_uF is that rounding alone."""
         tab = _tabulated_two_bump()
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0] / np.sqrt(2.0)])
         for dist in (tab, tab.coarsened()):
-            for chi in dirs:
-                assert _critical_points(dist, chi, 0.999 * 8.0, 257) == (
-                    _critical_points_reference(dist, chi, 0.999 * 8.0, 257))
+            self._assert_scan_matches_reference(dist, dirs, 0.999 * 8.0, 257,
+                                                noise_per_F=256 * _EPS / 1e-3)
 
     def test_drifted_maxwellian_off_axis(self):
         drift, temperature = np.array([0.3, -0.5, 0.8]), 1.3
@@ -435,7 +484,7 @@ class TestPenroseOracle:
     ])
     def test_mixtures_match_cauchy(self, distribution):
         """At u_c, PV∫∂_uF/(u - u_c) du = ∫(F - F(u_c))/(u - u_c)² du = Re C[∂_uF](u_c)."""
-        crits = _critical_points(distribution, KZ, 14.0, 4097)
+        crits = _critical_points(distribution, [KZ], 14.0, 4097)[0]
         assert len(crits) == (1 if distribution.is_isotropic else 3)  # two-bump: peaks and centre
         for u_c in crits:
             ref = float(distribution.cauchy_dF(KZ, np.array([u_c + 0j]))[0].real)
@@ -527,6 +576,16 @@ class TestInfimum:
 
     def test_zero_potential_unity(self, model_zero):
         assert model_zero.epsilon_infimum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_u=0), "n_u"),  # ended in numpy's "argmin of an empty sequence"
+        (dict(n_u=1), "n_u"),
+        (dict(u_max=np.nan), "u_max"),
+        (dict(u_max=0.0), "u_max"),
+    ], ids=["n_u-0", "n_u-1", "u_max-nan", "u_max-0"])
+    def test_bad_scan_refused(self, model_mc, kwargs, name):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            model_mc.epsilon_infimum(**kwargs)
 
     def test_floor_error(self):
         bump = BumpMixture([(0.5, (0, 0, 4.0), 1.0), (0.5, (0, 0, -4.0), 1.0)])
@@ -625,7 +684,7 @@ class TestDispersionRoots:
         assert cache.alpha_at(4.0 / nk) == cache.alpha_at(-4.0 / nk) == nk**2
         assert cache.far_roots(nk).tolist() == [[4.0 / nk, -4.0 / nk]]
 
-    @pytest.mark.parametrize("k", [0.02, 0.05])
+    @pytest.mark.parametrize("k", [0.01, 0.02, 0.05])
     def test_root_past_the_grid_reads_the_tail(self, model_mc, k):
         """Past ±u_max the root, its residual and the α′ in L± all come from the
         1/u² tail, here m0/u² + 3m2/u⁴ with m0 = m2 = 1 (unit Maxwellian)."""
@@ -657,8 +716,9 @@ def _root_bound(cache, u, kappa, xtol=1e-14):
     the cell's cubic (6ε·Σ|c_k| + ε(|α| + κ²)) with t = (u - u_j)/h off by
     3ε(|u| + u_max)/h, or the tail's terms and its quartic κ²u⁴ - m0u² -
     2m1u - 3m2 (8ε times the terms' absolute sum).  Each sign change then
-    lies within E/|α′| of the exact one; the batched solver stops within
-    4ε·max(|u|, h) of its own.
+    lies within E/|α′| of the exact one.  `_bracketed_roots` stops within
+    4ε·max(|x|, 1) of its own, in x = t on a cell (t ≤ 1, so 4ε·h in u)
+    and x = u beyond the grid.
     """
     u_max, h = cache.grid.u_max, cache.grid.spacing
     slope = abs(float(cache.alpha_at(u, derivative=True)))
@@ -670,7 +730,8 @@ def _root_bound(cache, u, kappa, xtol=1e-14):
         j = min(int((u + u_max) / h), cache.grid.n - 2)
         size = float(np.sum(np.abs(cache.alpha_cubic[max(j - 1, 0) : j + 2]), axis=1).max())
         rounding = (7 * _EPS * (size + kappa**2)) / slope + 3 * _EPS * (abs(u) + u_max)
-    return xtol + 4 * _EPS * abs(u) + 2 * rounding + 4 * _EPS * max(abs(u), h)
+    stop = 4 * _EPS * (h if abs(u) <= u_max else max(abs(u), 1.0))
+    return xtol + 4 * _EPS * abs(u) + 2 * rounding + stop
 
 
 def _assert_far_roots_match_brent(cache, kappas):
@@ -727,23 +788,6 @@ class TestFarRoots:
         cache = DielectricModel(dist, CoulombPotential()).direction_cache(KZ)
         top = np.sqrt(np.max(cache.alpha))
         _assert_far_roots_match_brent(cache, [2e-3 * (top / 2e-3) ** (0.999 * fraction)])
-
-
-class TestTailRootStart:
-    def test_tail_root_starts_at_its_leading_order(self, model_mc, monkeypatch):
-        """Beyond u_max α = κ² is the quartic κ²u⁴ = m0u² + 2m1u + 3m2, whose
-        root is near √m0/κ.  Newton from there takes the steps of a cell
-        root; from the middle of the wide bracket [u_max, 4/κ] it took 9
-        (10 `_horner` calls with the sign at the bracket's end)."""
-        cache = model_mc.direction_cache(KZ)
-        calls = []
-        horner = dielectric._horner
-        monkeypatch.setattr(dielectric, "_horner", lambda c, x: calls.append(1) or horner(c, x))
-        roots = cache.far_roots(0.01)
-        assert np.all(np.abs(roots) > cache.grid.u_max)
-        assert len(calls) <= 6
-        monkeypatch.undo()
-        _assert_far_roots_match_brent(cache, [0.01])
 
 
 def _alpha_reference(components, u, order=0):
@@ -832,26 +876,70 @@ def _smooth_samples(rng, n):
 
 
 class TestInPackageSolvers:
-    """The in-package Brent root finder, bounded minimiser and not-a-knot
-    spline against the scipy routines they replace."""
+    """The in-package batched root finder, bounded minimiser and not-a-knot
+    spline against the scipy routines they replace or stand beside."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(omega=st.floats(0.5, 20.0), phase=st.floats(0.0, 6.3), cubic=st.floats(-2.0, 2.0),
-           shift=st.floats(-1.0, 1.0), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
-           log_xtol=st.floats(-15.0, -2.0))
-    def test_brent_root_matches_brentq(self, omega, phase, cubic, shift, a, b, log_xtol):
-        def f(x):
-            return np.sin(omega * x + phase) + cubic * x**3 + shift
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(0.5, 20.0), st.floats(0.0, 6.3), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+        st.floats(-6.0, 0.7), st.floats(0.0, 1.0), st.booleans(), st.floats(-15.0, -2.0)),
+        max_size=48))
+    def test_bracketed_roots_match_brentq(self, rows):
+        """Lanes f = sin(ωx + φ) + c·x³ + s on [a, b], all in one call, with
+        s putting a root at a drawn point of the bracket (a and b drawn in
+        either order).
 
-        assume(f(a) * f(b) < 0)
-        xtol = 10.0**log_xtol
-        assert _brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+        Where f is monotone on [a, b] (|f′| at the middle above the
+        half-width times max|f″| ≤ ω² + 6|c|·max(|a|, |b|)) and changes
+        sign, the root is unique, and each solver stops within its stop of
+        a sign change of the computed f: `brentq` within xtol + 4ε|x|,
+        `_bracketed_roots` within 4ε·max(|x|, 1).  Such a sign change lies
+        within E/min|f′| of the root, E = 4ε(1 + |ωx| + |φ| + |cx³| + |s|)
+        bounding f's rounding.  Every lane's result lies in its bracket;
+        where the ends share a sign it is the end with the smaller |f|.
+        """
+        omega, phase, cubic, lo, log_width, at, flip, log_xtol = (
+            np.array(rows, dtype=float).reshape(-1, 8).T)
+        hi = lo + 10.0**log_width
+        shift = -(np.sin(omega * (lo + at * (hi - lo)) + phase) + cubic * (lo + at * (hi - lo))**3)
+        a, b = np.where(flip == 1.0, hi, lo), np.where(flip == 1.0, lo, hi)
 
-    def test_brent_root_refuses_a_bracket_without_sign_change(self):
-        with pytest.raises(RootNotFoundError):
-            _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-        with pytest.raises(RootNotFoundError):
-            _brent_root(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+        def f(x, lanes=slice(None)):
+            return np.sin(omega[lanes] * x + phase[lanes]) + cubic[lanes] * x**3 + shift[lanes]
+
+        fa, fb = f(a), f(b)
+        got = _bracketed_roots(f, a, b, fa, fb)
+        assert got.shape == a.shape
+        assert np.all((lo <= got) & (got <= hi))
+        same = np.sign(fa) * np.sign(fb) > 0
+        assert np.array_equal(got[same], np.where(np.abs(fb) < np.abs(fa), b, a)[same])
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        slope = (np.abs(omega * np.cos(omega * mid + phase) + 3 * cubic * mid**2)
+                 - half * (omega**2 + 6 * np.abs(cubic) * np.maximum(np.abs(lo), np.abs(hi))))
+        for lane in np.flatnonzero((fa * fb < 0) & (slope > 0)):
+            w, p, c, s = omega[lane], phase[lane], cubic[lane], shift[lane]
+            xtol = 10.0 ** log_xtol[lane]
+            ref = brentq(lambda x: np.sin(w * x + p) + c * x**3 + s, a[lane], b[lane], xtol=xtol)
+            rounding = 4 * _EPS * (1 + abs(w * ref) + p + abs(c * ref**3) + abs(s)) / slope[lane]
+            bound = xtol + 4 * _EPS * abs(ref) + 4 * _EPS * max(abs(ref), 1.0) + 2 * rounding
+            assert abs(got[lane] - ref) <= bound, (rows[lane], got[lane], ref)
+
+    def test_bracketed_roots_edge_lanes(self):
+        """An end value 0 is the root.  Ends that share a sign, as where a
+        scan's end value and f round to opposite sides of a root at that end
+        (here 1e-17 where f is 0), give the end with the smaller |f|, inside
+        the bracket.  Zero lanes call nothing."""
+        def f(x, lanes):
+            return x - np.array([0.25, 0.25, 0.5, 0.7])[lanes]
+
+        a, b = np.array([0.25, -1.0, 0.5, 0.0]), np.array([1.0, 0.25, 1.0, 1.0])
+        fa = np.array([0.0, -1.25, 1e-17, -0.7])
+        fb = np.array([0.75, 0.0, 0.5, 0.3])
+        got = _bracketed_roots(f, a, b, fa, fb)
+        assert got[:3].tolist() == [0.25, 0.25, 0.5]
+        assert abs(got[3] - 0.7) <= 4 * _EPS
+        none = np.array([])
+        assert _bracketed_roots(None, none, none, none, none).shape == (0,)
 
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(0.5, 10.0), phase=st.floats(0.0, 6.3), quadratic=st.floats(-2.0, 2.0),
@@ -1095,6 +1183,9 @@ class TestScaling:
             debye_rescale(0.0, 1.0, 1.0)
 
 
+_LATTICE_AXES = (np.linspace(-2.0, 2.0, 9),) * 3
+
+
 class TestConstructorRefusals:
     """Parameters a distribution, potential or grid cannot compute with are
     refused at construction, naming the parameter; each was accepted before."""
@@ -1107,9 +1198,11 @@ class TestConstructorRefusals:
         (lambda: gaussian_soft(amplitude=np.nan), "amplitude"),
         (lambda: UGrid(np.nan, 1024), "u_max"),
         (lambda: UGrid(12.0, 1024.5), "integer n"),
+        (lambda: Tabulated(_LATTICE_AXES, np.full((9, 9, 9), np.nan)), "values"),  # NaN density
+        (lambda: Tabulated(_LATTICE_AXES, np.full((9, 9, 9), np.inf)), "values"),
     ], ids=["maxwellian-temperature-nan", "maxwellian-temperature-inf", "maxwellian-drift-2",
             "bumps-sigma-nan", "gaussian-soft-amplitude-nan", "grid-u_max-nan",
-            "grid-n-fractional"])
+            "grid-n-fractional", "tabulated-values-nan", "tabulated-values-inf"])
     def test_refused(self, make, name):
         with pytest.raises(InputError, match=name):
             make()

@@ -249,6 +249,15 @@ class TestDebyeCloud:
         with pytest.raises(InputError, match="V0"):
             debye_cloud(model_mc, 1.0, V0=V0)
 
+    @pytest.mark.parametrize("sigma, kwargs, name", [
+        (np.nan, {}, "sigma"),  # returned a NaN profile
+        (np.inf, {}, "sigma"),
+        (1.0, dict(V0=[0.0, 0.0, 0.5], r_values=[]), "r_values"),  # numpy's zero-size ValueError
+    ], ids=["sigma-nan", "sigma-inf", "moving-r_values-empty"])
+    def test_refused(self, model_mc, sigma, kwargs, name):
+        with pytest.raises(InputError, match=name):
+            debye_cloud(model_mc, sigma, **kwargs)
+
 
 class TestPairPropagator:
     @pytest.fixture(scope="class")
@@ -605,6 +614,11 @@ class TestWeakFormRefusals:
     def test_flux_limit_rule(self, model_ms, kwargs, name):
         with pytest.raises(InputError, match=name):
             flux_limit(model_ms, 1.2, **kwargs)
+
+    def test_laplace_eval_refuses_no_time(self, model_ms):
+        """An empty t ended in numpy's zero-size ValueError."""
+        with pytest.raises(InputError, match="^t must"):
+            vlasov_laplace_eval(model_ms, KZ, initial_profile(model_ms.grid), [])
 
 
 def _weighted_moment_reference(g, z, a):
