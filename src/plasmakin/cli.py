@@ -177,17 +177,14 @@ def dielectric(config_path, out):
         manifest.diagnostics["epsilon_infimum"] = inf_val
         manifest.diagnostics["alpha_asymptotics"] = model.alpha_asymptotics_check()
         manifest.diagnostics["strong_stability"] = model.strong_stability_check()
-        roots = []
-        for k in (0.1, 0.2, 0.3):
-            try:
-                r = model.dispersion_roots(np.array([0.0, 0.0, k]))
-                roots.append(
-                    {"k": k, "u0_plus": r.u0_plus, "u0_minus": r.u0_minus,
-                     "L_plus": r.L_plus, "residual": r.residual_plus}
-                )
-            except PlasmakinError:
-                roots.append({"k": k, "u0_plus": None})
-        manifest.diagnostics["dispersion_roots"] = roots
+        root_ks = (0.1, 0.2, 0.3)
+        rows = model.dispersion_roots(np.array([[0.0, 0.0, k] for k in root_ks]))
+        manifest.diagnostics["dispersion_roots"] = [
+            {"k": k, "u0_plus": None} if r is None else
+            {"k": k, "u0_plus": r.u0_plus, "u0_minus": r.u0_minus,
+             "L_plus": r.L_plus, "residual": r.residual_plus}
+            for k, r in zip(root_ks, rows)
+        ]
         if model.potential.is_coulomb:
             k1 = np.array([0.0, 0.0, 1.0])
             dev = abs(model.epsilon(k1, 0.0) - _epsilon_at_rest(model, k1))

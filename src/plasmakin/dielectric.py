@@ -14,6 +14,12 @@ isotropic kinds): ẑ at construction, any other χ on first use.  A cache
 holds α once, as its spline's cubic per u-cell, and `DirectionCache.alpha_at`
 serves α and α′ to every reader, with the 1/u² tail beyond ±u_max.
 
+`DielectricModel.dispersion_roots` solves several |k| along one direction
+in one `DirectionCache.far_roots` call, with each row's single-call bits.
+`penrose_check` scans every sampled direction, except for a kind drifted
+off an isotropic rest frame (the drifted Maxwellian): F(χ, u) = F₀(u - d·χ),
+so its critical points and Penrose functionals come from F₀ along ẑ.
+
 The module needs numpy alone: the not-a-knot spline (`not_a_knot_cubic`),
 one root finder, the batched Chandrupatla solver `_bracketed_roots` (far
 roots of α = |k|² and Penrose critical points), and one minimiser, Brent's
@@ -53,8 +59,11 @@ _FMINBOUND_MAXFUN = 500  # scipy's `minimize_scalar(method="bounded")` default
 
 
 def _as_vector(k):
-    """k as a 3-vector (a scalar lies along ẑ) and its norm; a zero or non-finite k is refused."""
+    """k as a 3-vector (a scalar lies along ẑ) and its norm; a zero or
+    non-finite k, or one of any other shape, is refused."""
     k = np.asarray(k, dtype=float)
+    if k.ndim and k.shape != (3,):
+        raise InputError(f"k must be a scalar or a 3-vector, got shape {k.shape}")
     kvec = k if k.ndim else np.array([0.0, 0.0, float(k)])
     nk = np.linalg.norm(kvec)
     if not math.isfinite(nk):  # a NaN or infinite component, or |k| beyond the float range
@@ -348,15 +357,18 @@ class DirectionCache:
         over the window's ends, the nodes inside it and the tail's start
         just past u_max finds each κ's outermost sign change, or exact zero,
         which is the root.  Inside ±u_max α is its spline's cubic on the
-        bracketing cell; beyond it α = κ² is κ²u⁴ = m0u² + 2m1u + 3m2 (the
-        tail m0/u² + 2m1/u³ + 3m2/u⁴ times u⁴), a quartic.  So one
+        bracketing cell; beyond it the tail m0/u² + 2m1/u³ + 3m2/u⁴ = κ² is
+        the quartic κ² - m0s²/U² - 2m1s³/U³ - 3m2s⁴/U⁴ = 0 in s = U/u, with
+        U = ±4/κ the window's far end, where s = 1.  So one
         `_bracketed_roots` call on these polynomials' Horner values solves
-        every κ and side, a tail root from the quartic's leading-order root
-        ±√m0/κ.  Where the crossing is the step from the spline at u_max to
-        the tail just past it, the root is ±u_max.  Two crossings in one cell,
-        both nodes on one side of κ², are not seen: κ² then lies within the
-        cubic's bump, some h²|α″|/8 from α's peak value, where the root is
-        double.
+        every κ and side, a tail root from its leading order s = 4/√m0.  (In
+        u the solver bisected towards 4/κ: 10 steps for a tail root on the
+        unit Maxwellian; in s, 6 or 7.)  Each κ's lanes are solved apart, so
+        its roots have the same bits whatever κ share the call.  Where the
+        crossing is the step from the spline at u_max to the tail just past
+        it, the root is ±u_max.  Two crossings in one cell, both nodes on one
+        side of κ², are not seen: κ² then lies within the cubic's bump, some
+        h²|α″|/8 from α's peak value, where the root is double.
         """
         kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
         n, h, u_max = self.grid.n, self.grid.spacing, self.grid.u_max
@@ -389,16 +401,18 @@ class DirectionCache:
         coef = np.zeros((j.size + far.sum(), 5))
         coef[: j.size, 1:] = self.alpha_cubic[j]
         coef[: j.size, 4] -= target[i[cell]]
-        coef[j.size :, 0] = target[i[far]]
-        coef[j.size :, 2:] = [-self.moments[0], -2 * self.moments[1], -3 * self.moments[2]]
+        U = s_i[far] * hi[i[far]]
+        m0, m1, m2 = self.moments
+        coef[j.size :, :3] = np.stack([-3 * m2 / U**4, -2 * m1 / U**3, -m0 / U**2], axis=1)
+        coef[j.size :, 4] = target[i[far]]
         bracket = np.concatenate([(s_i[cell] * np.stack([inner[cell], outer[cell]]) - u_j) / h,
-                                  s_i[far] * np.stack([inner[far], outer[far]])], axis=1)
+                                  hi[i[far]] / np.stack([inner[far], outer[far]])], axis=1)
         start = 0.5 * (bracket[0] + bracket[1])
-        start[j.size :] = s_i[far] * np.sqrt(max(self.moments[0], 0.0) / target[i[far]])
+        start[j.size :] = 4.0 / math.sqrt(m0) if m0 > 0 else 1.0
         x = _bracketed_roots(lambda x, lanes: _horner(coef[lanes], x), *bracket,
                              *_horner(coef, bracket), start)
         out[i[cell]] = u_j + h * x[: j.size]
-        out[i[far]] = x[j.size :]
+        out[i[far]] = U / x[j.size :]
         return out.reshape(2, m).T
 
     @functools.cached_property
@@ -517,27 +531,47 @@ class DielectricModel:
 
     # -- spectral diagnostics -------------------------------------------------
     def dispersion_roots(self, k):
-        """Far roots u₀± of α(χ,u) = |k|², with L± = ∂_uF/α′ there: the
-        one-κ case of `DirectionCache.far_roots`."""
-        kvec, nk = _as_vector(k)
-        cache = self.direction_cache(kvec)
-        target = nk**2
-        u0 = cache.far_roots(nk)[0]
-        if np.isnan(u0).any():
-            side = "u > 0" if np.isnan(u0[0]) else "u < 0"
-            raise RootNotFoundError(f"no sign change of α - |k|² in {1.0 / (2.0 * np.sqrt(nk)):.3g}"
-                                    f" ≤ |u| ≤ {4.0 / nk:.3g} for {side} (|k|² = {target:.3g})")
+        """Far roots u₀± of α(χ,u) = |k|², with L± = ∂_uF/α′ there.
+
+        k is a scalar (along ẑ), a 3-vector, or a stack of 3-vector rows
+        that share one direction: the χ of the first row, which every row's
+        k/|k| matches to 1e-12 (any rows for an isotropic kind, whose χ is
+        ẑ).  One `DirectionCache.far_roots` call solves every row, and a
+        row whose χ has the first row's bits gets the bits of its own single
+        call.  A single k returns its `DispersionRoots`, or raises
+        `RootNotFoundError` when a side's window holds no crossing; a stack
+        returns a list of one `DispersionRoots` per row, None for such a row.
+        """
+        stacked = np.ndim(k) == 2
+        rows = [_as_vector(row) for row in np.asarray(k, dtype=float)] if stacked else [_as_vector(k)]
+        if not rows:
+            raise InputError("k must hold at least one row")
+        cache = self.direction_cache(rows[0][0])
+        if any(np.max(np.abs(self._chi(kvec) - cache.chi)) > 1e-12 for kvec, _ in rows):
+            raise InputError("the rows of k must share one direction (k/|k| to 1e-12)")
+        nk = np.array([n for _, n in rows])
+        u0 = cache.far_roots(nk)
+        found = ~np.isnan(u0).any(axis=1)
+        if not (stacked or found[0]):
+            side = "u > 0" if np.isnan(u0[0, 0]) else "u < 0"
+            raise RootNotFoundError(f"no sign change of α - |k|² in {1.0 / (2.0 * np.sqrt(nk[0])):.3g}"
+                                    f" ≤ |u| ≤ {4.0 / nk[0]:.3g} for {side} (|k|² = {nk[0]**2:.3g})")
+        idx = np.flatnonzero(found)
+        u0 = u0[idx]
         dF0 = np.asarray(self.distribution.radon_profile_derivative(cache.chi, u0), dtype=float)
         da0 = cache.alpha_at(u0, derivative=True)
-        residual = np.abs(cache.alpha_at(u0) - target)
+        residual = np.abs(cache.alpha_at(u0) - nk[idx, None] ** 2)
         L = dF0 / da0
-        return DispersionRoots(
-            k=kvec, u0_plus=float(u0[0]), u0_minus=float(u0[1]),
-            L_plus=float(L[0]), L_minus=float(L[1]),
-            residual_plus=float(residual[0]), residual_minus=float(residual[1]),
-            dF_plus=float(dF0[0]), dF_minus=float(dF0[1]),
-            dalpha_plus=float(da0[0]), dalpha_minus=float(da0[1]),
-        )
+        out = [None] * len(rows)
+        for m, r in enumerate(idx):
+            out[r] = DispersionRoots(
+                k=rows[r][0], u0_plus=float(u0[m, 0]), u0_minus=float(u0[m, 1]),
+                L_plus=float(L[m, 0]), L_minus=float(L[m, 1]),
+                residual_plus=float(residual[m, 0]), residual_minus=float(residual[m, 1]),
+                dF_plus=float(dF0[m, 0]), dF_minus=float(dF0[m, 1]),
+                dalpha_plus=float(da0[m, 0]), dalpha_minus=float(da0[m, 1]),
+            )
+        return out if stacked else out[0]
 
     def epsilon_infimum(self, k_range=(0.5, 50.0), u_max=3.0, n_u=801):
         """Infimum of |ε(k, u)| over k = |k|ẑ, |k| ∈ k_range, |u| ≤ u_max.
@@ -554,11 +588,15 @@ class DielectricModel:
         The u-scan runs along ẑ for every kind, anisotropic ones included.
         For seeded drifted Maxwellians, also scanning the 26 lattice
         directions and the drift direction moves the value by at most 5e-4
-        relative, because a drift only shifts P in u.  u_max is finite and
-        positive and n_u an integer ≥ 2.
+        relative, because a drift only shifts P in u.  k_range holds two
+        finite positive ends, u_max is finite and positive and n_u an
+        integer ≥ 2.
         """
         _require_scan(u_max, "n_u", n_u)
-        W = self.potential.fourier(np.geomspace(k_range[0], k_range[1], 400))
+        ends = np.asarray(k_range, dtype=float)
+        if not (ends.shape == (2,) and np.all(np.isfinite(ends) & (ends > 0))):
+            raise InputError(f"k_range must be two finite positive ends, got {ends.tolist()}")
+        W = self.potential.fourier(np.geomspace(ends[0], ends[1], 400))
         w_lo, w_hi = float(np.min(W)), float(np.max(W))
 
         def abs_eps(u):
@@ -581,10 +619,15 @@ class DielectricModel:
         return best
 
     def alpha_asymptotics_check(self, k=(0.0, 0.0, 1.0), u_range=(8.0, 12.0), n=200):
-        """max |u|³·|α(u) - 1/u²| over the range, on two refinements."""
+        """max |u|³·|α(u) - 1/u²| over the range, on n and 2n points:
+        u_range is finite with 0 < lo < hi and n an integer ≥ 2."""
+        ends = np.asarray(u_range, dtype=float)
+        if not (ends.shape == (2,) and np.isfinite(ends[1]) and 0 < ends[0] < ends[1]):
+            raise InputError(f"u_range must be finite with 0 < lo < hi, got {ends.tolist()}")
+        _require_scan(ends[1], "n", n)
         out = {}
         for nn in (n, 2 * n):
-            us = np.linspace(u_range[0], u_range[1], nn)
+            us = np.linspace(ends[0], ends[1], nn)
             a = self.alpha(np.asarray(k, float), us)
             out[f"constant_n{nn}"] = float(np.max(np.abs(us) ** 3 * np.abs(a - 1.0 / us**2)))
         c1, c2 = out.values()
@@ -600,7 +643,12 @@ class DielectricModel:
         So C[∂_uF](w) is evaluated once per c, and ε = 1 - φ̂(|k|)·C for
         each |k| reuses it.  `c` is the last line passed and `c0` the
         minimum of |ε| over every line passed, the whole certified strip.
+        k_values is not empty and c_max is finite and positive.
         """
+        if not len(k_values):
+            raise InputError("k_values must not be empty")
+        if not (np.isfinite(c_max) and c_max > 0):
+            raise InputError(f"c_max must be finite and positive, got {c_max}")
         if not self.distribution.has_continuation:
             return {"status": "not checkable", "reason": self.distribution.kind}
         cs = np.linspace(0.0, c_max, 9)
@@ -697,8 +745,10 @@ def penrose_functional(distribution, chi, u_c, u_max=40.0, n=4001):
     within 1e-4 of u_c, where F(u) - F(u_c) cancels, take the Taylor value
     F''/2 + F'''·d/6 at d = u - u_c, with F'' and F''' from central
     differences of F at steps of 1e-4.  A u_c outside the window raises
-    `InputError`.
+    `InputError`, as do a u_max that is not finite and positive and an n
+    that is not an integer ≥ 2.
     """
+    _require_scan(u_max, "n", n)
     u_max = _support_cap(distribution, u_max)
     if getattr(distribution, "half_width", None) is not None:
         n = min(n, 801)  # table resolution bounds the useful density
@@ -722,13 +772,23 @@ def penrose_functional(distribution, chi, u_c, u_max=40.0, n=4001):
     return float(np.trapezoid(q, u)) + tail
 
 
-def _offenders(distribution, potential, directions, u_max, n):
-    """Critical points of F that admit a growing mode, and the count of all of them.
+def _admits_growth(a_c, sup_w):
+    """Whether a critical point with Penrose functional a_c admits a growing mode.
 
-    A positive Penrose functional certifies an attainable dispersion zero for
-    Coulomb (|k|² spans (0,∞)); for a soft potential the zero must
-    additionally satisfy φ̂(k)·α = 1, i.e. α ≥ 1/sup φ̂.
+    A positive functional certifies an attainable dispersion zero for
+    Coulomb (sup_w None: |k|² spans (0,∞)); for a soft potential the zero
+    must additionally satisfy φ̂(k)·α = 1, i.e. α ≥ 1/sup φ̂.
     """
+    return a_c > 1e-8 if sup_w is None else sup_w > 0 and a_c * sup_w >= 1.0
+
+
+def _offender(chi, u_c, a_c):
+    return {"chi": [float(x) for x in chi], "u": float(u_c), "alpha": float(a_c)}
+
+
+def _offenders(distribution, potential, directions, u_max, n):
+    """Critical points of F that admit a growing mode (`_admits_growth`), and
+    the count of all of them, from a scan of every direction."""
     u_max = _support_cap(distribution, u_max)
     sup_w = None if potential.is_coulomb else potential.fourier_sup()
     offenders, n_critical = [], 0
@@ -736,9 +796,33 @@ def _offenders(distribution, potential, directions, u_max, n):
         n_critical += len(crits)
         for u_c in crits:
             a_c = penrose_functional(distribution, chi, u_c)
-            if a_c > 1e-8 if sup_w is None else sup_w > 0 and a_c * sup_w >= 1.0:
-                offenders.append({"chi": [float(x) for x in chi], "u": float(u_c),
-                                  "alpha": float(a_c)})
+            if _admits_growth(a_c, sup_w):
+                offenders.append(_offender(chi, u_c, a_c))
+    return offenders, n_critical
+
+
+def _rest_frame_offenders(rest, drift, potential, directions, u_max, n):
+    """`_offenders` of f(v) = f₀(v - d), f₀ = `rest` isotropic, from F₀ along ẑ.
+
+    F(χ, u) = F₀(u - d·χ), so a critical point c of F₀ is c + d·χ on every
+    direction χ, and the Penrose functional there, an integral over the
+    whole line, equals F₀'s at c.  So ∂_uF₀ is scanned and the functional
+    evaluated once, and each point is mapped to every direction.  A mapped
+    point counts where the scan of F(χ, ·) finds it, inside the window
+    |u| < u_max (`_support_cap`).
+    """
+    u_max = _support_cap(rest, u_max)
+    sup_w = None if potential.is_coulomb else potential.fourier_sup()
+    found = [(c, penrose_functional(rest, _Z_HAT, c))
+             for c in _critical_points(rest, [_Z_HAT], u_max, n)[0]]
+    offenders, n_critical = [], 0
+    for chi in directions:
+        shift = float(chi @ drift)
+        for c, a_c in found:
+            if abs(c + shift) < u_max:
+                n_critical += 1
+                if _admits_growth(a_c, sup_w):
+                    offenders.append(_offender(chi, c + shift, a_c))
     return offenders, n_critical
 
 
@@ -746,12 +830,15 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
     """Penrose stability test.
 
     For each sampled direction, critical points of F are located and the
-    Penrose functional evaluated there (see `_offenders`).  A tabulated
-    distribution is also tested at half resolution; when the two verdicts
-    differ the report is INCONCLUSIVE.  `details` holds the number of
-    directions and of critical points found (on the full-resolution input).
-    `directions` are finite unit 3-vectors (to 1e-12), one per row; u_max
-    is finite and positive and n an integer ≥ 2.
+    Penrose functional evaluated there (see `_offenders`).  A kind drifted
+    off an isotropic rest frame (`rest_frame`, the drifted Maxwellian) is
+    checked there: one scan and one functional along ẑ of the rest-frame
+    profile, mapped to every direction (`_rest_frame_offenders`).  A
+    tabulated distribution is also tested at half resolution; when the two
+    verdicts differ the report is INCONCLUSIVE.  `details` holds the number
+    of directions and of critical points found (on the full-resolution
+    input).  `directions` are finite unit 3-vectors (to 1e-12), one per
+    row; u_max is finite and positive and n an integer ≥ 2.
     """
     _require_scan(u_max, "n", n)
     if directions is None:
@@ -763,7 +850,11 @@ def penrose_check(distribution, potential, u_max=14.0, n=4097, directions=None) 
     if bad.any():
         raise InputError(f"directions must be finite unit 3-vectors, got "
                          f"{directions[bad][0].tolist()}")
-    offenders, n_critical = _offenders(distribution, potential, directions, u_max, n)
+    rest = distribution.rest_frame()
+    if rest is None:
+        offenders, n_critical = _offenders(distribution, potential, directions, u_max, n)
+    else:
+        offenders, n_critical = _rest_frame_offenders(*rest, potential, directions, u_max, n)
     details = {"directions": len(directions), "critical_points": n_critical}
     if distribution.kind == "tabulated":
         coarse, _ = _offenders(distribution.coarsened(), potential, directions, u_max, n)

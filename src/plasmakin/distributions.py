@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import exp1, wofz
 
 from .errors import DomainError, InputError
 from .transforms import perpendicular_unit
@@ -42,6 +41,8 @@ def gaussian_cauchy(w, comps, *more):
     the result is then the list of sums: every distinct (mean, s) of all
     the lists takes one `wofz` pass, so C_g and C_{g'} cost one.
     """
+    from scipy.special import wofz  # 0.3 s to import: loaded only where a Faddeeva value is needed
+
     flat = np.asarray(w, dtype=complex).ravel()
     plasma_z = {}  # (mean, s) -> (ζ, Z(ζ))
     sums = []
@@ -124,6 +125,11 @@ class VelocityDistribution:
 
     def _tail_ratio(self, chi, u):
         raise DomainError(f"{self.kind}: F/∂_uF not available at |u| this large")
+
+    def rest_frame(self):
+        """(f₀, d) with f(v) = f₀(v - d) and f₀ isotropic and positive, for a
+        kind drifted off its isotropic rest frame; None for every other kind."""
+        return None
 
     # -- analytic continuation -------------------------------------------
     @property
@@ -219,6 +225,10 @@ class Maxwellian(_GaussianMixtureBase):
 
     def _components(self, chi):
         return [1.0], [float(chi @ self.drift)], [np.sqrt(self.temperature)]
+
+    def rest_frame(self):
+        """The undrifted Maxwellian at this temperature and the drift, when drifted."""
+        return None if self.is_isotropic else (Maxwellian(temperature=self.temperature), self.drift)
 
 
 class AnisotropicGaussian(_GaussianMixtureBase):
@@ -393,6 +403,8 @@ class ExponentialFamily(VelocityDistribution):
 
 def _exp_scaled_e1(a):
     """e^a E1(a), stable for large a."""
+    from scipy.special import exp1
+
     a = np.asarray(a, dtype=float)
     small = a < 50
     out = np.empty_like(a)

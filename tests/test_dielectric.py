@@ -14,12 +14,14 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.spatial.transform import Rotation
 from scipy.special import wofz
 
+from plasmakin import dielectric
 from plasmakin.dielectric import (
     MAX_CACHED_DIRECTIONS,
     DielectricModel,
     _bounded_minimum,
     _bracketed_roots,
     _critical_points,
+    _offenders,
     alpha_tail,
     debye_rescale,
     penrose_check,
@@ -68,6 +70,16 @@ class TestEpsilon:
     ], ids=["epsilon-nan", "dispersion-roots-nan", "epsilon-scalar-inf"])
     def test_non_finite_k_refused(self, model_mc, call):
         with pytest.raises(InputError, match="k must be finite"):
+            call(model_mc)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: m.epsilon(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.2]]), 0.5),  # |k| = 0.2236
+        lambda m: m.dispersion_roots(np.array([0.1, 0.2])),  # |k| = 0.2236 along ẑ
+    ], ids=["epsilon-two-rows", "dispersion-roots-2-vector"])
+    def test_k_of_another_shape_refused(self, model_mc, call):
+        """A k that is neither a scalar nor a 3-vector was read through its
+        Frobenius norm."""
+        with pytest.raises(InputError, match="k must be a scalar or a 3-vector"):
             call(model_mc)
 
     def test_nan_u_gives_nan(self, model_mc):
@@ -338,6 +350,12 @@ class TestPenrose:
         with pytest.raises(InputError, match=f"^{name} must be"):
             penrose_check(maxwellian, coulomb, **kwargs)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_bad_functional_scan_refused(self, maxwellian, n):
+        """n = 0 and n = 1 returned -0.0199 for the unit Maxwellian, whose value is -1."""
+        with pytest.raises(InputError, match="^n must be"):
+            penrose_functional(maxwellian, KZ, 0.0, n=n)
+
     def test_unit_directions_to_1e_12_accepted(self, maxwellian, coulomb):
         chi = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
         rep = penrose_check(maxwellian, coulomb, directions=[chi, [0.0, 0.0, -1.0]])
@@ -562,6 +580,54 @@ class TestPenroseOracle:
         assert rep.details["critical_points"] == n_critical
 
 
+class TestPenroseRestFrame:
+    """A drifted Maxwellian checked in its rest frame against the scan of
+    every direction, `_offenders`."""
+
+    @staticmethod
+    def _assert_matches_scan(dist, potential):
+        dirs = [KZ] if dist.is_isotropic else sphere_lattice_directions()  # drift 0: ẑ alone
+        rep = penrose_check(dist, potential)
+        offenders, n_critical = _offenders(dist, potential, dirs, 14.0, 4097)
+        assert rep.verdict == ("UNSTABLE" if offenders else "STABLE")
+        assert rep.offenders == offenders
+        assert rep.details == {"directions": len(dirs), "critical_points": n_critical}
+        per_direction = [penrose_check(dist, potential, directions=[chi]).details["critical_points"]
+                         for chi in dirs]
+        assert per_direction == [len(c) for c in _critical_points(dist, dirs, 14.0, 4097)]
+        return rep
+
+    @settings(max_examples=25, deadline=None)
+    @given(drift=st.tuples(*[st.floats(-3.0, 3.0)] * 3), temperature=st.floats(0.5, 2.0),
+           soft=st.none() | st.tuples(st.floats(0.3, 1.0), st.floats(0.8, 1.5)))
+    def test_matches_scan(self, drift, temperature, soft):
+        drift = np.array(drift) * min(1.0, 3.0 / max(np.linalg.norm(drift), 1e-300))  # |d| ≤ 3
+        potential = CoulombPotential() if soft is None else gaussian_soft(*soft)
+        self._assert_matches_scan(Maxwellian(drift=drift, temperature=temperature), potential)
+
+    def test_points_beyond_the_window_are_not_counted(self, coulomb):
+        """Drift (0, 0, 20) puts the point at ±20 on ±ẑ and ±14.1 on the
+        edge directions with a ẑ component, beyond |u| < 14: 16 points."""
+        rep = self._assert_matches_scan(Maxwellian(drift=(0.0, 0.0, 20.0)), coulomb)
+        assert rep.details["critical_points"] == 16
+
+    def test_drifted_check_scans_one_direction(self, coulomb, monkeypatch):
+        scanned = []
+        scan = dielectric._critical_points
+        monkeypatch.setattr(dielectric, "_critical_points",
+                            lambda dist, dirs, *a: scanned.append(len(dirs)) or scan(dist, dirs, *a))
+        rep = penrose_check(Maxwellian(drift=(0.3, -0.2, 0.4), temperature=1.2), coulomb)
+        assert scanned == [1] and rep.details == {"directions": 26, "critical_points": 26}
+
+    @pytest.mark.parametrize("dist", [
+        Maxwellian(), AnisotropicGaussian(np.eye(3), drift=(0.0, 0.0, 0.5)),
+        BumpMixture([(1.0, (0, 0, 0.5), 1.0)]), ExponentialFamily(), TWO_BUMP,
+    ], ids=["maxwellian", "anisotropic", "bump", "exponential", "two-bump"])
+    def test_other_kinds_have_no_rest_frame(self, dist):
+        assert dist.rest_frame() is None
+        assert _tabulated_two_bump().rest_frame() is None
+
+
 class TestInfimum:
     def test_positive_and_reproducible(self, model_mc):
         a = model_mc.epsilon_infimum(k_range=(0.5, 50.0), u_max=3.0, n_u=401)
@@ -582,7 +648,11 @@ class TestInfimum:
         (dict(n_u=1), "n_u"),
         (dict(u_max=np.nan), "u_max"),
         (dict(u_max=0.0), "u_max"),
-    ], ids=["n_u-0", "n_u-1", "u_max-nan", "u_max-0"])
+        (dict(k_range=(0.0, 1.0)), "k_range"),  # ended in numpy's geomspace ValueError
+        (dict(k_range=(-1.0, 1.0)), "k_range"),  # returned NaN
+        (dict(k_range=(np.nan, 1.0)), "k_range"),  # returned NaN
+    ], ids=["n_u-0", "n_u-1", "u_max-nan", "u_max-0", "k_range-0", "k_range-negative",
+            "k_range-nan"])
     def test_bad_scan_refused(self, model_mc, kwargs, name):
         with pytest.raises(InputError, match=f"^{name} must be"):
             model_mc.epsilon_infimum(**kwargs)
@@ -699,6 +769,45 @@ class TestDispersionRoots:
             assert abs(L - dF / tail_dalpha) <= 1e-12 * abs(dF / tail_dalpha)
 
 
+    # the `sweep` benchmark's families, as its `dielectric` runs build them
+    SWEEP_FAMILIES = [
+        Maxwellian(drift=(0.3, -0.2, 0.4), temperature=1.2),
+        Maxwellian(drift=(-0.1, 0.5, 0.05), temperature=1.35),
+        BumpMixture([(0.7, (0, 0, 0), 0.9), (0.3, (0, 0, 0), 1.4)]),
+        ExponentialFamily(gamma=1, modulation=0.3),
+        ExponentialFamily(gamma=2, modulation=0.2),
+    ]
+
+    @pytest.mark.parametrize("distribution", SWEEP_FAMILIES, ids=[
+        "drifted", "drifted-2", "two-temperature", "exponential-1", "exponential-2"])
+    def test_stack_equals_single_calls(self, distribution):
+        """The CLI's k = 0.1, 0.2, 0.3 along ẑ in one stack, and 0.8, above
+        α's peak, as a rootless row: each row has the bits of its single
+        call, and a row is None where that call finds no root."""
+        model = DielectricModel(distribution, CoulombPotential())
+        ks = (0.1, 0.2, 0.3, 0.8)
+        stack = model.dispersion_roots(np.outer(ks, KZ))
+        assert len(stack) == 4 and stack[3] is None
+        for k, got in zip(ks, stack):
+            try:
+                ref = model.dispersion_roots(k * KZ)
+            except RootNotFoundError:
+                assert got is None
+                continue
+            assert np.array_equal(got.k, ref.k)
+            assert dataclasses.replace(got, k=None) == dataclasses.replace(ref, k=None)
+
+    def test_stack_rows_share_one_direction(self, model_mc):
+        rows = np.array([[0.0, 0.0, 0.1], [0.0, 0.2, 0.0]])
+        assert [r.u0_plus for r in model_mc.dispersion_roots(rows)] == [
+            model_mc.dispersion_roots(k).u0_plus for k in rows]  # isotropic: χ = ẑ for both
+        drifted = DielectricModel(Maxwellian(drift=(0.3, 0.0, 0.5)), CoulombPotential())
+        with pytest.raises(InputError, match="share one direction"):
+            drifted.dispersion_roots(rows)
+        with pytest.raises(InputError, match="at least one row"):
+            drifted.dispersion_roots(np.zeros((0, 3)))
+
+
 _EPS = np.finfo(float).eps
 _ROOT_KINDS = {
     "maxwellian": (Maxwellian(), KZ),
@@ -788,6 +897,24 @@ class TestFarRoots:
         cache = DielectricModel(dist, CoulombPotential()).direction_cache(KZ)
         top = np.sqrt(np.max(cache.alpha))
         _assert_far_roots_match_brent(cache, [2e-3 * (top / 2e-3) ** (0.999 * fraction)])
+
+
+class TestTailLanes:
+    @pytest.mark.parametrize("kappa", [0.01, 0.02, 0.05, 0.08])
+    def test_tail_roots_take_few_steps(self, model_mc, kappa, monkeypatch):
+        """Beyond u_max the root solves κ² - m0s²/U² - 2m1s³/U³ - 3m2s⁴/U⁴ in
+        s = U/u, U = ±4/κ, from s = 4/√m0: the end values and at most 7
+        steps, where the quartic in u took 10 or 11 (bisections of
+        [√m0/κ, 4/κ] after the first trial)."""
+        cache = model_mc.direction_cache(KZ)
+        calls = []
+        horner = dielectric._horner
+        monkeypatch.setattr(dielectric, "_horner", lambda c, x: calls.append(1) or horner(c, x))
+        roots = cache.far_roots(kappa)
+        assert np.all(np.abs(roots) > cache.grid.u_max)
+        assert len(calls) <= 8
+        monkeypatch.undo()
+        _assert_far_roots_match_brent(cache, [kappa])
 
 
 def _alpha_reference(components, u, order=0):
@@ -1004,7 +1131,28 @@ class TestAlphaAsymptotics:
         assert rep["stable"]
 
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n=0), "n"),  # ended in numpy's "zero-size array" ValueError
+        (dict(n=1), "n"),
+        (dict(u_range=(0.0, 1.0)), "u_range"),  # returned NaN and stable: false
+        (dict(u_range=(12.0, 8.0)), "u_range"),
+        (dict(u_range=(8.0, np.inf)), "u_range"),
+    ], ids=["n-0", "n-1", "u_range-0", "u_range-reversed", "u_range-inf"])
+    def test_bad_scan_refused(self, model_mc, kwargs, name):
+        with pytest.raises(InputError, match=f"^{name} must be"):
+            model_mc.alpha_asymptotics_check(**kwargs)
+
+
 class TestStrongStability:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(k_values=()), "k_values"),  # ended in min()'s "empty iterable" ValueError
+        (dict(c_max=np.nan), "c_max"),  # certified c = NaN
+        (dict(c_max=-1.0), "c_max"),  # certified c = -1
+    ], ids=["k_values-empty", "c_max-nan", "c_max-negative"])
+    def test_bad_arguments_refused(self, model_mc, kwargs, name):
+        with pytest.raises(InputError, match=f"^{name} must"):
+            model_mc.strong_stability_check(**kwargs)
+
     def test_c0_is_the_minimum_over_the_strip(self, model_mc):
         """c0 is min |ε| over every line passed, not over the last one: for the
         Coulomb Maxwellian the c = 0 line holds the minimum (0.0143), well

@@ -1,9 +1,11 @@
 """What the package is made of.
 
-Start-up: the package imports numpy, scipy.special and click, no other
-scipy subpackage.  Each of scipy.optimize, scipy.integrate and
+Start-up: the package imports numpy and click, and no part of scipy.
+Each of scipy.special, scipy.optimize, scipy.integrate and
 scipy.interpolate adds 0.1-0.5 s to every CLI process; one stray import
-would bring that back unnoticed.
+would bring that back unnoticed.  scipy.special loads on the first
+Faddeeva or E₁ value: a default `dielectric` or `evolve` run needs one,
+the other default runs do not.
 
 Dead code: every function and class the package defines has a caller in
 the package or the benchmark harness.
@@ -17,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import plasmakin
 
 MODULES = ("plasmakin.cli", "plasmakin.dielectric", "plasmakin.equilibrium",
@@ -24,17 +28,48 @@ MODULES = ("plasmakin.cli", "plasmakin.dielectric", "plasmakin.equilibrium",
 EXCLUDED = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
 
 
-def test_fresh_interpreter_loads_no_excluded_scipy_subpackage():
-    code = (f"import json, sys\nimport {', '.join(MODULES)}\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running `code`."""
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     src = str(Path(plasmakin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True, timeout=120)
-    loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert "scipy.special" in loaded
-    leaked = [m for m in loaded if any(m == e or m.startswith(e + ".") for e in EXCLUDED)]
-    assert leaked == []
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _leaked(loaded):
+    return [m for m in loaded if any(m == e or m.startswith(e + ".") for e in EXCLUDED)]
+
+
+def test_fresh_interpreter_loads_no_excluded_scipy_subpackage():
+    loaded = _scipy_modules_after(f"import {', '.join(MODULES)}")
+    assert "scipy.special" not in loaded
+    assert _leaked(loaded) == []
+
+
+# subcommand: (config lines beyond the scenario, whether its default run loads scipy.special)
+DEFAULT_RUNS = {
+    "penrose": ("", False),
+    "equilibrium": ("", False),
+    "cloud": ("", False),
+    "kernel": ("", False),
+    "dielectric": ("", True),  # strong_stability_check's Faddeeva lines
+    "evolve": ("potential = gaussian\n", True),  # the Bromwich contours' Faddeeva values
+}
+
+
+@pytest.mark.parametrize("subcommand", list(DEFAULT_RUNS))
+def test_default_run_loads_scipy_special_only_where_needed(tmp_path, subcommand):
+    config, special = DEFAULT_RUNS[subcommand]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {subcommand}\n{config}")
+    loaded = _scipy_modules_after(
+        "from plasmakin.cli import main\n"
+        f"try:\n    main({[subcommand, '--config', str(cfg), '--out', str(tmp_path / 'out')]})\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+    assert ("scipy.special" in loaded) == special
+    assert _leaked(loaded) == []
 
 
 # documented API that nothing in the package or the harness calls
