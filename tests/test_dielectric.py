@@ -621,11 +621,10 @@ class TestPenroseRestFrame:
 
     @pytest.mark.parametrize("dist", [
         Maxwellian(), AnisotropicGaussian(np.eye(3), drift=(0.0, 0.0, 0.5)),
-        BumpMixture([(1.0, (0, 0, 0.5), 1.0)]), ExponentialFamily(), TWO_BUMP,
-    ], ids=["maxwellian", "anisotropic", "bump", "exponential", "two-bump"])
+        BumpMixture([(1.0, (0, 0, 0.5), 1.0)]), ExponentialFamily(), _tabulated_two_bump(),
+    ], ids=["maxwellian", "anisotropic", "bump", "exponential", "tabulated"])
     def test_other_kinds_have_no_rest_frame(self, dist):
         assert dist.rest_frame() is None
-        assert _tabulated_two_bump().rest_frame() is None
 
 
 class TestInfimum:
@@ -768,17 +767,7 @@ class TestDispersionRoots:
             dF = float(Maxwellian().radon_profile_derivative(KZ, np.array([u0]))[0])
             assert abs(L - dF / tail_dalpha) <= 1e-12 * abs(dF / tail_dalpha)
 
-
-    # the `sweep` benchmark's families, as its `dielectric` runs build them
-    SWEEP_FAMILIES = [
-        Maxwellian(drift=(0.3, -0.2, 0.4), temperature=1.2),
-        Maxwellian(drift=(-0.1, 0.5, 0.05), temperature=1.35),
-        BumpMixture([(0.7, (0, 0, 0), 0.9), (0.3, (0, 0, 0), 1.4)]),
-        ExponentialFamily(gamma=1, modulation=0.3),
-        ExponentialFamily(gamma=2, modulation=0.2),
-    ]
-
-    @pytest.mark.parametrize("distribution", SWEEP_FAMILIES, ids=[
+    @pytest.mark.parametrize("distribution", TestPenroseOracle.SWEEP_FAMILIES, ids=[
         "drifted", "drifted-2", "two-temperature", "exponential-1", "exponential-2"])
     def test_stack_equals_single_calls(self, distribution):
         """The CLI's k = 0.1, 0.2, 0.3 along ẑ in one stack, and 0.8, above
@@ -1129,7 +1118,6 @@ class TestAlphaAsymptotics:
         model = DielectricModel(screening_mixture, coulomb)
         rep = model.alpha_asymptotics_check(u_range=(8.0, 11.5))
         assert rep["stable"]
-
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(n=0), "n"),  # ended in numpy's "zero-size array" ValueError
